@@ -26,6 +26,7 @@
 #include "core/experiment.h"
 #include "core/falvolt.h"
 #include "core/fap.h"
+#include "core/grid_registry.h"
 #include "core/sweep.h"
 #include "fault/fault_generator.h"
 #include "io/fault_injector.h"
@@ -337,7 +338,7 @@ inline std::string resolve_store_dir(const common::CliFlags& cli) {
   return common::env_or("FALVOLT_STORE", "");
 }
 
-/// Build the SweepRunner store/shard configuration from the CLI.
+/// Build a grid's store/shard configuration from the CLI.
 inline core::SweepStoreOptions store_options(
     const common::CliFlags& cli, const std::string& bench_name,
     const std::set<std::string>& aggregation_only = {}) {
@@ -378,7 +379,7 @@ inline std::size_t list_scenario_rows(
     const falvolt::store::StoreApi* rs, const std::string& label = "",
     std::size_t start_index = 0) {
   // The same cost-balanced partition (greedy LPT over static cost
-  // estimates) the engine computes — the listing's "shard" column IS
+  // estimates) SweepRunner computes — the listing's "shard" column IS
   // the plan every independently launched shard follows.
   std::vector<double> costs(scenarios.size());
   for (std::size_t i = 0; i < costs.size(); ++i) {
@@ -399,33 +400,6 @@ inline std::size_t list_scenario_rows(
                 status, fp.substr(0, 16).c_str(), key.c_str());
   }
   return start_index + scenarios.size();
-}
-
-/// Handle --list-scenarios: print the grid with fingerprints, owning
-/// shards, and store status (for shard planning), then tell the caller
-/// to exit. A pure dry run: computes nothing, writes no outputs, and —
-/// unlike an actual sweep — does not even create the store directories
-/// (a store that does not exist yet simply lists every cell as MISS).
-inline bool list_scenarios(const common::CliFlags& cli,
-                           const core::SweepRunner& runner,
-                           const std::vector<core::Scenario>& scenarios) {
-  if (!cli.get_bool("list-scenarios")) return false;
-  const core::SweepStoreOptions& st = runner.store();
-  std::unique_ptr<falvolt::store::StoreApi> rs;
-  if (!st.dir.empty() && falvolt::store::store_spec_exists(st.dir)) {
-    rs = falvolt::store::open_store(st.dir, st.substituters,
-                                    /*create=*/false);
-  }
-  std::printf("# %zu scenario(s), shard %d/%d%s%s\n", scenarios.size(),
-              st.shard_index, st.shard_count,
-              st.dir.empty() ? "" : ", store ", st.dir.c_str());
-  std::printf("%-5s %-6s %-6s %-16s %s\n", "idx", "shard", "store",
-              "fingerprint", "key");
-  list_scenario_rows(
-      st, scenarios,
-      [&runner](const core::Scenario& s) { return runner.fingerprint(s); },
-      rs.get());
-  return true;
 }
 
 /// True when the table covers the full grid; otherwise print the shard
@@ -489,6 +463,55 @@ inline core::WorkloadOptions workload_options(const common::CliFlags& cli) {
   opts.threads = static_cast<int>(cli.get_int("threads"));
   opts.sweep_parallel = static_cast<int>(cli.get_int("sweep-parallel"));
   return opts;
+}
+
+inline void print_baseline(const core::Workload& w) {
+  std::printf("[%s] baseline accuracy %.2f%% (train %d / test %d, T=%d)\n",
+              core::dataset_name(w.kind), w.baseline_accuracy,
+              w.data.train.size(), w.data.test.size(),
+              w.data.train.time_steps());
+}
+
+/// Handle --list-scenarios: print the grid with fingerprints, owning
+/// shards, and store status (for shard planning), then tell the caller
+/// to exit. A pure dry run: computes nothing, writes no outputs, and —
+/// unlike an actual sweep — does not even create the store directories
+/// (a store that does not exist yet simply lists every cell as MISS).
+inline bool list_scenarios(const common::CliFlags& cli,
+                           const core::SweepStoreOptions& st,
+                           const std::vector<core::Scenario>& scenarios) {
+  if (!cli.get_bool("list-scenarios")) return false;
+  std::unique_ptr<falvolt::store::StoreApi> rs;
+  if (!st.dir.empty() && falvolt::store::store_spec_exists(st.dir)) {
+    rs = falvolt::store::open_store(st.dir, st.substituters,
+                                    /*create=*/false);
+  }
+  std::printf("# %zu scenario(s), shard %d/%d%s%s\n", scenarios.size(),
+              st.shard_index, st.shard_count,
+              st.dir.empty() ? "" : ", store ", st.dir.c_str());
+  std::printf("%-5s %-6s %-6s %-16s %s\n", "idx", "shard", "store",
+              "fingerprint", "key");
+  const core::WorkloadOptions opts = workload_options(cli);
+  list_scenario_rows(
+      st, scenarios,
+      [&](const core::Scenario& s) {
+        return core::fingerprint_cell(st, opts, s);
+      },
+      rs.get());
+  return true;
+}
+
+/// Run one figure bench's grid standalone — its own SweepRunner, the
+/// baseline banner on stdout — and return its table. The fleet driver
+/// runs the very same GridDef cells, so the store is interchangeable.
+inline core::ResultTable run_bench_grid(
+    const common::CliFlags& cli, const core::GridDef& def,
+    core::SweepStoreOptions store, std::vector<core::Scenario> scenarios) {
+  core::SweepRunner runner(workload_options(cli));
+  runner.set_on_baseline(print_baseline);
+  runner.add_grid({std::move(store), std::move(scenarios),
+                   def.scenario_fn(cli, runner.context())});
+  return std::move(runner.run().front());
 }
 
 /// Parse a --datasets spec into dataset kinds. An empty or "all" spec
@@ -645,13 +668,6 @@ inline void write_scenario_rows(common::CsvWriter& csv,
 /// Banner printed by every bench so logs are self-describing.
 inline void banner(const std::string& name, const std::string& what) {
   std::printf("=== %s ===\n%s\n\n", name.c_str(), what.c_str());
-}
-
-inline void print_baseline(const core::Workload& w) {
-  std::printf("[%s] baseline accuracy %.2f%% (train %d / test %d, T=%d)\n",
-              core::dataset_name(w.kind), w.baseline_accuracy,
-              w.data.train.size(), w.data.test.size(),
-              w.data.train.time_steps());
 }
 
 /// First `n` samples of a dataset (vulnerability sweeps evaluate through

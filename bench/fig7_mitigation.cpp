@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   common::CliFlags cli(def.name);
   fb::add_common_flags(cli);
   def.add_flags(cli);
-  if (!cli.parse(argc, argv)) return 0;
+  if (!cli.parse_or_exit(argc, argv)) return 0;
   fb::ExecScope obs(cli);
 
   fb::banner("Fig. 7", def.title);
@@ -33,10 +33,9 @@ int main(int argc, char** argv) {
   const std::vector<core::DatasetKind> kinds = fb::fig7::kinds(cli);
   const std::vector<core::Scenario> scenarios = def.scenarios(cli);
 
-  core::SweepRunner runner(fb::workload_options(cli));
-  runner.set_on_baseline(fb::print_baseline);
-  runner.set_store(fb::store_options(cli, def.name, def.aggregation_only));
-  if (fb::list_scenarios(cli, runner, scenarios)) return 0;
+  const core::SweepStoreOptions store =
+      fb::store_options(cli, def.name, def.aggregation_only);
+  if (fb::list_scenarios(cli, store, scenarios)) return 0;
 
   // Outputs open before the sweep so an unwritable CWD fails fast.
   common::CsvWriter csv(fb::csv_path(cli, def.name),
@@ -45,7 +44,7 @@ int main(int argc, char** argv) {
   fb::probe_sweep_json(cli, def.name);
 
   const core::ResultTable results =
-      runner.run(scenarios, def.scenario_fn(cli, runner.context()));
+      fb::run_bench_grid(cli, def, store, scenarios);
 
   fb::write_scenario_rows(csv, results);
 
@@ -53,7 +52,7 @@ int main(int argc, char** argv) {
     const std::vector<double>& rates = fb::fig7::rates();
     for (const auto kind : kinds) {
       // Baseline accuracy comes from the cells' own "baseline" metric,
-      // not runner.context(): on a warm-store re-run no workload was
+      // not the runner's context: on a warm-store re-run no workload was
       // ever prepared, yet the replayed cells still carry it.
       const double baseline =
           results.get(fb::fig7::cell_key(kind, rates.front(), "FaP"))

@@ -6,8 +6,8 @@
 // post-fab test.
 //
 // Usage:
-//   micro_kernels [--out_dir=DIR] [--json=NAME] [--gemm_json=NAME]
-//                 [--threads=N] [google-benchmark flags]
+//   micro_kernels [--out_dir=DIR] [--json=NAME] [--threads=N]
+//                 [google-benchmark flags]
 //
 // The perf-trajectory sweeps (GEMM tiers, faulty-GEMM engine, cycle sim)
 // run first and write one machine-readable summary to --json (default
@@ -15,8 +15,7 @@
 // registered micro-benchmarks as usual. --out_dir places every relative
 // output under DIR, created with parents (default bench_out/ — CI and
 // local runs stop littering the invocation CWD; pass --out_dir= to
-// write relative paths as-is); --gemm_json additionally writes the
-// legacy GEMM-tier-only summary.
+// write relative paths as-is).
 
 #include <benchmark/benchmark.h>
 
@@ -38,6 +37,7 @@
 #include "fault/fault_generator.h"
 #include "fault/post_fab_test.h"
 #include "fault/prune_mask.h"
+#include "obs/metrics.h"
 #include "snn/plif.h"
 #include "systolic/cycle_sim.h"
 #include "systolic/faulty_gemm.h"
@@ -372,22 +372,28 @@ std::string run_faulty_gemm_sweep() {
       engine.run(a.data(), w.data(), c.data(), m, k, n, "L");
     });
     // Path-taken counts for ONE vectorized invocation: delta the
-    // engine's cumulative counters around a single untimed run, so the
-    // JSON carries deterministic per-run() numbers (the timed loops
-    // above run an unknown number of iterations). Sanity invariant:
-    // vector + scalar + fallback columns plus reference_rows * n covers
-    // every output element exactly once.
+    // process-wide kernel.faulty_gemm.* counters around a single untimed
+    // run (this engine is the only one running), so the JSON carries
+    // deterministic per-run() numbers (the timed loops above run an
+    // unknown number of iterations). Sanity invariant: vector + scalar +
+    // fallback columns plus reference_rows * n covers every output
+    // element exactly once.
     engine.set_force_scalar(false);
-    const auto paths_before = engine.path_counts();
+    const auto path_count = [](const char* path) -> unsigned long long {
+      return obs::counter(std::string("kernel.faulty_gemm.") + path).value();
+    };
+    const unsigned long long vector0 = path_count("vector_cols");
+    const unsigned long long scalar0 = path_count("scalar_cols");
+    const unsigned long long fallback0 = path_count("fallback_cols");
+    const unsigned long long reference0 = path_count("reference_rows");
     const std::uint64_t steps_before = engine.accumulate_steps();
     engine.run(a.data(), w.data(), c.data(), m, k, n, "L");
-    const auto paths = engine.path_counts();
-    const unsigned long long vector_cols = paths.vector_cols - paths_before.vector_cols;
-    const unsigned long long scalar_cols = paths.scalar_cols - paths_before.scalar_cols;
+    const unsigned long long vector_cols = path_count("vector_cols") - vector0;
+    const unsigned long long scalar_cols = path_count("scalar_cols") - scalar0;
     const unsigned long long fallback_cols =
-        paths.fallback_cols - paths_before.fallback_cols;
+        path_count("fallback_cols") - fallback0;
     const unsigned long long reference_rows =
-        paths.reference_rows - paths_before.reference_rows;
+        path_count("reference_rows") - reference0;
     const unsigned long long steps = engine.accumulate_steps() - steps_before;
     const double items = static_cast<double>(m) * k * n;
     char row[768];
@@ -468,15 +474,12 @@ int main(int argc, char** argv) {
   // Peel off our flags; everything else goes to google-benchmark.
   std::string out_dir = "bench_out";
   std::string json_name = "micro_kernels.json";
-  std::string gemm_json_name;  // legacy GEMM-tier-only summary, off by default
   std::vector<char*> bench_argv = {argv[0]};
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--out_dir=", 10) == 0) {
       out_dir = argv[i] + 10;
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_name = argv[i] + 7;
-    } else if (std::strncmp(argv[i], "--gemm_json=", 12) == 0) {
-      gemm_json_name = argv[i] + 12;
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
       compute::set_global_threads(std::atoi(argv[i] + 10));
     } else {
@@ -501,14 +504,6 @@ int main(int argc, char** argv) {
     json += "  \"cycle_sim\": [\n" + cycle_rows + "  ]\n}\n";
     write_text_file(resolve_out_path(out_dir, json_name), json,
                     "micro_kernels");
-  }
-  if (!gemm_json_name.empty() && gemm_json_name != "none") {
-    const std::string legacy =
-        "{\n  \"bench\": \"gemm_tiers\",\n  \"threads\": " +
-        std::to_string(compute::global_threads()) + ",\n  \"sizes\": [\n" +
-        gemm_rows + "  ]\n}\n";
-    write_text_file(resolve_out_path(out_dir, gemm_json_name), legacy,
-                    "gemm");
   }
   std::printf("\n");
 

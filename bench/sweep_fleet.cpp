@@ -35,7 +35,6 @@
 #include <fstream>
 #include <map>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -122,15 +121,8 @@ int main(int argc, char** argv) try {
                  "fleet summary JSON path ('' = disabled). Per-bench "
                  "sweep JSONs come from warm bench re-runs against the "
                  "fleet store");
-  cli.add_string("schedule", "cost",
-                 "work-queue ordering: 'cost' claims the most expensive "
-                 "cells first (shortest fleet tail on heterogeneous "
-                 "grids), 'claim' keeps legacy grid-major order. Tables "
-                 "are byte-identical either way");
-  if (!cli.parse(argc, argv)) return 0;
+  if (!cli.parse_or_exit(argc, argv)) return 0;
   fb::ExecScope obs_scope(cli);
-  const core::SchedulePolicy schedule =
-      core::parse_schedule_policy(cli.get_string("schedule"));
 
   // Process layout (the kExecFleet exec flags): --hosts N runs this
   // invocation as the scheduler daemon forking N workers; a forked
@@ -270,7 +262,7 @@ int main(int argc, char** argv) try {
       "store",     // forwarded below as the resolved shared store dir
       "datasets",  // forwarded per grid, narrowed to the grid's axis
       "sweep-json", "list-scenarios",  // fleet-handled, not per-grid
-      "workers", "grids", "set", "json", "schedule"};  // fleet-only flags
+      "workers", "grids", "set", "json"};  // fleet-only flags
   std::vector<std::string> forwards;
   for (const auto& [flag, value] : cli.items()) {
     // Exec-table flags (telemetry, fault injection, process layout) are
@@ -381,18 +373,16 @@ int main(int argc, char** argv) try {
     opts.sweep_parallel = static_cast<int>(cli.get_int("workers"));
   }
 
-  core::FleetRunner fleet(opts);
+  core::SweepRunner fleet(opts);
   fleet.set_on_baseline(fb::print_baseline);
-  fleet.set_schedule(schedule);
   for (FleetGridSpec& spec : specs) {
-    fleet.add_grid(core::FleetGrid{
-        spec.store, spec.scenarios,
-        spec.def->scenario_fn(spec.cli, fleet.context())});
+    fleet.add_grid({spec.store, spec.scenarios,
+                    spec.def->scenario_fn(spec.cli, fleet.context())});
   }
 
   // Worker mode (--daemon-socket without --hosts, i.e. a process the
   // daemon forked): build the same grids the daemon did, register every
-  // cell under its wire name, and let the engine's claim loop pull work
+  // cell under its wire name, and let the runner's claim loop pull work
   // over the socket instead of its in-process queue. Workers publish
   // records directly to the shared store — the daemon only ever sees
   // metadata — then exit without tables or summaries of their own.
@@ -444,15 +434,10 @@ int main(int argc, char** argv) try {
           }
           const std::string fp = core::fingerprint_cell(
               spec.store, fleet_opts, spec.scenarios[i]);
-          if (spec.store.resume) {
-            if (const std::optional<std::string> payload = rs->get(fp)) {
-              core::ScenarioResult prior;
-              if (core::decode_scenario_result(*payload, prior) &&
-                  prior.scenario.key == spec.scenarios[i].key) {
-                ++triage_cached;
-                continue;  // already paid for — nothing to schedule
-              }
-            }
+          if (spec.store.resume &&
+              core::lookup_cell(*rs, fp, spec.scenarios[i].key)) {
+            ++triage_cached;
+            continue;  // already paid for — nothing to schedule
           }
           cells.push_back(fleet::DaemonCell{
               spec.def->name, spec.scenarios[i].key, fp, costs[i]});
@@ -586,11 +571,15 @@ int main(int argc, char** argv) try {
   }
 
   std::printf("=== sweep_fleet ===\n%zu grid(s) against store %s "
-              "(%s-ordered queue)\n\n",
-              specs.size(), store_dir.c_str(),
-              core::schedule_policy_name(schedule));
+              "(cost-ordered queue)\n\n",
+              specs.size(), store_dir.c_str());
   const std::vector<core::ResultTable> tables = fleet.run();
+  const double total_seconds = tables.front().total_seconds();
 
+  // The run's numbers, computed once for the stdout total and the JSON
+  // run block. In daemon mode they are the DAEMON's ledger — what the
+  // forked workers actually computed — not the warm replay above (which
+  // by construction computes zero cells).
   std::size_t computed = 0, cached = 0, absent = 0;
   for (std::size_t g = 0; g < tables.size(); ++g) {
     const core::ResultTable& t = tables[g];
@@ -602,16 +591,19 @@ int main(int argc, char** argv) try {
                 specs[g].def->name.c_str(), t.size(), t.computed_cells(),
                 t.cached_cells(), t.absent_cells());
   }
+  const int run_workers =
+      daemon_mode ? hosts : tables.front().sweep_parallel();
+  const double run_seconds = daemon_mode ? daemon_seconds : total_seconds;
+  if (daemon_mode) {
+    computed = static_cast<std::size_t>(dstats.computed);
+    cached = triage_cached + static_cast<std::size_t>(dstats.cached);
+  }
   std::printf("[fleet] total: %zu computed, %zu cached, %zu absent in "
               "%.1f s at %d worker(s)\n",
-              computed, cached, absent,
-              tables.empty() ? 0.0 : tables.front().total_seconds(),
-              tables.empty() ? 0 : tables.front().sweep_parallel());
+              computed, cached, absent, run_seconds, run_workers);
   // Per-worker tail utilization: the cost-ordered queue exists so no
   // worker shows a near-zero busy fraction while one drains a late
   // retrain cell.
-  const double total_seconds =
-      tables.empty() ? 0.0 : tables.front().total_seconds();
   const std::vector<core::WorkerStats>& workers = fleet.worker_stats();
   if (!daemon_mode) {  // daemon mode printed its socket workers above
     for (std::size_t w = 0; w < workers.size(); ++w) {
@@ -658,25 +650,12 @@ int main(int argc, char** argv) try {
                    cli.get_string("json").c_str());
       return 1;
     }
-    // In daemon mode the run block reports the DAEMON's ledger — what
-    // the forked workers actually computed — not the parent's warm
-    // replay (which by construction computes zero cells).
-    const long run_workers =
-        daemon_mode ? hosts
-                    : (tables.empty() ? 0 : tables.front().sweep_parallel());
-    const double run_seconds = daemon_mode ? daemon_seconds : total_seconds;
-    const std::size_t run_computed =
-        daemon_mode ? static_cast<std::size_t>(dstats.computed) : computed;
-    const std::size_t run_cached =
-        daemon_mode ? triage_cached + static_cast<std::size_t>(dstats.cached)
-                    : cached;
     out << "{\n  \"driver\": \"sweep_fleet\",\n  \"store\": \""
         << common::json_escape(store_dir)
-        << "\",\n  \"schedule\": \"" << core::schedule_policy_name(schedule)
         << "\",\n  \"run\": {\"workers\": " << run_workers
         << ", \"total_seconds\": " << run_seconds
-        << ", \"cells_computed\": " << run_computed
-        << ", \"cells_cached\": " << run_cached
+        << ", \"cells_computed\": " << computed
+        << ", \"cells_cached\": " << cached
         << ", \"cells_absent\": " << absent << "},\n";
     if (daemon_mode) {
       out << "  \"daemon\": {\"socket\": \""

@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
                  "I/O fault-injection spec (see the benches' --faults; '' "
                  "= $FALVOLT_FAULTS, none = disabled) — faults merge/"
                  "compact/prune store I/O the same way");
-  if (!cli.parse(argc, argv)) return 0;
+  if (!cli.parse_or_exit(argc, argv)) return 0;
   bench::FaultScope fault_scope(cli.get_string("faults"));
 
   if (cli.get_string("into").empty()) {
@@ -321,14 +321,12 @@ int main(int argc, char** argv) {
   std::vector<std::string> missing;
   for (std::size_t i = 0; i < manifest->entries.size(); ++i) {
     const auto& [fp, key] = manifest->entries[i];
-    const std::optional<std::string> payload = reader->get(fp);
-    core::ScenarioResult r;
-    if (!payload || !core::decode_scenario_result(*payload, r) ||
-        r.scenario.key != key) {
+    std::optional<core::ScenarioResult> r = core::lookup_cell(*reader, fp, key);
+    if (!r) {
       missing.push_back(key + " (" + fp.substr(0, 16) + "...)");
       continue;
     }
-    table.put_cached(i, std::move(r));
+    table.put_cached(i, std::move(*r));
   }
   if (!missing.empty()) {
     std::fprintf(stderr,

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   cli.add_double("defect-rate", 0.18,
                  "mean fraction of defective PEs on a bad die");
   cli.add_bool("fast", true, "smaller dataset / fewer epochs");
-  if (!cli.parse(argc, argv)) return 0;
+  if (!cli.parse_or_exit(argc, argv)) return 0;
 
   core::WorkloadOptions opts;
   opts.fast = cli.get_bool("fast");

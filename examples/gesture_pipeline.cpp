@@ -52,7 +52,7 @@ std::vector<double> per_class_accuracy(snn::Network& net,
 int main(int argc, char** argv) {
   common::CliFlags cli("gesture_pipeline");
   cli.add_bool("fast", true, "smaller dataset / fewer epochs");
-  if (!cli.parse(argc, argv)) return 0;
+  if (!cli.parse_or_exit(argc, argv)) return 0;
 
   core::WorkloadOptions opts;
   opts.fast = cli.get_bool("fast");

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   cli.add_int("threads", 0,
               "compute worker threads (0 = $FALVOLT_THREADS, else the "
               "hardware concurrency)");
-  if (!cli.parse(argc, argv)) return 0;
+  if (!cli.parse_or_exit(argc, argv)) return 0;
 
   // 1-2. Dataset + trained baseline (cached on disk after the first run).
   core::WorkloadOptions opts;

@@ -1,6 +1,7 @@
 #include "common/cli.h"
 
 #include <cstdio>
+#include <cstdlib>
 #include <iomanip>
 #include <limits>
 #include <sstream>
@@ -78,7 +79,7 @@ bool CliFlags::parse(int argc, const char* const* argv) {
     }
     auto it = flags_.find(name);
     if (it == flags_.end()) {
-      throw std::invalid_argument("unknown flag: --" + name + "\n" + usage());
+      throw std::invalid_argument("unknown flag: --" + name);
     }
     Flag& f = it->second;
     if (f.type == Type::kBool && !has_value) {
@@ -117,6 +118,15 @@ bool CliFlags::parse(int argc, const char* const* argv) {
     f.value = value;
   }
   return true;
+}
+
+bool CliFlags::parse_or_exit(int argc, const char* const* argv) {
+  try {
+    return parse(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: %s (see --help)\n", program_.c_str(), e.what());
+    std::exit(2);
+  }
 }
 
 const CliFlags::Flag& CliFlags::find(const std::string& name,

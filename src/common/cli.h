@@ -2,7 +2,8 @@
 // Tiny command-line flag parser for the bench/example binaries.
 //
 // Supports `--name value` and `--name=value` forms plus boolean switches
-// (`--fast`). Unknown flags raise; `--help` prints registered flags.
+// (`--fast`). Unknown flags raise (parse) or exit 2 with one error line
+// (parse_or_exit); `--help` prints registered flags.
 
 #include <map>
 #include <string>
@@ -16,7 +17,7 @@ namespace falvolt::common {
 ///   CliFlags cli("fig7_mitigation");
 ///   cli.add_int("epochs", 8, "retraining epochs");
 ///   cli.add_bool("fast", false, "shrink workloads ~4x");
-///   cli.parse(argc, argv);
+///   if (!cli.parse_or_exit(argc, argv)) return 0;
 ///   int epochs = cli.get_int("epochs");
 class CliFlags {
  public:
@@ -32,6 +33,11 @@ class CliFlags {
   /// Parse argv. Returns false (after printing usage) if --help was given.
   /// Throws std::invalid_argument on unknown flags or malformed values.
   bool parse(int argc, const char* const* argv);
+
+  /// parse() for a program's main(): an unknown flag or malformed value
+  /// prints "<program>: <error> (see --help)" to stderr and exits 2
+  /// instead of escaping as an exception.
+  bool parse_or_exit(int argc, const char* const* argv);
 
   long long get_int(const std::string& name) const;
   double get_double(const std::string& name) const;

@@ -43,19 +43,18 @@ struct GridDef {
   /// exempted from cell fingerprints (e.g. fig8's --target-drop).
   std::set<std::string> aggregation_only;
   /// Builds the scenario grid from the parsed flags. Cells should carry
-  /// an honest cost estimate for the fleet's cost-ordered queue: set
+  /// an honest cost estimate for the runner's cost-ordered queue: set
   /// Scenario::retrain/epochs (the default estimate scales with them)
   /// or tag Scenario::cost_hint explicitly when the grid knows better
   /// (e.g. fig5c derives per-array-size eval cost from
   /// systolic::cost_model). Cost never enters a fingerprint.
   std::function<std::vector<Scenario>(const common::CliFlags&)> scenarios;
   /// Builds the scenario function. `ctx` is the context the running
-  /// sweep prepares baselines into (a SweepRunner's or a FleetRunner's);
+  /// sweep prepares baselines into (SweepRunner::context());
   /// the returned closure must own every other value it needs — capture
   /// flag-derived values by value, shared state by shared_ptr — because
   /// the CliFlags it was built from may be gone by the time it runs.
-  std::function<SweepRunner::ScenarioFn(const common::CliFlags&,
-                                        const SweepContext&)>
+  std::function<ScenarioFn(const common::CliFlags&, const SweepContext&)>
       scenario_fn;
 };
 

@@ -259,17 +259,6 @@ double scenario_cost_estimate(const Scenario& s) {
   return 1.0;
 }
 
-SchedulePolicy parse_schedule_policy(const std::string& name) {
-  if (name == "cost") return SchedulePolicy::kCostOrdered;
-  if (name == "claim") return SchedulePolicy::kClaimOrdered;
-  throw std::invalid_argument("schedule policy must be 'cost' or 'claim', "
-                              "got '" + name + "'");
-}
-
-const char* schedule_policy_name(SchedulePolicy policy) {
-  return policy == SchedulePolicy::kCostOrdered ? "cost" : "claim";
-}
-
 std::uint64_t scenario_seed(const Scenario& s) {
   // FNV-1a over the key, then fold in the explicit fault seed so two
   // scenarios differing only in fault_seed get distinct streams too.
@@ -477,24 +466,6 @@ snn::Network SweepContext::clone_network(DatasetKind kind) const {
   return net;
 }
 
-// ------------------------------------------------------------ SweepRunner
-
-SweepRunner::SweepRunner(WorkloadOptions opts) : opts_(std::move(opts)) {
-  ctx_.opts_ = opts_;
-}
-
-void SweepRunner::set_store(SweepStoreOptions store) {
-  if (store.shard_count < 1 || store.shard_index < 0 ||
-      store.shard_index >= store.shard_count) {
-    throw std::invalid_argument("SweepRunner: shard index " +
-                                std::to_string(store.shard_index) +
-                                " out of range for " +
-                                std::to_string(store.shard_count) +
-                                " shard(s)");
-  }
-  store_ = std::move(store);
-}
-
 std::string fingerprint_cell(const SweepStoreOptions& store,
                              const WorkloadOptions& opts, const Scenario& s) {
   // Everything that determines the cell's output, nothing that is
@@ -524,274 +495,284 @@ std::string fingerprint_cell(const SweepStoreOptions& store,
   return fp.digest();
 }
 
-std::string SweepRunner::fingerprint(const Scenario& s) const {
-  return fingerprint_cell(store_, opts_, s);
+std::optional<ScenarioResult> lookup_cell(const store::StoreApi& rs,
+                                          const std::string& fp,
+                                          const std::string& key) {
+  const std::optional<std::string> payload = rs.get(fp);
+  ScenarioResult r;
+  if (!payload || !decode_scenario_result(*payload, r) ||
+      r.scenario.key != key) {
+    return std::nullopt;
+  }
+  return r;
 }
 
-// ------------------------------------------------------------ SweepEngine
-//
-// The executor behind BOTH SweepRunner (one grid) and FleetRunner (the
-// union of several benches' grids). One grid is just a fleet of size 1:
-// fingerprints, triage, manifest writes, baseline preparation, the
-// work-stealing claim loop, store publication, provenance stamping, and
-// ordered log flushing are identical — the only differences are the
-// progress-line labels and how many tables come back.
-struct SweepEngine {
-  // Per-grid working state.
-  struct GridState {
-    const FleetGrid* grid = nullptr;
-    std::string label;  // non-empty => prefixed progress/error lines
-    std::unique_ptr<store::StoreApi> rs;
-    std::vector<std::string> fps;
-    ResultTable table;
-    std::vector<int> pending;         // grid-local indices this run computes
-    std::vector<double> pending_cost;  // estimated cost of each pending cell
-  };
+// ------------------------------------------------------------ SweepRunner
 
-  static void prepare_kinds(
-      SweepContext& ctx, const WorkloadOptions& opts,
-      const std::function<void(const Workload&)>& on_baseline,
-      const std::set<DatasetKind>& kinds) {
-    static obs::Counter& ns = obs::counter("sweep.baseline.ns");
-    static obs::Counter& count = obs::counter("sweep.baseline.count");
-    for (const DatasetKind kind : kinds) {
-      if (ctx.baselines_.count(kind)) continue;
-      obs::TraceSpan span("sweep",
-                          std::string("baseline:") + dataset_name(kind));
-      obs::ScopedTimer timed(ns, count);
-      Workload wl = prepare_workload(kind, opts);
-      std::vector<tensor::Tensor> snapshot = wl.net.snapshot_params();
-      if (on_baseline) on_baseline(wl);
-      ctx.order_.push_back(kind);
-      ctx.baselines_.emplace(
-          kind, SweepContext::Baseline{std::move(wl), std::move(snapshot)});
-    }
-  }
+namespace {
 
-  static int effective_parallel(const WorkloadOptions& opts, std::size_t n) {
-    int want = opts.sweep_parallel;
-    if (want <= 0) {
-      const long long env = common::env_int_or("FALVOLT_SWEEP_PARALLEL", 0);
-      if (env > 0) {
-        want = static_cast<int>(
-            std::min<long long>(env, compute::ThreadPool::kMaxThreads));
-      } else {
-        const unsigned hw = std::thread::hardware_concurrency();
-        want = hw == 0 ? 1 : static_cast<int>(hw);
-      }
-    }
-    want = std::min(want, compute::ThreadPool::kMaxThreads);
-    if (n > 0) {
-      want = std::min(want,
-                      static_cast<int>(std::min<std::size_t>(n, 1u << 16)));
-    }
-    return std::max(1, want);
-  }
-
-  static std::vector<ResultTable> run(
-      const WorkloadOptions& opts, SweepContext& ctx, bool prepare_baselines,
-      const std::function<void(const Workload&)>& on_baseline,
-      const std::vector<FleetGrid>& grids, bool labeled,
-      SchedulePolicy schedule, std::vector<WorkerStats>& worker_stats,
-      CellQueue* external_queue);
-};
-
-std::vector<ResultTable> SweepEngine::run(
-    const WorkloadOptions& opts, SweepContext& ctx, bool prepare_baselines,
-    const std::function<void(const Workload&)>& on_baseline,
-    const std::vector<FleetGrid>& grids, bool labeled,
-    SchedulePolicy schedule, std::vector<WorkerStats>& worker_stats,
-    CellQueue* external_queue) {
-  std::vector<GridState> gs(grids.size());
-  for (std::size_t g = 0; g < grids.size(); ++g) {
-    GridState& st = gs[g];
-    st.grid = &grids[g];
-    if (labeled) {
-      st.label = grids[g].store.bench.empty()
-                     ? "grid" + std::to_string(g)
-                     : grids[g].store.bench;
-    }
-    const std::vector<Scenario>& scenarios = grids[g].scenarios;
-    {
-      std::set<std::string> keys;
-      for (const Scenario& s : scenarios) {
-        if (!keys.insert(s.key).second) {
-          throw std::invalid_argument(
-              "SweepRunner: duplicate scenario key " + s.key);
-        }
-      }
-    }
-    const SweepStoreOptions& store = grids[g].store;
-    const std::size_t total = scenarios.size();
-    st.table = ResultTable(total);
-    st.table.shard_index_ = store.shard_index;
-    st.table.shard_count_ = store.shard_count;
-    st.fps.assign(total, "");
-
-    const bool use_store = !store.dir.empty();
-    if (use_store) {
-      st.rs = store::open_store(store.dir, store.substituters);
-      for (std::size_t i = 0; i < total; ++i) {
-        st.fps[i] = fingerprint_cell(store, opts, scenarios[i]);
-      }
-      // The manifest lists the FULL grid (all shards) and is identical
-      // across the shards of one grid; written before any compute so a
-      // killed sweep still leaves the merge/plan tooling its grid. A
-      // read-only store (segment:) can only replay, never publish —
-      // whether that suffices is decided after triage below.
-      if (st.rs->writable()) {
-        store::Manifest manifest;
-        manifest.bench = store.bench.empty() ? "sweep" : store.bench;
-        for (std::size_t i = 0; i < total; ++i) {
-          manifest.entries.emplace_back(st.fps[i], scenarios[i].key);
-        }
-        st.rs->put_manifest(manifest);
-      }
-    }
-    // Cost-balanced shard ownership over the STATIC cost estimates (every
-    // independently launched shard derives the identical partition).
-    std::vector<int> owners;
-    if (store.shard_count > 1) {
-      std::vector<double> est(total);
-      for (std::size_t i = 0; i < total; ++i) {
-        est[i] = scenario_cost_estimate(scenarios[i]);
-      }
-      owners = shard_partition(est, store.shard_count);
-    }
-
-    // Triage every cell: replay a valid cached record (any shard's),
-    // otherwise compute it if this shard owns it, otherwise leave the
-    // slot absent for sweep_merge to fill from the other shards' stores.
-    static obs::Counter& cached_cells = obs::counter("sweep.cells.cached");
-    static obs::Counter& get_ns = obs::counter("sweep.store.get.ns");
-    static obs::Counter& get_count = obs::counter("sweep.store.get.count");
-    obs::TraceSpan triage_span(
-        "sweep", "triage:" + (store.bench.empty() ? "sweep" : store.bench));
-    for (std::size_t i = 0; i < total; ++i) {
-      st.table.rows_[i].scenario = scenarios[i];
-      st.table.rows_[i].fingerprint = st.fps[i];
-      if (use_store && store.resume) {
-        obs::TraceSpan span("store", "triage.get");
-        if (obs::trace_enabled()) {
-          span.arg("key", scenarios[i].key);
-          span.arg("fingerprint", st.fps[i].substr(0, 16));
-        }
-        std::optional<std::string> payload;
-        {
-          obs::ScopedTimer timed(get_ns, get_count);
-          payload = st.rs->get(st.fps[i]);
-        }
-        if (payload) {
-          ScenarioResult cached;
-          if (decode_scenario_result(*payload, cached) &&
-              cached.scenario.key == scenarios[i].key) {
-            cached.scenario = scenarios[i];
-            cached.fingerprint = st.fps[i];
-            st.table.set_slot(i, std::move(cached), ResultTable::kCached);
-            cached_cells.add(1);
-            span.arg("cached", true);
-            continue;
-          }
-          // Fingerprint collision with a foreign key, or a record the
-          // codec rejects: both read as a miss.
-        }
-        span.arg("cached", false);
-      }
-      if (store.shard_count == 1 || owners[i] == store.shard_index) {
-        // Estimated cost for the cost-ordered queue. On a warm store a
-        // recompute run (--resume false) refines the grid's static
-        // estimate with the wall-clock the cell took last time — the
-        // most accurate predictor available. (With resume on, a cell
-        // that has a usable record was replayed above, so every pending
-        // cell is a true miss with no history.)
-        double cost = scenario_cost_estimate(scenarios[i]);
-        if (use_store && !store.resume) {
-          if (const std::optional<std::string> prior = st.rs->get(st.fps[i])) {
-            ScenarioResult previous;
-            if (decode_scenario_result(*prior, previous) &&
-                previous.seconds > 0.0) {
-              cost = previous.seconds;
-            }
-          }
-        }
-        st.pending.push_back(static_cast<int>(i));
-        st.pending_cost.push_back(cost);
-      }
-    }
-    if (use_store && !st.rs->writable() && !st.pending.empty()) {
-      throw std::runtime_error(
-          (st.label.empty() ? std::string("sweep") : st.label) +
-          ": store '" + store.dir + "' is read-only but " +
-          std::to_string(st.pending.size()) +
-          " owned cell(s) still need computing — publish to a writable "
-          "store (local:<dir> or a bare path) instead");
-    }
-    if (use_store) {
-      const std::string where = st.label.empty()
-                                    ? "store " + store.dir
-                                    : st.label + " @ store " + store.dir;
-      std::fprintf(stderr,
-                   "[sweep] %s: %zu cached, %zu to compute, %zu "
-                   "foreign-shard cell(s) (shard %d/%d)\n",
-                   where.c_str(), st.table.cached_cells(),
-                   st.pending.size(),
-                   total - st.table.cached_cells() - st.pending.size(),
-                   store.shard_index, store.shard_count);
-    }
-  }
-
-  // The cross-grid work queue. Workers claim one cell at a time from a
-  // shared counter, so a worker done with one bench's cheap cells
-  // immediately steals the next bench's pending cells — no per-grid
-  // barrier, no idle tail while another grid still has work. Under the
-  // default cost-ordered policy the queue is sorted most-expensive
-  // first (stable, so equal-cost cells keep grid-major order): on a
-  // heterogeneous fleet a retrain cell claimed LAST strands one worker
-  // for its whole duration after every other worker drained the cheap
-  // evals; claimed FIRST it overlaps all of them. Ordering is pure
-  // scheduling — tables are emitted in grid order either way, so the
-  // two policies produce byte-identical CSV/JSON values.
-  struct QueueEntry {
-    int grid;
-    int index;  // grid-local scenario index
-    double cost;
-  };
-  std::vector<QueueEntry> queue;
-  for (std::size_t g = 0; g < gs.size(); ++g) {
-    for (std::size_t p = 0; p < gs[g].pending.size(); ++p) {
-      queue.push_back(QueueEntry{static_cast<int>(g), gs[g].pending[p],
-                                 gs[g].pending_cost[p]});
-    }
-  }
-  if (schedule == SchedulePolicy::kCostOrdered) {
-    std::stable_sort(queue.begin(), queue.end(),
-                     [](const QueueEntry& a, const QueueEntry& b) {
+// The built-in work queue: every grid's pending cells, sorted
+// most-expensive-first (stable, so equal-cost cells keep grid-major
+// order) and claimed one at a time through a shared counter. A worker
+// done with one bench's cheap cells immediately steals the next pending
+// cell whatever its grid — no per-grid barrier — and a retrain cell is
+// claimed while the cheap evals still cover the other workers: claimed
+// LAST it would strand one worker for its whole duration after everyone
+// else drained the queue. Claim order is pure scheduling — tables are
+// emitted in grid order, so it never reaches a CSV or JSON value.
+class CostOrderedQueue final : public CellQueue {
+ public:
+  explicit CostOrderedQueue(std::vector<Claim> cells)
+      : cells_(std::move(cells)) {
+    std::stable_sort(cells_.begin(), cells_.end(),
+                     [](const Claim& a, const Claim& b) {
                        return a.cost > b.cost;
                      });
   }
 
-  // Baselines only for datasets some grid actually computes — shared
-  // across grids through `ctx`, so a fleet trains/loads each dataset
-  // once no matter how many benches need it, and a fully warm re-run
-  // trains/loads nothing at all.
-  if (prepare_baselines && !queue.empty()) {
-    std::set<DatasetKind> kinds;
-    for (const QueueEntry& e : queue) {
-      kinds.insert(
-          gs[static_cast<std::size_t>(e.grid)].grid->scenarios
-              [static_cast<std::size_t>(e.index)].dataset);
+  std::optional<Claim> claim(int /*worker*/) override {
+    const std::size_t i = next_.fetch_add(1);
+    if (i >= cells_.size()) return std::nullopt;
+    return cells_[i];
+  }
+  void complete(const Claim&, bool, double) override {}
+  void fail(const Claim&, const std::string&) override {}
+  bool at_least_once() const override { return false; }
+
+ private:
+  std::vector<Claim> cells_;
+  std::atomic<std::size_t> next_{0};
+};
+
+// Scenario-level worker count for `n` cells to compute:
+// opts.sweep_parallel, with 0 meaning $FALVOLT_SWEEP_PARALLEL (else the
+// hardware concurrency), clamped to [1, min(n, kMaxThreads)].
+int resolve_parallel(const WorkloadOptions& opts, std::size_t n) {
+  int want = opts.sweep_parallel;
+  if (want <= 0) {
+    const long long env = common::env_int_or("FALVOLT_SWEEP_PARALLEL", 0);
+    if (env > 0) {
+      want = static_cast<int>(
+          std::min<long long>(env, compute::ThreadPool::kMaxThreads));
+    } else {
+      const unsigned hw = std::thread::hardware_concurrency();
+      want = hw == 0 ? 1 : static_cast<int>(hw);
     }
-    prepare_kinds(ctx, opts, on_baseline, kinds);
+  }
+  want = std::min(want, compute::ThreadPool::kMaxThreads);
+  if (n < static_cast<std::size_t>(want)) want = static_cast<int>(n);
+  return std::max(1, want);
+}
+
+}  // namespace
+
+// Per-grid working state of one run().
+struct SweepRunner::GridState {
+  const SweepGrid* grid = nullptr;
+  std::string label;  // non-empty => bench-prefixed progress/error lines
+  std::unique_ptr<store::StoreApi> rs;
+  std::vector<std::string> fps;
+  ResultTable table;
+  std::size_t pending = 0;  // owned misses this run computes
+};
+
+SweepRunner::SweepRunner(WorkloadOptions opts) : opts_(std::move(opts)) {
+  ctx_.opts_ = opts_;
+}
+
+void SweepRunner::add_grid(SweepGrid grid) {
+  if (grid.store.shard_count < 1 || grid.store.shard_index < 0 ||
+      grid.store.shard_index >= grid.store.shard_count) {
+    throw std::invalid_argument(
+        "SweepRunner: shard index " + std::to_string(grid.store.shard_index) +
+        " out of range for " + std::to_string(grid.store.shard_count) +
+        " shard(s)");
+  }
+  if (!grid.fn) {
+    throw std::invalid_argument("SweepRunner: grid '" + grid.store.bench +
+                                "' has no scenario function");
+  }
+  grids_.push_back(std::move(grid));
+}
+
+void SweepRunner::prepare_kinds(const std::set<DatasetKind>& kinds) {
+  static obs::Counter& ns = obs::counter("sweep.baseline.ns");
+  static obs::Counter& count = obs::counter("sweep.baseline.count");
+  for (const DatasetKind kind : kinds) {
+    if (ctx_.baselines_.count(kind)) continue;
+    obs::TraceSpan span("sweep", std::string("baseline:") + dataset_name(kind));
+    obs::ScopedTimer timed(ns, count);
+    Workload wl = prepare_workload(kind, opts_);
+    std::vector<tensor::Tensor> snapshot = wl.net.snapshot_params();
+    if (on_baseline_) on_baseline_(wl);
+    ctx_.order_.push_back(kind);
+    ctx_.baselines_.emplace(
+        kind, SweepContext::Baseline{std::move(wl), std::move(snapshot)});
+  }
+}
+
+SweepRunner::GridState SweepRunner::triage(
+    std::size_t g, bool labeled,
+    std::vector<CellQueue::Claim>& pending) const {
+  GridState st;
+  st.grid = &grids_[g];
+  const SweepStoreOptions& store = st.grid->store;
+  const std::vector<Scenario>& scenarios = st.grid->scenarios;
+  if (labeled) {
+    st.label = store.bench.empty() ? "grid" + std::to_string(g) : store.bench;
+  }
+  {
+    std::set<std::string> keys;
+    for (const Scenario& s : scenarios) {
+      if (!keys.insert(s.key).second) {
+        throw std::invalid_argument("SweepRunner: duplicate scenario key " +
+                                    s.key);
+      }
+    }
+  }
+  const std::size_t total = scenarios.size();
+  st.table = ResultTable(total);
+  st.table.shard_index_ = store.shard_index;
+  st.table.shard_count_ = store.shard_count;
+  st.fps.assign(total, "");
+
+  const bool use_store = !store.dir.empty();
+  if (use_store) {
+    st.rs = store::open_store(store.dir, store.substituters);
+    for (std::size_t i = 0; i < total; ++i) {
+      st.fps[i] = fingerprint_cell(store, opts_, scenarios[i]);
+    }
+    // The manifest lists the FULL grid (all shards) and is identical
+    // across the shards of one grid; written before any compute so a
+    // killed sweep still leaves the merge/plan tooling its grid. A
+    // read-only store (segment:) can only replay, never publish —
+    // whether that suffices is decided after triage below.
+    if (st.rs->writable()) {
+      store::Manifest manifest;
+      manifest.bench = store.bench.empty() ? "sweep" : store.bench;
+      for (std::size_t i = 0; i < total; ++i) {
+        manifest.entries.emplace_back(st.fps[i], scenarios[i].key);
+      }
+      st.rs->put_manifest(manifest);
+    }
+  }
+  // Cost-balanced shard ownership over the STATIC cost estimates (every
+  // independently launched shard derives the identical partition).
+  std::vector<int> owners;
+  if (store.shard_count > 1) {
+    std::vector<double> est(total);
+    for (std::size_t i = 0; i < total; ++i) {
+      est[i] = scenario_cost_estimate(scenarios[i]);
+    }
+    owners = shard_partition(est, store.shard_count);
   }
 
-  const int np = static_cast<int>(queue.size());
-  const int parallel = np == 0 ? 1 : effective_parallel(opts, queue.size());
+  // Triage every cell: replay a valid cached record (any shard's),
+  // otherwise compute it if this shard owns it, otherwise leave the slot
+  // absent for sweep_merge to fill from the other shards' stores.
+  static obs::Counter& cached_cells = obs::counter("sweep.cells.cached");
+  static obs::Counter& get_ns = obs::counter("sweep.store.get.ns");
+  static obs::Counter& get_count = obs::counter("sweep.store.get.count");
+  obs::TraceSpan triage_span(
+      "sweep", "triage:" + (store.bench.empty() ? "sweep" : store.bench));
+  for (std::size_t i = 0; i < total; ++i) {
+    st.table.rows_[i].scenario = scenarios[i];
+    st.table.rows_[i].fingerprint = st.fps[i];
+    if (use_store && store.resume) {
+      obs::TraceSpan span("store", "triage.get");
+      if (obs::trace_enabled()) {
+        span.arg("key", scenarios[i].key);
+        span.arg("fingerprint", st.fps[i].substr(0, 16));
+      }
+      std::optional<ScenarioResult> cached;
+      {
+        obs::ScopedTimer timed(get_ns, get_count);
+        cached = lookup_cell(*st.rs, st.fps[i], scenarios[i].key);
+      }
+      span.arg("cached", cached.has_value());
+      if (cached) {
+        cached->scenario = scenarios[i];
+        cached->fingerprint = st.fps[i];
+        st.table.set_slot(i, std::move(*cached), ResultTable::kCached);
+        cached_cells.add(1);
+        continue;
+      }
+    }
+    if (store.shard_count == 1 || owners[i] == store.shard_index) {
+      // Estimated cost for the cost-ordered queue. On a warm store a
+      // recompute run (--resume false) refines the grid's static estimate
+      // with the wall-clock the cell took last time — the most accurate
+      // predictor available. (With resume on, a cell that has a usable
+      // record was replayed above, so every pending cell is a true miss
+      // with no history.)
+      double cost = scenario_cost_estimate(scenarios[i]);
+      if (use_store && !store.resume) {
+        const std::optional<ScenarioResult> prior =
+            lookup_cell(*st.rs, st.fps[i], scenarios[i].key);
+        if (prior && prior->seconds > 0.0) cost = prior->seconds;
+      }
+      pending.push_back(
+          CellQueue::Claim{static_cast<int>(g), static_cast<int>(i), cost});
+      ++st.pending;
+    }
+  }
+  if (use_store && !st.rs->writable() && st.pending > 0) {
+    throw std::runtime_error(
+        (st.label.empty() ? std::string("sweep") : st.label) + ": store '" +
+        store.dir + "' is read-only but " + std::to_string(st.pending) +
+        " owned cell(s) still need computing — publish to a writable "
+        "store (local:<dir> or a bare path) instead");
+  }
+  if (use_store) {
+    const std::string where = st.label.empty()
+                                  ? "store " + store.dir
+                                  : st.label + " @ store " + store.dir;
+    std::fprintf(stderr,
+                 "[sweep] %s: %zu cached, %zu to compute, %zu "
+                 "foreign-shard cell(s) (shard %d/%d)\n",
+                 where.c_str(), st.table.cached_cells(), st.pending,
+                 total - st.table.cached_cells() - st.pending,
+                 store.shard_index, store.shard_count);
+  }
+  return st;
+}
+
+std::vector<ResultTable> SweepRunner::run() {
+  if (grids_.empty()) {
+    throw std::logic_error("SweepRunner: no grids added");
+  }
+  // Bench-prefixed progress and error lines only when there is more than
+  // one bench to tell apart.
+  const bool labeled = grids_.size() > 1;
+  std::vector<GridState> gs;
+  gs.reserve(grids_.size());
+  std::vector<CellQueue::Claim> pending;
+  for (std::size_t g = 0; g < grids_.size(); ++g) {
+    gs.push_back(triage(g, labeled, pending));
+  }
+
+  // Baselines only for datasets some grid actually computes — shared
+  // across grids through ctx_, so a multi-grid run trains/loads each
+  // dataset once no matter how many benches need it, and a fully warm
+  // re-run trains/loads nothing at all.
+  if (prepare_baselines_ && !pending.empty()) {
+    std::set<DatasetKind> kinds;
+    for (const CellQueue::Claim& c : pending) {
+      kinds.insert(grids_[static_cast<std::size_t>(c.grid)]
+                       .scenarios[static_cast<std::size_t>(c.index)]
+                       .dataset);
+    }
+    prepare_kinds(kinds);
+  }
+
+  const int np = static_cast<int>(pending.size());
+  const int parallel = resolve_parallel(opts_, pending.size());
   // Workload-free and fully-cached sweeps must not spawn the
   // process-wide GEMM pool just to report its size in the JSON summary;
   // when baselines were prepared the pool already exists (training ran
   // on it).
   const int threads =
-      prepare_baselines && np > 0 ? compute::global_threads() : 0;
+      prepare_baselines_ && np > 0 ? compute::global_threads() : 0;
   for (GridState& st : gs) {
     st.table.sweep_parallel_ = parallel;
     st.table.threads_ = threads;
@@ -806,57 +787,58 @@ std::vector<ResultTable> SweepEngine::run(
   {
     std::set<std::string> marked;
     for (const GridState& st : gs) {
-      if (st.pending.empty() || !st.rs || !st.rs->writable()) continue;
-      const std::string root =
-          store::parse_store_spec(st.grid->store.dir).path;
+      if (st.pending == 0 || !st.rs || !st.rs->writable()) continue;
+      const std::string root = store::parse_store_spec(st.grid->store.dir).path;
       if (marked.insert(root).second) {
         inprogress.push_back(std::make_unique<store::InProgressGuard>(root));
       }
     }
   }
 
+  // The built-in queue, unless an external one (the daemon's socket
+  // queue) hands out the claims; the local pending list then only
+  // seeded baseline preparation and the worker count.
+  CostOrderedQueue own_queue(cell_queue_ ? std::vector<CellQueue::Claim>{}
+                                         : std::move(pending));
+  CellQueue& queue = cell_queue_ ? *cell_queue_ : own_queue;
+
   common::Timer timer;
   std::mutex err_mu;
   std::vector<std::string> errors;
   std::atomic<int> done{0};
-  worker_stats.assign(static_cast<std::size_t>(parallel), WorkerStats{});
+  worker_stats_.assign(static_cast<std::size_t>(parallel), WorkerStats{});
   // A failed scenario stops further claims (in-flight scenarios finish,
-  // then run() throws) — a deterministic error affecting every cell
-  // must not burn hours draining the rest of the grid first.
+  // then run() throws) — a deterministic error affecting every cell must
+  // not burn hours draining the rest of the grid first.
   std::atomic<bool> failed{false};
-  const auto run_one = [&](const QueueEntry& entry, int worker) {
+  const auto run_one = [&](const CellQueue::Claim& claim, int worker) {
     static obs::Counter& computed_cells = obs::counter("sweep.cells.computed");
     static obs::Counter& failed_cells = obs::counter("sweep.cells.failed");
     static obs::Counter& put_ns = obs::counter("sweep.store.put.ns");
     static obs::Counter& put_count = obs::counter("sweep.store.put.count");
     static obs::Counter& recheck_cells =
         obs::counter("sweep.cells.recheck_cached");
-    GridState& st = gs[static_cast<std::size_t>(entry.grid)];
-    const std::size_t idx = static_cast<std::size_t>(entry.index);
+    GridState& st = gs[static_cast<std::size_t>(claim.grid)];
+    const std::size_t idx = static_cast<std::size_t>(claim.index);
     const Scenario& scenario = st.grid->scenarios[idx];
-    const CellQueue::Claim claim{entry.grid, entry.index, entry.cost};
     // An at-least-once queue may deliver a cell twice (a SIGKILLed
     // worker's in-flight claims are re-queued, and the original may in
     // fact have published before dying). Re-probing the shared store
-    // before computing turns the duplicate into a replay of the
-    // paid-for record — the "zero lost paid work" half of the crash
-    // contract costs one store read, not a recompute.
-    if (external_queue && external_queue->at_least_once() && st.rs &&
-        st.grid->store.resume && !st.fps[idx].empty()) {
-      if (const std::optional<std::string> payload = st.rs->get(st.fps[idx])) {
-        ScenarioResult r;
-        if (decode_scenario_result(*payload, r) &&
-            r.scenario.key == scenario.key) {
-          r.scenario = scenario;
-          r.fingerprint = st.fps[idx];
-          st.table.put_cached(idx, std::move(r));
-          recheck_cells.add(1);
-          std::fprintf(stderr, "[sweep %d/?] %s%s%s (already published)\n",
-                       done.fetch_add(1) + 1, st.label.c_str(),
-                       st.label.empty() ? "" : ":", scenario.key.c_str());
-          external_queue->complete(claim, /*cached=*/true, 0.0);
-          return;
-        }
+    // before computing turns the duplicate into a replay of the paid-for
+    // record — the "zero lost paid work" half of the crash contract costs
+    // one store read, not a recompute.
+    if (queue.at_least_once() && st.rs && st.grid->store.resume) {
+      if (std::optional<ScenarioResult> r =
+              lookup_cell(*st.rs, st.fps[idx], scenario.key)) {
+        r->scenario = scenario;
+        r->fingerprint = st.fps[idx];
+        st.table.put_cached(idx, std::move(*r));
+        recheck_cells.add(1);
+        std::fprintf(stderr, "[sweep %d/?] %s%s%s (already published)\n",
+                     done.fetch_add(1) + 1, st.label.c_str(),
+                     st.label.empty() ? "" : ":", scenario.key.c_str());
+        queue.complete(claim, /*cached=*/true, 0.0);
+        return;
       }
     }
     // One span per computed cell, on the claiming worker's track; the
@@ -881,7 +863,7 @@ std::vector<ResultTable> SweepEngine::run(
       ScenarioResult r;
       {
         obs::TraceSpan eval_span("sweep", "eval");
-        r = st.grid->fn(scenario, ctx);
+        r = st.grid->fn(scenario, ctx_);
       }
       r.scenario = scenario;
       r.fingerprint = st.fps[idx];
@@ -891,17 +873,15 @@ std::vector<ResultTable> SweepEngine::run(
         obs::TraceSpan put_span("store", "put");
         obs::ScopedTimer timed(put_ns, put_count);
         // Plug-pull points bracketing the cell's publish: a kill before
-        // loses exactly this (unpublished) cell to recompute on resume;
-        // a kill after must lose nothing — the paid work is durable.
+        // loses exactly this (unpublished) cell to recompute on resume; a
+        // kill after must lose nothing — the paid work is durable.
         FALVOLT_PTP(io::FaultSensitivity::kHigh);
         st.rs->put(st.fps[idx], encode_scenario_result(r));
         FALVOLT_PTP();
       }
       st.table.put(idx, std::move(r));
       computed_cells.add(1);
-      if (external_queue) {
-        external_queue->complete(claim, /*cached=*/false, t.seconds());
-      }
+      queue.complete(claim, /*cached=*/false, t.seconds());
     } catch (const std::exception& e) {
       failed.store(true);
       failed_cells.add(1);
@@ -911,30 +891,27 @@ std::vector<ResultTable> SweepEngine::run(
         errors.push_back((st.label.empty() ? "" : st.label + ": ") +
                          scenario.key + ": " + e.what());
       }
-      if (external_queue) {
-        external_queue->fail(claim, scenario.key + ": " + e.what());
-      }
+      queue.fail(claim, scenario.key + ": " + e.what());
     }
     // Each worker slot writes only its own entry — no lock needed.
-    WorkerStats& ws = worker_stats[static_cast<std::size_t>(worker)];
+    WorkerStats& ws = worker_stats_[static_cast<std::size_t>(worker)];
     ws.cells += 1;
     ws.busy_seconds += t.seconds();
-    // Live progress goes to stderr in completion order (retraining
-    // grids run for hours otherwise silent); the deterministic
-    // per-scenario logs still print to stdout in scenario order below.
+    // Live progress goes to stderr in completion order (retraining grids
+    // run for hours otherwise silent); the deterministic per-scenario
+    // logs still print to stdout in scenario order below.
     std::fprintf(stderr, "[sweep %d/%d] %s%s%s (%.1f s)%s\n",
                  done.fetch_add(1) + 1, np, st.label.c_str(),
                  st.label.empty() ? "" : ":", scenario.key.c_str(),
                  t.seconds(), status);
   };
 
-  // Externally-fed mode (daemon fleet worker): the local cost-ordered
-  // queue only seeded triage and baseline prep; actual work arrives as
-  // socket claims, one cell per round-trip, until the daemon answers a
-  // claim request with SHUTDOWN (nullopt).
-  const auto drain_external = [&](int w) {
+  // The claim loop, shared by every worker slot and by both queue kinds:
+  // claim one cell at a time until the queue is drained (the socket
+  // queue answers with the daemon's SHUTDOWN) or a cell failed.
+  const auto drain = [&](int worker) {
     while (!failed.load()) {
-      const std::optional<CellQueue::Claim> c = external_queue->claim(w);
+      const std::optional<CellQueue::Claim> c = queue.claim(worker);
       if (!c) break;
       if (c->grid < 0 || c->grid >= static_cast<int>(gs.size()) ||
           c->index < 0 ||
@@ -948,51 +925,29 @@ std::vector<ResultTable> SweepEngine::run(
           std::lock_guard<std::mutex> lock(err_mu);
           errors.push_back(what);
         }
-        external_queue->fail(*c, what);
+        queue.fail(*c, what);
         break;
       }
-      run_one(QueueEntry{c->grid, c->index, c->cost}, w);
+      run_one(*c, worker);
     }
   };
-  if (external_queue) {
-    if (parallel <= 1) {
-      drain_external(0);
-    } else {
-      compute::ThreadPool pool(parallel);
-      pool.parallel_for(0, parallel, 1, [&](int wb, int we) {
-        for (int w = wb; w < we; ++w) {
-          if (obs::trace_enabled()) {
-            obs::set_trace_thread_name("worker " + std::to_string(w));
-          }
-          drain_external(w);
-        }
-      });
-    }
-  } else if (parallel <= 1) {
-    for (int i = 0; i < np && !failed.load(); ++i) {
-      run_one(queue[static_cast<std::size_t>(i)], 0);
-    }
+  if (parallel <= 1) {
+    drain(0);
   } else {
     // Scenario bodies run on pool workers, so nested GEMM parallel_for
     // calls execute inline — the sweep never runs more than `parallel`
-    // threads of compute at once. Cells are claimed one at a time
-    // through our own atomic counter (parallel_for only dispatches one
-    // worker slot per thread): its internal chunk heuristic would batch
-    // several cells per claim on large grids, and cells are far too
-    // coarse and heterogeneous for that — a cheap eval cell must not
+    // threads of compute at once. parallel_for dispatches one worker slot
+    // per thread and each slot claims cells one at a time: its own chunk
+    // heuristic would batch several cells per claim, and cells are far
+    // too coarse and heterogeneous for that — a cheap eval cell must not
     // wait behind a slow retraining cell in the same chunk.
-    std::atomic<int> next{0};
     compute::ThreadPool pool(parallel);
     pool.parallel_for(0, parallel, 1, [&](int wb, int we) {
       for (int w = wb; w < we; ++w) {
         if (obs::trace_enabled()) {
           obs::set_trace_thread_name("worker " + std::to_string(w));
         }
-        while (!failed.load()) {
-          const int i = next.fetch_add(1);
-          if (i >= np) break;
-          run_one(queue[static_cast<std::size_t>(i)], w);
-        }
+        drain(w);
       }
     });
   }
@@ -1007,9 +962,9 @@ std::vector<ResultTable> SweepEngine::run(
   }
   const double total_seconds = timer.seconds();
 
-  // Buffered logs, grid-major in scenario order: deterministic under
-  // any worker count (replayed cells print the log recorded when they
-  // were first computed).
+  // Buffered logs, grid-major in scenario order: deterministic under any
+  // worker count (replayed cells print the log recorded when they were
+  // first computed).
   std::vector<ResultTable> tables;
   tables.reserve(gs.size());
   for (GridState& st : gs) {
@@ -1022,65 +977,6 @@ std::vector<ResultTable> SweepEngine::run(
     tables.push_back(std::move(st.table));
   }
   return tables;
-}
-
-void SweepRunner::prepare_kinds(const std::set<DatasetKind>& kinds) {
-  SweepEngine::prepare_kinds(ctx_, opts_, on_baseline_, kinds);
-}
-
-const SweepContext& SweepRunner::prepare(
-    const std::vector<Scenario>& scenarios) {
-  if (!prepare_baselines_) return ctx_;
-  // Preserve first-use order: walk scenarios, not a sorted set.
-  for (const Scenario& s : scenarios) {
-    prepare_kinds({s.dataset});
-  }
-  return ctx_;
-}
-
-int SweepRunner::effective_parallel(std::size_t n) const {
-  return SweepEngine::effective_parallel(opts_, n);
-}
-
-ResultTable SweepRunner::run(const std::vector<Scenario>& scenarios,
-                             const ScenarioFn& fn) {
-  std::vector<FleetGrid> grids;
-  grids.push_back(FleetGrid{store_, scenarios, fn});
-  std::vector<ResultTable> tables = SweepEngine::run(
-      opts_, ctx_, prepare_baselines_, on_baseline_, grids,
-      /*labeled=*/false, schedule_, worker_stats_,
-      /*external_queue=*/nullptr);
-  return std::move(tables.front());
-}
-
-// ------------------------------------------------------------ FleetRunner
-
-FleetRunner::FleetRunner(WorkloadOptions opts) : opts_(std::move(opts)) {
-  ctx_.opts_ = opts_;
-}
-
-void FleetRunner::add_grid(FleetGrid grid) {
-  if (grid.store.shard_count < 1 || grid.store.shard_index < 0 ||
-      grid.store.shard_index >= grid.store.shard_count) {
-    throw std::invalid_argument(
-        "FleetRunner: shard index " + std::to_string(grid.store.shard_index) +
-        " out of range for " + std::to_string(grid.store.shard_count) +
-        " shard(s)");
-  }
-  if (!grid.fn) {
-    throw std::invalid_argument("FleetRunner: grid '" + grid.store.bench +
-                                "' has no scenario function");
-  }
-  grids_.push_back(std::move(grid));
-}
-
-std::vector<ResultTable> FleetRunner::run() {
-  if (grids_.empty()) {
-    throw std::logic_error("FleetRunner: no grids added");
-  }
-  return SweepEngine::run(opts_, ctx_, prepare_baselines_, on_baseline_,
-                          grids_, /*labeled=*/true, schedule_,
-                          worker_stats_, cell_queue_);
 }
 
 }  // namespace falvolt::core

@@ -1,15 +1,18 @@
 #pragma once
-// Scenario-parallel sweep orchestration for the figure benches.
+// Scenario-parallel sweep orchestration for the figure benches and the
+// fleet driver.
 //
 // Every figure in the paper is a grid of independent scenarios —
 // threshold-voltage points x fault maps x datasets. SweepRunner executes
-// such a grid concurrently on a compute::ThreadPool while keeping the
-// result tables byte-identical to a serial run:
+// one or more such grids (a figure bench adds its own; sweep_fleet adds
+// every registered one) as a single cost-ordered work queue on a
+// compute::ThreadPool while keeping each grid's result table
+// byte-identical to a serial run:
 //
 //  - The baseline model of each dataset is trained (or cache-loaded)
-//    exactly once, serially, with full GEMM-level parallelism; every
-//    scenario then works on an independent clone restored from the
-//    immutable parameter snapshot.
+//    exactly once per run, serially, with full GEMM-level parallelism,
+//    however many grids need it; every scenario then works on an
+//    independent clone restored from the immutable parameter snapshot.
 //  - All randomness inside a scenario is seeded from the scenario itself
 //    (its explicit `fault_seed`, or a stream derived from its `key` via
 //    scenario_rng), never from shared mutable state, so results do not
@@ -19,21 +22,25 @@
 //    parallel_for calls degrade to inline execution (see ThreadPool), so
 //    a sweep uses `sweep_parallel` threads total; a serial sweep
 //    (`sweep_parallel == 1`) keeps the full `threads`-wide GEMM pool.
-//  - Results, per-scenario logs, and CSV rows are aggregated into a
-//    thread-safe ResultTable and emitted in scenario order.
+//  - Workers claim cells most-expensive-first (scenario_cost_estimate)
+//    from one queue shared by every grid, so a retrain cell never
+//    strands one worker after the cheap evals drained. Claim order is
+//    pure scheduling: results, per-scenario logs, and CSV rows land in
+//    one thread-safe ResultTable per grid and are emitted in scenario
+//    order.
 //
-// On top of that, a sweep can run against a persistent content-addressed
-// result store, opened through the store::StoreApi interface as a
-// layered chain: writable loose objects over the root's indexed
-// segments, with optional read-only substituter stores behind them
-// (store_api.h). Every cell is fingerprinted by
-// everything that determines its output (see SweepRunner::fingerprint);
-// a hit replays the stored result into the table, a miss computes and
-// publishes it. Because a cell is only ever skipped when its fingerprint
-// matches, cache hits are correct by construction — and re-running a
-// killed sweep resumes with only the missing cells. A `shard i/n` spec
-// partitions the grid deterministically for multi-machine runs whose
-// stores are later unioned by the sweep_merge tool.
+// On top of that, each grid can run against a persistent
+// content-addressed result store, opened through the store::StoreApi
+// interface as a layered chain: writable loose objects over the root's
+// indexed segments, with optional read-only substituter stores behind
+// them (store_api.h). Every cell is fingerprinted by everything that
+// determines its output (fingerprint_cell); a hit (lookup_cell) replays
+// the stored result into the table, a miss computes and publishes it.
+// Because a cell is only ever skipped when its fingerprint matches,
+// cache hits are correct by construction — and re-running a killed sweep
+// resumes with only the missing cells. A `shard i/n` spec partitions a
+// grid deterministically for multi-machine runs whose stores are later
+// unioned by the sweep_merge tool.
 
 #include <cstdint>
 #include <functional>
@@ -49,6 +56,10 @@
 #include "common/rng.h"
 #include "core/experiment.h"
 #include "fixed/stuck_bits.h"
+
+namespace falvolt::store {
+class StoreApi;
+}  // namespace falvolt::store
 
 namespace falvolt::core {
 
@@ -87,20 +98,7 @@ struct Scenario {
 inline constexpr double kRetrainCostPerEpoch = 100.0;
 double scenario_cost_estimate(const Scenario& s);
 
-/// How the cross-bench work queue is ordered before workers claim cells.
-/// Either way the claim counter is shared (work stealing across grids)
-/// and tables are emitted in grid order, so results are byte-identical —
-/// only the fleet tail differs.
-enum class SchedulePolicy {
-  kCostOrdered,   ///< most expensive cells first (default)
-  kClaimOrdered,  ///< legacy grid-major add order
-};
-
-/// Parse "cost" / "claim"; throws std::invalid_argument otherwise.
-SchedulePolicy parse_schedule_policy(const std::string& name);
-const char* schedule_policy_name(SchedulePolicy policy);
-
-/// Per-worker accounting of one sweep/fleet run: how many cells worker
+/// Per-worker accounting of one SweepRunner::run(): how many cells worker
 /// `i` claimed and how long it was busy computing them. busy_seconds /
 /// the run's total_seconds is that worker's utilization — the fleet
 /// tail shows up as one worker near 1.0 while the rest idle.
@@ -117,8 +115,8 @@ std::uint64_t scenario_seed(const Scenario& s);
 /// Fresh RNG stream for a scenario, seeded with scenario_seed().
 common::Rng scenario_rng(const Scenario& s);
 
-/// Where, when, and by which build a cell was computed. Stamped by the
-/// sweep engine when the scenario function returns, stored in the
+/// Where, when, and by which build a cell was computed. Stamped by
+/// SweepRunner when the scenario function returns, stored in the
 /// record, and replayed byte-for-byte from the store on warm runs —
 /// fleet-debugging metadata that never enters a figure table (CSV) and
 /// never contributes to a cell fingerprint.
@@ -222,22 +220,28 @@ std::vector<int> shard_partition(const std::vector<double>& costs,
 /// Anything that can change the cell's output is in here — a hit is
 /// therefore safe to replay — and nothing execution-only is (thread
 /// counts, shard spec, output paths, queue order), so reruns on other
-/// machines still hit. Shared by SweepRunner, FleetRunner, and the
-/// shard-planning listings, so a bench run standalone and the same
-/// grid run by the fleet driver address identical cells.
+/// machines still hit. Shared by SweepRunner, the fleet daemon, and the
+/// shard-planning listings, so a bench run standalone and the same grid
+/// run by the fleet driver address identical cells.
 std::string fingerprint_cell(const SweepStoreOptions& store,
                              const WorkloadOptions& opts, const Scenario& s);
 
-struct SweepEngine;  // internal executor shared by SweepRunner/FleetRunner
-class FleetRunner;
+/// The one cell lookup: the record stored under `fp`, decoded, if it
+/// exists, decodes, and carries scenario key `key`; nullopt otherwise.
+/// A fingerprint collision with a foreign key and a record the codec
+/// rejects (truncated, foreign codec version...) both read as a miss —
+/// recompute, never throw.
+std::optional<ScenarioResult> lookup_cell(const store::StoreApi& rs,
+                                          const std::string& fp,
+                                          const std::string& key);
 
-/// Where a sweep's workers get their next cell. The engine's built-in
-/// queue (a cost-sorted vector drained through one atomic counter) is
-/// the in-process default; the fleet daemon's socket-fed workers install
-/// a fleet::SocketCellQueue instead — the engine's triage, baseline
-/// sharing, compute, publish, and accounting paths are identical either
-/// way, which is what keeps daemon-fed and in-process runs
-/// byte-identical.
+/// Where a sweep's workers get their next cell. SweepRunner's built-in
+/// queue (the pending cells sorted most-expensive-first, drained through
+/// one atomic counter) is the in-process default; the fleet daemon's
+/// socket-fed workers install a fleet::SocketCellQueue instead — both
+/// feed the same claim loop, so triage, baseline sharing, compute,
+/// publish, and accounting are identical either way, which is what keeps
+/// daemon-fed and in-process runs byte-identical.
 class CellQueue {
  public:
   /// One claimed cell: which added grid, which grid-local scenario
@@ -262,7 +266,7 @@ class CellQueue {
   virtual void complete(const Claim& claim, bool cached,
                         double seconds) = 0;
 
-  /// The claimed cell's scenario function threw. The engine still fails
+  /// The claimed cell's scenario function threw. The runner still fails
   /// the sweep fast afterwards; an external queue uses this to tell the
   /// scheduler before the process exits.
   virtual void fail(const Claim& claim, const std::string& error) = 0;
@@ -270,7 +274,7 @@ class CellQueue {
   /// True when claims come from an external scheduler that may deliver
   /// a cell more than once (at-least-once: a worker killed after
   /// publishing but before reporting gets its in-flight cell re-queued).
-  /// The engine then re-checks the store before computing every claim,
+  /// The runner then re-checks the store before computing every claim,
   /// so duplicate delivery replays the paid-for record instead of
   /// recomputing it.
   virtual bool at_least_once() const = 0;
@@ -340,7 +344,6 @@ class ResultTable {
 
  private:
   friend class SweepRunner;
-  friend struct SweepEngine;
   enum SlotState : char { kAbsent = 0, kComputed = 1, kCached = 2 };
 
   void set_slot(std::size_t index, ScenarioResult result, SlotState state);
@@ -375,8 +378,6 @@ class SweepContext {
 
  private:
   friend class SweepRunner;
-  friend class FleetRunner;
-  friend struct SweepEngine;
   struct Baseline {
     Workload workload;
     std::vector<tensor::Tensor> snapshot;
@@ -386,177 +387,100 @@ class SweepContext {
   std::vector<DatasetKind> order_;
 };
 
-/// Executes a scenario grid, sharing baselines through a SweepContext.
+/// Computes ScenarioResult for one scenario. Runs concurrently with other
+/// scenarios: it must only read the context (clone_network for a private
+/// network) and derive randomness from the scenario.
+using ScenarioFn =
+    std::function<ScenarioResult(const Scenario&, const SweepContext&)>;
+
+/// One bench's grid: its store identity (bench name + fingerprint config
+/// + shard spec; an empty store dir runs the grid store-less), its
+/// scenarios, and its scenario function. The function must be built
+/// against the runner's context() so the baselines the runner prepares
+/// are the ones it clones from.
+struct SweepGrid {
+  SweepStoreOptions store;
+  std::vector<Scenario> scenarios;
+  ScenarioFn fn;
+};
+
+/// Executes one or more grids as one cost-ordered work queue.
+///
+/// All grids share one SweepContext, so a dataset baseline is trained (or
+/// cache-loaded) once per run no matter how many grids need it. Every
+/// cell is fingerprinted exactly as its owning bench would fingerprint it
+/// standalone (same bench name, config, and workload identity), so a
+/// store is interchangeable between a figure bench and the fleet driver:
+/// cells computed by one replay in the other. Per-grid shard specs are
+/// honored (shard_partition assigns each cell a cost-balanced owner), so
+/// a multi-grid run can itself be sharded across machines and merged
+/// with sweep_merge like any other sweep.
 class SweepRunner {
  public:
-  /// Computes ScenarioResult for one scenario. Runs concurrently with
-  /// other scenarios: it must only read the context (clone_network for a
-  /// private network) and derive randomness from the scenario.
-  using ScenarioFn =
-      std::function<ScenarioResult(const Scenario&, const SweepContext&)>;
-
+  /// `opts.sweep_parallel` is the worker count across all grids: 0 means
+  /// $FALVOLT_SWEEP_PARALLEL, else the hardware concurrency; run()
+  /// clamps it to [1, min(cells to compute, kMaxThreads)].
   explicit SweepRunner(WorkloadOptions opts);
 
-  /// Train/load the baseline of every dataset appearing in `scenarios`
-  /// (serial, full GEMM parallelism; each dataset prepared once).
-  /// run() prepares lazily — only the datasets of cells it actually
-  /// computes — so calling this up front forfeits the store's
-  /// zero-work warm re-runs; prefer building dataset-dependent state
-  /// lazily inside the scenario function (bench::EvalSets).
-  const SweepContext& prepare(const std::vector<Scenario>& scenarios);
+  /// Shared baseline context — build each grid's scenario function
+  /// against this (valid for the lifetime of the runner and populated
+  /// lazily during run(), only for datasets with cells to compute).
+  const SweepContext& context() const { return ctx_; }
 
   void set_on_baseline(std::function<void(const Workload&)> cb) {
     on_baseline_ = std::move(cb);
   }
 
   /// Skip workload preparation entirely — for grids whose scenario
-  /// function never touches a dataset or baseline network (pure cost
+  /// functions never touch a dataset or baseline network (pure cost
   /// models, wall-clock harnesses). clone_network/workload then throw.
-  void set_prepare_baselines(bool enabled) {
-    prepare_baselines_ = enabled;
-  }
-
-  /// Attach the persistent result store / shard spec. Must be set
-  /// before run(). An empty dir leaves the sweep store-less.
-  void set_store(SweepStoreOptions store);
-  const SweepStoreOptions& store() const { return store_; }
-
-  /// Work-queue ordering (default: cost-ordered). Tables are
-  /// byte-identical either way; see SchedulePolicy.
-  void set_schedule(SchedulePolicy policy) { schedule_ = policy; }
-  SchedulePolicy schedule() const { return schedule_; }
-
-  /// Per-worker accounting of the last run() (empty before any run).
-  const std::vector<WorkerStats>& worker_stats() const {
-    return worker_stats_;
-  }
-
-  /// Content-address of one cell: SHA-256 over the store format epoch,
-  /// the bench name, the bench config, the workload identity
-  /// (dataset/fast/seed), and every Scenario field. Anything that can
-  /// change the cell's output is in here — a hit is therefore safe to
-  /// replay — and nothing execution-only is (thread counts, shard spec,
-  /// output paths), so reruns on other machines still hit.
-  std::string fingerprint(const Scenario& s) const;
-
-  /// Resolved scenario-level worker count for a grid of `n` scenarios:
-  /// opts.sweep_parallel, with 0 meaning $FALVOLT_SWEEP_PARALLEL (else
-  /// the hardware concurrency), clamped to [1, min(n, kMaxThreads)].
-  int effective_parallel(std::size_t n) const;
-
-  /// Run the grid. Replays every store hit, prepares the baselines of
-  /// the datasets that still have cells to compute, executes those
-  /// cells (concurrently when effective_parallel > 1) and publishes
-  /// each to the store, writes the grid manifest, prints the buffered
-  /// per-scenario logs in scenario order, and returns the filled table
-  /// (complete unless sharded with uncached foreign cells).
-  /// A scenario that throws fails the sweep fast: no further scenarios
-  /// are claimed (in-flight ones finish), then run() throws a
-  /// runtime_error carrying every collected scenario error.
-  ResultTable run(const std::vector<Scenario>& scenarios,
-                  const ScenarioFn& fn);
-
-  const SweepContext& context() const { return ctx_; }
-
- private:
-  friend struct SweepEngine;
-  void prepare_kinds(const std::set<DatasetKind>& kinds);
-
-  WorkloadOptions opts_;
-  SweepContext ctx_;
-  SweepStoreOptions store_;
-  std::function<void(const Workload&)> on_baseline_;
-  bool prepare_baselines_ = true;
-  SchedulePolicy schedule_ = SchedulePolicy::kCostOrdered;
-  std::vector<WorkerStats> worker_stats_;
-};
-
-/// One bench's contribution to a fleet sweep: its store identity
-/// (bench name + fingerprint config + shard spec), its scenario grid,
-/// and its scenario function. The function must have been built against
-/// the FleetRunner's context() so baselines prepared by the fleet are
-/// the ones it clones from.
-struct FleetGrid {
-  SweepStoreOptions store;
-  std::vector<Scenario> scenarios;
-  SweepRunner::ScenarioFn fn;
-};
-
-/// Executes SEVERAL benches' grids as one cross-bench work queue.
-///
-/// Where SweepRunner sweeps one figure's grid, FleetRunner unions the
-/// cells of every added grid into a single work-stealing queue, ordered
-/// most-expensive-first by default (SchedulePolicy): retrain cells are
-/// claimed while the cheap evals still cover the other workers, so a
-/// heterogeneous fleet no longer strands one worker on a late retrain
-/// cell after everyone else drained the queue. All grids
-/// share one SweepContext, so a dataset baseline is trained (or cache-
-/// loaded) once per fleet run no matter how many grids need it — and
-/// every cell is fingerprinted exactly as its owning bench would
-/// standalone (same bench name, config, and workload identity), so the
-/// shared store is interchangeable between fleet and per-bench runs:
-/// cells computed by the fleet replay in the bench, and vice versa.
-/// Per-grid shard specs are honored (shard_partition assigns each cell
-/// a cost-balanced owner), so a fleet can itself be sharded across
-/// machines and merged with sweep_merge like any other sweep.
-class FleetRunner {
- public:
-  /// `opts.sweep_parallel` is the fleet-wide worker count (resolved via
-  /// SweepRunner::effective_parallel semantics at run()).
-  explicit FleetRunner(WorkloadOptions opts);
-
-  /// Shared baseline context — build each grid's scenario function
-  /// against this (it is valid for the lifetime of the runner and
-  /// populated lazily during run()).
-  const SweepContext& context() const { return ctx_; }
-
-  void set_on_baseline(std::function<void(const Workload&)> cb) {
-    on_baseline_ = std::move(cb);
-  }
-  /// Skip workload preparation (grids whose scenario functions never
-  /// touch a dataset or baseline network).
   void set_prepare_baselines(bool enabled) { prepare_baselines_ = enabled; }
 
-  /// Work-queue ordering (default: cost-ordered — a heterogeneous fleet
-  /// claims its retrain cells first so no worker strands on a late
-  /// expensive cell). Tables are byte-identical either way.
-  void set_schedule(SchedulePolicy policy) { schedule_ = policy; }
-  SchedulePolicy schedule() const { return schedule_; }
-
-  /// Per-worker accounting of the last run() (empty before any run).
-  const std::vector<WorkerStats>& worker_stats() const {
-    return worker_stats_;
-  }
-
-  /// Replace the engine's built-in work queue with an external one (the
+  /// Replace the built-in cost-ordered queue with an external one (the
   /// fleet daemon's socket queue). `queue` must outlive run(); nullptr
-  /// restores the built-in queue. With an external queue the engine
-  /// still triages and replays cached cells itself, but computes only
-  /// the cells the queue hands it — and re-checks the store before each
-  /// when the queue is at_least_once().
+  /// restores the built-in queue. The runner still triages and replays
+  /// cached cells itself, but computes only the cells the queue hands it
+  /// — re-checking the store before each when the queue is
+  /// at_least_once().
   void set_cell_queue(CellQueue* queue) { cell_queue_ = queue; }
 
   /// Register one grid. Scenario keys must be unique within a grid
   /// (validated at run(); across grids the bench name disambiguates).
-  void add_grid(FleetGrid grid);
-  std::size_t grid_count() const { return grids_.size(); }
+  /// Throws std::invalid_argument on a bad shard spec or a missing fn.
+  void add_grid(SweepGrid grid);
 
-  /// Run every grid's cells through one work-stealing queue, sharing
-  /// baselines, replaying store hits, and publishing computed records +
-  /// each grid's manifest. Returns one filled table per grid, in
-  /// add_grid order. Error semantics match SweepRunner::run (fail-fast,
-  /// aggregated runtime_error with errors prefixed by bench name).
+  /// Per-worker accounting of the last run() (empty before any run).
+  const std::vector<WorkerStats>& worker_stats() const {
+    return worker_stats_;
+  }
+
+  /// Run every added grid: replay each store hit, prepare the baselines
+  /// of the datasets that still have cells to compute, execute those
+  /// cells most-expensive-first (concurrently when more than one worker
+  /// resolves), publish each to its grid's store, write every grid's
+  /// manifest, print the buffered per-scenario logs grid-major in
+  /// scenario order, and return one filled table per grid in add_grid
+  /// order (complete unless sharded with uncached foreign cells).
+  /// A scenario that throws fails the run fast: no further cells are
+  /// claimed (in-flight ones finish), then run() throws a runtime_error
+  /// carrying every collected error. With more than one grid, progress
+  /// lines and errors name the bench of each cell.
   std::vector<ResultTable> run();
 
  private:
-  friend struct SweepEngine;
+  struct GridState;
+
+  void prepare_kinds(const std::set<DatasetKind>& kinds);
+  /// Fingerprint, manifest, and triage grid `g`: replayed cells fill its
+  /// table, owned misses are appended to `pending`.
+  GridState triage(std::size_t g, bool labeled,
+                   std::vector<CellQueue::Claim>& pending) const;
 
   WorkloadOptions opts_;
   SweepContext ctx_;
-  std::vector<FleetGrid> grids_;
+  std::vector<SweepGrid> grids_;
   std::function<void(const Workload&)> on_baseline_;
   bool prepare_baselines_ = true;
-  SchedulePolicy schedule_ = SchedulePolicy::kCostOrdered;
   CellQueue* cell_queue_ = nullptr;
   std::vector<WorkerStats> worker_stats_;
 };

@@ -15,10 +15,9 @@
 #include "common/table.h"     // IWYU pragma: export
 #include "common/timer.h"     // IWYU pragma: export
 
-// Parallel compute backend (thread pool, blocked GEMM, engine dispatch).
-#include "compute/engine_registry.h"  // IWYU pragma: export
-#include "compute/gemm_kernels.h"     // IWYU pragma: export
-#include "compute/thread_pool.h"      // IWYU pragma: export
+// Parallel compute backend (thread pool, blocked GEMM).
+#include "compute/gemm_kernels.h"  // IWYU pragma: export
+#include "compute/thread_pool.h"   // IWYU pragma: export
 
 // Fixed-point arithmetic and stuck-at faults.
 #include "fixed/fixed_format.h"  // IWYU pragma: export

@@ -7,7 +7,7 @@
 // Scheduling contract:
 //   - Cells are served most-expensive-first (stable on the order given,
 //     so equal costs keep grid-major order — the same policy as the
-//     in-process engine, which is what makes the two modes
+//     in-process SweepRunner queue, which is what makes the two modes
 //     byte-identical).
 //   - A worker holds at most one claim at a time (CLAIM_REQ -> CLAIM ->
 //     RESULT). A worker that disconnects with a claim outstanding — a
@@ -20,7 +20,7 @@
 //     requesting worker is parked; it is woken with a re-queued cell or
 //     a SHUTDOWN, whichever comes first.
 //   - A worker ERROR frame fails the whole fleet (same fail-fast
-//     contract as the in-process engine).
+//     contract as the in-process SweepRunner).
 //
 // The daemon is single-threaded (poll over the listen socket and every
 // client); all state lives on one thread, so there are no locks and no

@@ -179,7 +179,7 @@ void SocketCellQueue::complete(const Claim& claim, bool cached,
 }
 
 void SocketCellQueue::fail(const Claim& /*claim*/, const std::string& error) {
-  // Best-effort: the engine is about to throw and this process to exit
+  // Best-effort: the runner is about to throw and this process to exit
   // nonzero either way; the frame just gives the daemon the message.
   try {
     send_bytes(encode_error(error));

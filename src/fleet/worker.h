@@ -1,6 +1,6 @@
 #pragma once
 // Worker side of the fleet protocol: a core::CellQueue fed over the
-// daemon socket. The sweep engine's claim loop calls claim() /
+// daemon socket. SweepRunner's claim loop calls claim() /
 // complete() / fail() exactly as it would on an in-process queue; this
 // class turns those into CLAIM_REQ / RESULT / ERROR frames and maps
 // the daemon's (bench, key) cell names onto the worker's own grid
@@ -14,12 +14,12 @@
 //
 // Claims are served at-least-once: a cell claimed by a worker that was
 // SIGKILLed is re-queued and handed out again, and the original may in
-// fact have published before dying. at_least_once() tells the engine
+// fact have published before dying. at_least_once() tells the runner
 // to re-probe the store before computing (core/sweep.cpp), which is
 // what makes worker death lose zero paid work.
 //
 // One claim slot per connection: the daemon hands a connection at most
-// one cell at a time, so the worker process runs its engine with
+// one cell at a time, so the worker process runs its SweepRunner with
 // sweep_parallel=1 (the per-cell GEMM pool still uses every thread the
 // worker was given).
 
@@ -42,7 +42,7 @@ class SocketCellQueue : public core::CellQueue {
 
   /// Register one local cell the daemon may claim-hand to us:
   /// bench+key name it on the wire, grid/index locate it in the
-  /// engine, fingerprint cross-checks the two sides agree.
+  /// runner, fingerprint cross-checks the two sides agree.
   void register_cell(const std::string& bench, const std::string& key,
                      const std::string& fingerprint, int grid, int index);
 

@@ -298,13 +298,16 @@ void SystolicGemmEngine::run_rows(const LayerPlan& plan, const float* a,
     }
   }
   steps_.fetch_add(local_steps, std::memory_order_relaxed);
-  vector_cols_.fetch_add(local_vector, std::memory_order_relaxed);
-  scalar_cols_.fetch_add(local_scalar, std::memory_order_relaxed);
-  fallback_cols_.fetch_add(local_fallback, std::memory_order_relaxed);
-  reference_rows_.fetch_add(local_reference, std::memory_order_relaxed);
-  // Fleet-wide mirrors of the same counts (obs/metrics.h), so the path
-  // mix shows up in --metrics-json without threading engine pointers up
-  // through the sweep layers.
+  // Which codepath evaluated each output element (schedule-only
+  // telemetry; the paths are bit-identical by contract), as process-wide
+  // obs counters so the path mix shows up in --metrics-json without
+  // threading engine pointers up through the sweep layers:
+  //   vector_cols     columns done 8-wide by accumulate_rows_i32x8
+  //   scalar_cols     fast-path remainder columns (plain scalar adds)
+  //   fallback_cols   exact_binary_column (runtime headroom checks)
+  //   reference_rows  whole rows through the serial reference loop
+  // Column counts cover binary-spike rows only; a reference row counts
+  // once however many columns it holds.
   static obs::Counter& g_vector = obs::counter("kernel.faulty_gemm.vector_cols");
   static obs::Counter& g_scalar = obs::counter("kernel.faulty_gemm.scalar_cols");
   static obs::Counter& g_fallback =

@@ -85,29 +85,6 @@ class SystolicGemmEngine final : public snn::GemmEngine {
     return steps_.load(std::memory_order_relaxed);
   }
 
-  /// Which codepath evaluated each output element since construction
-  /// (schedule-only telemetry; the paths are bit-identical by contract):
-  ///   vector_cols     columns done 8-wide by accumulate_rows_i32x8
-  ///   scalar_cols     fast-path remainder columns (plain scalar adds)
-  ///   fallback_cols   exact_binary_column (runtime headroom checks)
-  ///   reference_rows  whole rows through the serial reference loop
-  /// Column counts cover binary-spike rows only; a reference row counts
-  /// once however many columns it holds.
-  struct PathCounts {
-    std::uint64_t vector_cols = 0;
-    std::uint64_t scalar_cols = 0;
-    std::uint64_t fallback_cols = 0;
-    std::uint64_t reference_rows = 0;
-  };
-  PathCounts path_counts() const {
-    PathCounts p;
-    p.vector_cols = vector_cols_.load(std::memory_order_relaxed);
-    p.scalar_cols = scalar_cols_.load(std::memory_order_relaxed);
-    p.fallback_cols = fallback_cols_.load(std::memory_order_relaxed);
-    p.reference_rows = reference_rows_.load(std::memory_order_relaxed);
-    return p;
-  }
-
  private:
   struct FaultEvent {
     int pos = 0;  // traversal position in [0, padded_k)
@@ -160,10 +137,6 @@ class SystolicGemmEngine final : public snn::GemmEngine {
   bool force_scalar_ = false;
   std::unordered_map<std::string, LayerPlan> plans_;
   std::atomic<std::uint64_t> steps_{0};
-  std::atomic<std::uint64_t> vector_cols_{0};
-  std::atomic<std::uint64_t> scalar_cols_{0};
-  std::atomic<std::uint64_t> fallback_cols_{0};
-  std::atomic<std::uint64_t> reference_rows_{0};
 };
 
 }  // namespace falvolt::systolic

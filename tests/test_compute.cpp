@@ -1,8 +1,7 @@
 // Tests for the unified compute backend: thread pool semantics, blocked
-// kernel correctness against the naive reference, the determinism
+// kernel correctness against the naive reference, and the determinism
 // regression (parallel output bit-identical to single-thread output for
-// every kernel and for the faulty systolic engine), and EngineRegistry
-// dispatch.
+// every kernel and for the faulty systolic engine).
 
 #include <gtest/gtest.h>
 
@@ -11,7 +10,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "compute/engine_registry.h"
 #include "compute/gemm_kernels.h"
 #include "compute/thread_pool.h"
 #include "fault/fault_generator.h"
@@ -303,68 +301,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         systolic::SystolicGemmEngine::FaultHandling::kCorrupt,
         systolic::SystolicGemmEngine::FaultHandling::kBypass));
-
-// --------------------------------------------------------- EngineRegistry
-
-TEST(EngineRegistry, ResolvesAllBuiltinEngines) {
-  auto& reg = EngineRegistry::instance();
-  for (const char* name : {"naive", "blocked", "parallel", "systolic"}) {
-    EXPECT_TRUE(reg.contains(name)) << name;
-    EXPECT_NE(reg.create(name), nullptr) << name;
-  }
-}
-
-TEST(EngineRegistry, UnknownNameThrowsWithKnownNames) {
-  try {
-    EngineRegistry::instance().create("gpu");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("gpu"), std::string::npos);
-    EXPECT_NE(what.find("blocked"), std::string::npos);
-  }
-}
-
-TEST(EngineRegistry, FloatEnginesAgreeWithinTolerance) {
-  common::Rng rng(31);
-  const int m = 40, k = 64, n = 24;
-  tensor::Tensor a = random_tensor({m, k}, rng);
-  tensor::Tensor w = random_tensor({k, n}, rng);
-  auto& reg = EngineRegistry::instance();
-  tensor::Tensor ref({m, n});
-  reg.create("naive")->run(a.data(), w.data(), ref.data(), m, k, n, "L");
-  for (const char* name : {"blocked", "parallel"}) {
-    tensor::Tensor c({m, n});
-    reg.create(name)->run(a.data(), w.data(), c.data(), m, k, n, "L");
-    EXPECT_LT(tensor::max_abs_diff(c, ref), 1e-3) << name;
-  }
-}
-
-TEST(EngineRegistry, SystolicEngineHonorsOptions) {
-  common::Rng rng(32);
-  EngineOptions opts;
-  opts.array_rows = 4;
-  opts.array_cols = 4;
-  const fault::FaultMap map =
-      fault::random_fault_map(4, 4, 3, fault::worst_case_spec(16), rng);
-  opts.fault_map = &map;
-  opts.bypass_faulty = true;
-  auto engine = EngineRegistry::instance().create("systolic", opts);
-  auto* sys = dynamic_cast<systolic::SystolicGemmEngine*>(engine.get());
-  ASSERT_NE(sys, nullptr);
-  EXPECT_EQ(sys->config().rows, 4);
-  EXPECT_EQ(sys->handling(),
-            systolic::SystolicGemmEngine::FaultHandling::kBypass);
-}
-
-TEST(EngineRegistry, CustomFactoryRegistersAndOverrides) {
-  auto& reg = EngineRegistry::instance();
-  reg.register_factory("custom-test", [](const EngineOptions&) {
-    return std::make_unique<NaiveGemmEngine>();
-  });
-  EXPECT_TRUE(reg.contains("custom-test"));
-  EXPECT_NE(reg.create("custom-test"), nullptr);
-}
 
 }  // namespace
 }  // namespace falvolt::compute

@@ -37,6 +37,7 @@ namespace {
 
 using core::ResultTable;
 using core::Scenario;
+using core::ScenarioFn;
 using core::ScenarioResult;
 using core::SweepContext;
 using core::SweepRunner;
@@ -76,7 +77,7 @@ class FaultInjectionTest : public ::testing::Test {
     return st;
   }
 
-  static SweepRunner::ScenarioFn counting_fn(std::atomic<int>& computed) {
+  static ScenarioFn counting_fn(std::atomic<int>& computed) {
     return [&computed](const Scenario& s, const SweepContext&) {
       ++computed;
       ScenarioResult out;
@@ -87,13 +88,16 @@ class FaultInjectionTest : public ::testing::Test {
     };
   }
 
-  static SweepRunner runner(const SweepStoreOptions& st) {
+  // One grid through a fresh workload-free runner: the table it returns.
+  static ResultTable sweep(const SweepStoreOptions& st,
+                           const std::vector<Scenario>& scenarios,
+                           ScenarioFn fn) {
     WorkloadOptions opts;
     opts.sweep_parallel = 1;  // serial: the fault-point sequence is exact
     SweepRunner r{opts};
     r.set_prepare_baselines(false);
-    r.set_store(st);
-    return r;
+    r.add_grid({st, scenarios, std::move(fn)});
+    return std::move(r.run().front());
   }
 
   // Valid (frame-validating) records currently readable from `dir`.
@@ -330,15 +334,15 @@ TEST_F(FaultInjectionTest, SweepUnderTornWritesResumesByteIdentical) {
 
   // Clean reference table from an uninjected store.
   const ResultTable reference =
-      runner(store_opts(dir_ + "/ref")).run(scenarios, counting_fn(computed));
+      sweep(store_opts(dir_ + "/ref"), scenarios, counting_fn(computed));
   ASSERT_EQ(computed.load(), 6);
 
   // Injected run: every write torn or bit-flipped (p=1). The sweep
   // itself must complete — write faults are silent, damage is a READ
   // problem — and its table is computed in memory, so it matches.
   arm_faults(parse_fault_spec("mode=independent,p=1,seed=21"));
-  const ResultTable injected = runner(store_opts(dir_ + "/store"))
-                                   .run(scenarios, counting_fn(computed));
+  const ResultTable injected =
+      sweep(store_opts(dir_ + "/store"), scenarios, counting_fn(computed));
   disarm_faults();
   ASSERT_EQ(computed.load(), 12);
   EXPECT_TRUE(injected.complete());
@@ -352,15 +356,15 @@ TEST_F(FaultInjectionTest, SweepUnderTornWritesResumesByteIdentical) {
   // final table is byte-identical to the clean reference.
   const std::size_t survivors = valid_records(dir_ + "/store");
   EXPECT_EQ(survivors, 0u);  // p=1 damaged every publish
-  const ResultTable resumed = runner(store_opts(dir_ + "/store"))
-                                  .run(scenarios, counting_fn(computed));
+  const ResultTable resumed =
+      sweep(store_opts(dir_ + "/store"), scenarios, counting_fn(computed));
   EXPECT_EQ(computed.load(), 18);
   EXPECT_TRUE(resumed.complete());
   EXPECT_EQ(resumed.to_csv(), reference.to_csv());
 
   // The repaired store now replays warm: zero recomputes.
-  const ResultTable warm = runner(store_opts(dir_ + "/store"))
-                               .run(scenarios, counting_fn(computed));
+  const ResultTable warm =
+      sweep(store_opts(dir_ + "/store"), scenarios, counting_fn(computed));
   EXPECT_EQ(computed.load(), 18) << "repaired store must replay warm";
   EXPECT_EQ(warm.to_csv(), reference.to_csv());
 }
@@ -374,7 +378,7 @@ TEST_F(FaultInjectionTest, KilledWorkerResumesWithZeroLostPaidWork) {
   std::atomic<int> computed{0};
 
   const ResultTable reference =
-      runner(store_opts(dir_ + "/ref")).run(scenarios, counting_fn(computed));
+      sweep(store_opts(dir_ + "/ref"), scenarios, counting_fn(computed));
   ASSERT_EQ(computed.load(), 6);
 
   // Fault-point arithmetic for one serial sweep (see the publish sweep
@@ -388,8 +392,8 @@ TEST_F(FaultInjectionTest, KilledWorkerResumesWithZeroLostPaidWork) {
     FaultSpec spec = parse_fault_spec("mode=runlength,runlen=26,kill=1");
     arm_faults(spec);
     std::atomic<int> child_computed{0};
-    runner(store_opts(dir_ + "/store"))
-        .run(scenarios, counting_fn(child_computed));
+    sweep(store_opts(dir_ + "/store"), scenarios,
+          counting_fn(child_computed));
     ::_exit(0);  // not reached: the plug is pulled mid-sweep
   }
   int status = 0;
@@ -402,8 +406,8 @@ TEST_F(FaultInjectionTest, KilledWorkerResumesWithZeroLostPaidWork) {
 
   // Resume against the same store: replay 2, recompute only the 4 cells
   // the crash genuinely lost, produce the byte-identical table.
-  const ResultTable resumed = runner(store_opts(dir_ + "/store"))
-                                  .run(scenarios, counting_fn(computed));
+  const ResultTable resumed =
+      sweep(store_opts(dir_ + "/store"), scenarios, counting_fn(computed));
   EXPECT_EQ(computed.load(), 6 + 4);
   EXPECT_TRUE(resumed.complete());
   EXPECT_EQ(resumed.cached_cells(), 2u);

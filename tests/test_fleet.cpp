@@ -1,6 +1,6 @@
-// FleetRunner (cross-bench work-stealing sweeps), the GridRegistry the
-// figure benches publish their grids through, and the provenance block
-// the record codec carries for fleet debugging.
+// SweepRunner over several grids (cross-bench work-stealing sweeps), the
+// GridRegistry the figure benches publish their grids through, and the
+// provenance block the record codec carries for fleet debugging.
 
 #include <gtest/gtest.h>
 
@@ -52,7 +52,7 @@ SweepStoreOptions store_opts(const std::string& dir,
   return st;
 }
 
-SweepRunner::ScenarioFn counting_fn(std::atomic<int>& computed) {
+ScenarioFn counting_fn(std::atomic<int>& computed) {
   return [&computed](const Scenario& s, const SweepContext&) {
     ++computed;
     ScenarioResult out;
@@ -70,10 +70,10 @@ class FleetTest : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(dir_); }
 
-  FleetRunner fleet(int workers) {
+  SweepRunner fleet(int workers) {
     WorkloadOptions opts;
     opts.sweep_parallel = workers;
-    FleetRunner f(opts);
+    SweepRunner f(opts);
     f.set_prepare_baselines(false);
     return f;
   }
@@ -83,7 +83,7 @@ class FleetTest : public ::testing::Test {
 
 TEST_F(FleetTest, RunsSeveralGridsAgainstOneStoreInterchangeably) {
   std::atomic<int> computed{0};
-  FleetRunner cold = fleet(2);
+  SweepRunner cold = fleet(2);
   cold.add_grid({store_opts(dir_, "bench_a"), grid("a", 4),
                  counting_fn(computed)});
   cold.add_grid({store_opts(dir_, "bench_b"), grid("b", 3),
@@ -96,7 +96,7 @@ TEST_F(FleetTest, RunsSeveralGridsAgainstOneStoreInterchangeably) {
   EXPECT_TRUE(tables[0].complete());
 
   // Warm fleet re-run: everything replays.
-  FleetRunner warm = fleet(2);
+  SweepRunner warm = fleet(2);
   warm.add_grid({store_opts(dir_, "bench_a"), grid("a", 4),
                  counting_fn(computed)});
   warm.add_grid({store_opts(dir_, "bench_b"), grid("b", 3),
@@ -108,22 +108,21 @@ TEST_F(FleetTest, RunsSeveralGridsAgainstOneStoreInterchangeably) {
   EXPECT_EQ(warmed[0].to_csv(), tables[0].to_csv());
   EXPECT_EQ(warmed[1].to_csv(), tables[1].to_csv());
 
-  // Interchangeability with per-bench runs: a standalone SweepRunner of
-  // one grid against the fleet store replays the fleet's cells — and
-  // its table is byte-identical to a cold standalone run in a private
-  // store (the fleet computes values, it never changes them).
-  SweepRunner solo{WorkloadOptions{}};
-  solo.set_prepare_baselines(false);
-  solo.set_store(store_opts(dir_, "bench_a"));
-  const ResultTable replayed = solo.run(grid("a", 4), counting_fn(computed));
+  // Interchangeability with per-bench runs: a one-grid run against the
+  // fleet store replays the fleet's cells — and its table is
+  // byte-identical to a cold one-grid run in a private store (the fleet
+  // computes values, it never changes them).
+  SweepRunner solo = fleet(1);
+  solo.add_grid({store_opts(dir_, "bench_a"), grid("a", 4),
+                 counting_fn(computed)});
+  const ResultTable replayed = std::move(solo.run().front());
   EXPECT_EQ(computed.load(), 7);
   EXPECT_EQ(replayed.computed_cells(), 0u);
 
-  SweepRunner standalone{WorkloadOptions{}};
-  standalone.set_prepare_baselines(false);
-  standalone.set_store(store_opts(dir_ + "_solo", "bench_a"));
-  const ResultTable reference =
-      standalone.run(grid("a", 4), counting_fn(computed));
+  SweepRunner standalone = fleet(1);
+  standalone.add_grid({store_opts(dir_ + "_solo", "bench_a"), grid("a", 4),
+                       counting_fn(computed)});
+  const ResultTable reference = std::move(standalone.run().front());
   EXPECT_EQ(computed.load(), 11);
   EXPECT_EQ(replayed.to_csv(), reference.to_csv());
   fs::remove_all(dir_ + "_solo");
@@ -150,7 +149,7 @@ TEST_F(FleetTest, WorkersStealAcrossGrids) {
     in_flight.fetch_sub(1);
     return ScenarioResult{};
   };
-  FleetRunner f = fleet(4);
+  SweepRunner f = fleet(4);
   f.add_grid({store_opts(dir_, "bench_a"), grid("a", 2), blocking});
   f.add_grid({store_opts(dir_, "bench_b"), grid("b", 2), blocking});
   f.run();
@@ -177,14 +176,6 @@ TEST(ScenarioCost, DefaultsScaleWithRetrainEpochsAndHintWins) {
   EXPECT_DOUBLE_EQ(scenario_cost_estimate(hinted), 2.5);
 }
 
-TEST(ScenarioCost, SchedulePolicyParsesAndRejects) {
-  EXPECT_EQ(parse_schedule_policy("cost"), SchedulePolicy::kCostOrdered);
-  EXPECT_EQ(parse_schedule_policy("claim"), SchedulePolicy::kClaimOrdered);
-  EXPECT_THROW(parse_schedule_policy("fifo"), std::invalid_argument);
-  EXPECT_STREQ(schedule_policy_name(SchedulePolicy::kCostOrdered), "cost");
-  EXPECT_STREQ(schedule_policy_name(SchedulePolicy::kClaimOrdered), "claim");
-}
-
 TEST(ScenarioCost, CostHintNeverEntersFingerprints) {
   SweepStoreOptions st;
   st.bench = "bench_a";
@@ -196,40 +187,24 @@ TEST(ScenarioCost, CostHintNeverEntersFingerprints) {
             fingerprint_cell(st, WorkloadOptions{}, b));
 }
 
-// With one worker the claim order IS the queue order: under the default
-// cost-ordered policy the retrain grid's cells run first even though
-// the eval grid was added first; under kClaimOrdered the add order wins.
+// With one worker the claim order IS the queue order: the retrain
+// grid's cells run first even though the eval grid was added first, and
+// equal-cost cells keep grid-major add order.
 TEST_F(FleetTest, CostOrderedQueueClaimsExpensiveCellsFirst) {
-  const auto run_order = [&](SchedulePolicy policy,
-                             const std::string& dir) {
-    std::vector<std::string> order;
-    std::mutex mu;
-    const auto recording = [&](const Scenario& s, const SweepContext&) {
-      std::lock_guard<std::mutex> lock(mu);
-      order.push_back(s.key);
-      return ScenarioResult{};
-    };
-    FleetRunner f = fleet(1);
-    f.set_schedule(policy);
-    f.add_grid({store_opts(dir, "bench_eval"), grid("e", 3), recording});
-    f.add_grid({store_opts(dir, "bench_retrain"),
-                retrain_grid("r", 2, 4), recording});
-    f.run();
-    return order;
+  std::vector<std::string> order;
+  std::mutex mu;
+  const auto recording = [&](const Scenario& s, const SweepContext&) {
+    std::lock_guard<std::mutex> lock(mu);
+    order.push_back(s.key);
+    return ScenarioResult{};
   };
-
-  const std::vector<std::string> cost =
-      run_order(SchedulePolicy::kCostOrdered, dir_);
-  ASSERT_EQ(cost.size(), 5u);
-  EXPECT_EQ(cost[0], "r=0");
-  EXPECT_EQ(cost[1], "r=1");
-
-  fs::remove_all(dir_);
-  const std::vector<std::string> claim =
-      run_order(SchedulePolicy::kClaimOrdered, dir_);
-  ASSERT_EQ(claim.size(), 5u);
-  EXPECT_EQ(claim[0], "e=0");
-  EXPECT_EQ(claim[4], "r=1");
+  SweepRunner f = fleet(1);
+  f.add_grid({store_opts(dir_, "bench_eval"), grid("e", 3), recording});
+  f.add_grid({store_opts(dir_, "bench_retrain"), retrain_grid("r", 2, 4),
+              recording});
+  f.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"r=0", "r=1", "e=0", "e=1",
+                                              "e=2"}));
 }
 
 // Mixed retrain/eval fleet at full concurrency: with 2 workers both
@@ -259,7 +234,7 @@ TEST_F(FleetTest, MixedFleetRunsRetrainCellsAtFullConcurrencyFirst) {
     }
     return ScenarioResult{};
   };
-  FleetRunner f = fleet(2);
+  SweepRunner f = fleet(2);
   f.add_grid({store_opts(dir_, "bench_eval"), grid("e", 4), fn});
   f.add_grid({store_opts(dir_, "bench_retrain"), retrain_grid("r", 2, 4),
               fn});
@@ -270,44 +245,46 @@ TEST_F(FleetTest, MixedFleetRunsRetrainCellsAtFullConcurrencyFirst) {
       << "no eval cell may start before the retrain cells are claimed";
 }
 
-// Scheduling is pure execution order: cost- and claim-ordered fleets
-// emit byte-identical tables, and a warm re-run against a cost-ordered
-// fleet's store computes nothing.
-TEST_F(FleetTest, SchedulePoliciesEmitByteIdenticalTablesAndWarmZero) {
+// Claim order is pure scheduling: a mixed fleet drains its retrain
+// cells first, yet each grid's table is byte-identical to the grid swept
+// on its own, and a warm re-run against the fleet's store computes
+// nothing.
+TEST_F(FleetTest, MixedFleetTablesMatchSoloGridsAndWarmZero) {
   std::atomic<int> computed{0};
-  const auto run_fleet = [&](SchedulePolicy policy, const std::string& dir) {
-    FleetRunner f = fleet(2);
-    f.set_schedule(policy);
-    f.add_grid({store_opts(dir, "bench_eval"), grid("e", 4),
+  const auto run_fleet = [&] {
+    SweepRunner f = fleet(2);
+    f.add_grid({store_opts(dir_, "bench_eval"), grid("e", 4),
                 counting_fn(computed)});
-    f.add_grid({store_opts(dir, "bench_retrain"),
-                retrain_grid("r", 3, 2), counting_fn(computed)});
+    f.add_grid({store_opts(dir_, "bench_retrain"), retrain_grid("r", 3, 2),
+                counting_fn(computed)});
     return f.run();
   };
-  const std::vector<ResultTable> cost =
-      run_fleet(SchedulePolicy::kCostOrdered, dir_);
-  const std::vector<ResultTable> claim =
-      run_fleet(SchedulePolicy::kClaimOrdered, dir_ + "_claim");
-  ASSERT_EQ(cost.size(), claim.size());
-  for (std::size_t g = 0; g < cost.size(); ++g) {
-    EXPECT_EQ(cost[g].to_csv(), claim[g].to_csv());
-  }
+  const std::vector<ResultTable> mixed = run_fleet();
+  ASSERT_EQ(mixed.size(), 2u);
+
+  SweepRunner eval_only = fleet(1);
+  eval_only.add_grid({store_opts(dir_ + "_solo", "bench_eval"), grid("e", 4),
+                      counting_fn(computed)});
+  EXPECT_EQ(mixed[0].to_csv(), eval_only.run().front().to_csv());
+  SweepRunner retrain_only = fleet(1);
+  retrain_only.add_grid({store_opts(dir_ + "_solo", "bench_retrain"),
+                         retrain_grid("r", 3, 2), counting_fn(computed)});
+  EXPECT_EQ(mixed[1].to_csv(), retrain_only.run().front().to_csv());
   EXPECT_EQ(computed.load(), 14);
 
-  // Warm re-run after the cost-ordered fleet: zero cells computed.
-  const std::vector<ResultTable> warm =
-      run_fleet(SchedulePolicy::kCostOrdered, dir_);
+  // Warm re-run after the mixed fleet: zero cells computed.
+  const std::vector<ResultTable> warm = run_fleet();
   EXPECT_EQ(computed.load(), 14);
   for (std::size_t g = 0; g < warm.size(); ++g) {
     EXPECT_EQ(warm[g].computed_cells(), 0u);
-    EXPECT_EQ(warm[g].to_csv(), cost[g].to_csv());
+    EXPECT_EQ(warm[g].to_csv(), mixed[g].to_csv());
   }
-  fs::remove_all(dir_ + "_claim");
+  fs::remove_all(dir_ + "_solo");
 }
 
 TEST_F(FleetTest, WorkerStatsAccountForEveryComputedCell) {
   std::atomic<int> computed{0};
-  FleetRunner f = fleet(2);
+  SweepRunner f = fleet(2);
   f.add_grid({store_opts(dir_, "bench_a"), grid("a", 5),
               counting_fn(computed)});
   f.add_grid({store_opts(dir_, "bench_b"), grid("b", 2),
@@ -323,7 +300,7 @@ TEST_F(FleetTest, WorkerStatsAccountForEveryComputedCell) {
   EXPECT_EQ(cells, 7u);
 
   // A fully warm fleet claims nothing — stats show zero cells.
-  FleetRunner warm = fleet(2);
+  SweepRunner warm = fleet(2);
   warm.add_grid({store_opts(dir_, "bench_a"), grid("a", 5),
                  counting_fn(computed)});
   warm.add_grid({store_opts(dir_, "bench_b"), grid("b", 2),
@@ -336,7 +313,7 @@ TEST_F(FleetTest, WorkerStatsAccountForEveryComputedCell) {
 }
 
 TEST_F(FleetTest, GridErrorsFailTheFleetWithBenchPrefix) {
-  FleetRunner f = fleet(1);
+  SweepRunner f = fleet(1);
   std::atomic<int> computed{0};
   f.add_grid({store_opts(dir_, "bench_a"), grid("a", 2),
               counting_fn(computed)});
@@ -353,21 +330,27 @@ TEST_F(FleetTest, GridErrorsFailTheFleetWithBenchPrefix) {
   }
 }
 
-TEST_F(FleetTest, FingerprintsMatchStandaloneRunners) {
+// Every record lands at its fingerprint_cell address — the address the
+// fleet daemon, --list-scenarios, and sweep_merge compute on their own.
+TEST_F(FleetTest, RecordsLandAtFingerprintCellAddresses) {
+  std::atomic<int> computed{0};
   const std::vector<Scenario> scenarios = grid("a", 3);
-  SweepRunner solo{WorkloadOptions{}};
-  solo.set_prepare_baselines(false);
-  solo.set_store(store_opts(dir_, "bench_a"));
-  for (const Scenario& s : scenarios) {
-    EXPECT_EQ(solo.fingerprint(s),
-              fingerprint_cell(store_opts(dir_, "bench_a"),
-                               WorkloadOptions{}, s));
+  SweepRunner f = fleet(2);
+  f.add_grid({store_opts(dir_, "bench_a"), scenarios, counting_fn(computed)});
+  const ResultTable table = std::move(f.run().front());
+  const store::LocalDirStore rs(dir_);
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    const std::string fp = fingerprint_cell(store_opts(dir_, "bench_a"),
+                                            WorkloadOptions{}, scenarios[i]);
+    EXPECT_EQ(table.at(i).fingerprint, fp);
+    EXPECT_TRUE(lookup_cell(rs, fp, scenarios[i].key).has_value())
+        << scenarios[i].key;
   }
 }
 
 TEST_F(FleetTest, ProvenanceIsStampedStoredAndReplayed) {
   std::atomic<int> computed{0};
-  FleetRunner cold = fleet(1);
+  SweepRunner cold = fleet(1);
   cold.add_grid({store_opts(dir_, "bench_a"), grid("a", 2),
                  counting_fn(computed)});
   const ResultTable t_cold = std::move(cold.run().front());
@@ -378,7 +361,7 @@ TEST_F(FleetTest, ProvenanceIsStampedStoredAndReplayed) {
     EXPECT_GT(p.unix_time, 0u);
     EXPECT_EQ(p.store_epoch, store::kStoreFormatEpoch);
   }
-  FleetRunner warm = fleet(1);
+  SweepRunner warm = fleet(1);
   warm.add_grid({store_opts(dir_, "bench_a"), grid("a", 2),
                  counting_fn(computed)});
   const ResultTable t_warm = std::move(warm.run().front());
@@ -394,8 +377,8 @@ TEST_F(FleetTest, ProvenanceIsStampedStoredAndReplayed) {
   }
 }
 
-TEST(FleetRunnerApi, RejectsEmptyFleetsAndBadGrids) {
-  FleetRunner f{WorkloadOptions{}};
+TEST(SweepRunnerApi, RejectsEmptyRunsAndBadGrids) {
+  SweepRunner f{WorkloadOptions{}};
   EXPECT_THROW(f.run(), std::logic_error);
   EXPECT_THROW(f.add_grid({SweepStoreOptions{}, {}, nullptr}),
                std::invalid_argument);
@@ -434,7 +417,7 @@ TEST(GridRegistry, AllGridsRegisterAndBuild) {
   // Every grid builds a non-empty, unique-keyed scenario list from its
   // default flags, and its scenario-fn factory is constructible without
   // touching any workload (lazy-baseline contract).
-  FleetRunner probe{WorkloadOptions{}};
+  SweepRunner probe{WorkloadOptions{}};
   for (const std::string& name : expected) {
     const GridDef& def = reg.get(name);
     common::CliFlags cli(def.name);
@@ -507,7 +490,7 @@ TEST(GridRegistry, LookupAndValidation) {
     return std::vector<Scenario>{};
   };
   dup.scenario_fn = [](const common::CliFlags&, const SweepContext&) {
-    return SweepRunner::ScenarioFn{};
+    return ScenarioFn{};
   };
   EXPECT_THROW(reg.add(std::move(dup)), std::logic_error);
 

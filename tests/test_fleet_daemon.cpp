@@ -312,10 +312,10 @@ TEST_F(FleetDaemonTest, WorkerErrorFailsTheFleet) {
   EXPECT_NE(out.error.find("cell exploded"), std::string::npos) << out.error;
 }
 
-// The whole worker stack end to end: a FleetRunner whose claims come
+// The whole worker stack end to end: a SweepRunner whose claims come
 // over the socket publishes to the store, and the resulting table is
-// byte-identical to the plain in-process fleet's.
-TEST_F(FleetDaemonTest, SocketFedFleetRunnerMatchesInProcessByteForByte) {
+// byte-identical to the plain in-process run's.
+TEST_F(FleetDaemonTest, SocketFedRunnerMatchesInProcessByteForByte) {
   const auto scenarios = [] {
     std::vector<core::Scenario> out;
     for (int i = 0; i < 5; ++i) {
@@ -335,7 +335,7 @@ TEST_F(FleetDaemonTest, SocketFedFleetRunnerMatchesInProcessByteForByte) {
     return st;
   };
   std::atomic<int> computed{0};
-  const core::SweepRunner::ScenarioFn fn =
+  const core::ScenarioFn fn =
       [&computed](const core::Scenario& s, const core::SweepContext&) {
         ++computed;
         core::ScenarioResult out;
@@ -346,7 +346,7 @@ TEST_F(FleetDaemonTest, SocketFedFleetRunnerMatchesInProcessByteForByte) {
   // In-process reference.
   core::WorkloadOptions ref_opts;
   ref_opts.sweep_parallel = 2;
-  core::FleetRunner ref(ref_opts);
+  core::SweepRunner ref(ref_opts);
   ref.set_prepare_baselines(false);
   ref.add_grid({store_opts("ref"), scenarios, fn});
   const std::vector<core::ResultTable> ref_tables = ref.run();
@@ -373,7 +373,7 @@ TEST_F(FleetDaemonTest, SocketFedFleetRunnerMatchesInProcessByteForByte) {
                         static_cast<int>(i));
   }
   queue.connect_and_hello();
-  core::FleetRunner worker(wopts);
+  core::SweepRunner worker(wopts);
   worker.set_prepare_baselines(false);
   worker.set_cell_queue(&queue);
   worker.add_grid({st, scenarios, fn});
@@ -388,7 +388,7 @@ TEST_F(FleetDaemonTest, SocketFedFleetRunnerMatchesInProcessByteForByte) {
 
   // Warm replay against the socket run's store: zero new computes, same
   // bytes again — the store is interchangeable between the modes.
-  core::FleetRunner warm(ref_opts);
+  core::SweepRunner warm(ref_opts);
   warm.set_prepare_baselines(false);
   warm.add_grid({st, scenarios, fn});
   const std::vector<core::ResultTable> warmed = warm.run();

@@ -288,7 +288,7 @@ class ObsByteIdentityTest : public ::testing::Test {
     return st;
   }
 
-  static SweepRunner::ScenarioFn cell_fn() {
+  static ScenarioFn cell_fn() {
     return [](const Scenario& s, const SweepContext&) {
       ScenarioResult out;
       out.metrics = {{"value", 10.0 * static_cast<double>(s.fault_count)},
@@ -299,15 +299,16 @@ class ObsByteIdentityTest : public ::testing::Test {
     };
   }
 
-  // Scenario-parallel runner so spans/counters are exercised from
-  // concurrent workers, as in a real fleet shard.
-  static SweepRunner runner(const SweepStoreOptions& st) {
+  // One grid on a scenario-parallel runner so spans/counters are
+  // exercised from concurrent workers, as in a real fleet shard.
+  static ResultTable sweep(const SweepStoreOptions& st,
+                           const std::vector<Scenario>& scenarios) {
     WorkloadOptions wo;
     wo.sweep_parallel = 4;
     SweepRunner r{wo};
     r.set_prepare_baselines(false);
-    r.set_store(st);
-    return r;
+    r.add_grid({st, scenarios, cell_fn()});
+    return std::move(r.run().front());
   }
 
   std::string dir_;
@@ -321,12 +322,10 @@ TEST_F(ObsByteIdentityTest, ColdRunTablesMatchWithTracingOnOrOff) {
     const std::string dir_off = dir_ + (retrain ? "/r_off" : "/e_off");
     const std::string dir_on = dir_ + (retrain ? "/r_on" : "/e_on");
 
-    const ResultTable t_off =
-        runner(store_opts(dir_off)).run(scenarios, cell_fn());
+    const ResultTable t_off = sweep(store_opts(dir_off), scenarios);
 
     obs::trace_start(trace_path_);
-    const ResultTable t_on =
-        runner(store_opts(dir_on)).run(scenarios, cell_fn());
+    const ResultTable t_on = sweep(store_opts(dir_on), scenarios);
     const std::size_t events = obs::trace_stop();
 
     ASSERT_TRUE(t_off.complete());
@@ -358,12 +357,10 @@ TEST_F(ObsByteIdentityTest, TracedWarmReplayIsByteIdenticalIncludingJson) {
     const std::vector<Scenario> scenarios = grid(retrain);
     const std::string dir = dir_ + (retrain ? "/r_warm" : "/e_warm");
 
-    const ResultTable t_cold =
-        runner(store_opts(dir)).run(scenarios, cell_fn());
+    const ResultTable t_cold = sweep(store_opts(dir), scenarios);
 
     obs::trace_start(trace_path_);
-    const ResultTable t_warm =
-        runner(store_opts(dir)).run(scenarios, cell_fn());
+    const ResultTable t_warm = sweep(store_opts(dir), scenarios);
     obs::trace_stop();
 
     ASSERT_TRUE(t_warm.complete());
@@ -386,10 +383,8 @@ TEST_F(ObsByteIdentityTest, SweepCountersReconcileWithCellsComputed) {
 
   const std::vector<Scenario> scenarios = grid(/*retrain=*/false);
   const std::string dir = dir_ + "/counters";
-  const ResultTable t_cold =
-      runner(store_opts(dir)).run(scenarios, cell_fn());
-  const ResultTable t_warm =
-      runner(store_opts(dir)).run(scenarios, cell_fn());
+  const ResultTable t_cold = sweep(store_opts(dir), scenarios);
+  const ResultTable t_warm = sweep(store_opts(dir), scenarios);
 
   EXPECT_EQ(obs::counter("sweep.cells.computed").value(),
             t_cold.computed_cells());

@@ -170,8 +170,8 @@ TEST_F(StoreGcTest, PrunedStoreStillReproducesByteIdenticalTables) {
   const auto run_with = [&](const core::SweepStoreOptions& opts) {
     core::SweepRunner runner{core::WorkloadOptions{}};
     runner.set_prepare_baselines(false);
-    runner.set_store(opts);
-    return runner.run(scenarios, fn);
+    runner.add_grid({opts, scenarios, fn});
+    return std::move(runner.run().front());
   };
 
   const core::ResultTable cold = run_with(st);
@@ -190,10 +190,9 @@ TEST_F(StoreGcTest, PrunedStoreStillReproducesByteIdenticalTables) {
     ASSERT_TRUE(m.has_value());
     // Both manifests carry bench "gc_sweep"; drop the abandoned grid's
     // file by matching its first fingerprint.
-    core::SweepRunner probe{core::WorkloadOptions{}};
-    probe.set_prepare_baselines(false);
-    probe.set_store(abandoned);
-    if (m->entries.front().first == probe.fingerprint(scenarios[0])) {
+    if (m->entries.front().first ==
+        core::fingerprint_cell(abandoned, core::WorkloadOptions{},
+                               scenarios[0])) {
       fs::remove(path);
     }
   }

@@ -94,23 +94,31 @@ TEST(Sweep, ShardPartialTableSkipsAbsentRowsAndFailsLookups) {
   EXPECT_THROW(table.get("k0"), std::out_of_range);
 }
 
+// One grid through a fresh runner: the table it returns.
+ResultTable sweep(const WorkloadOptions& opts,
+                  const std::vector<Scenario>& scenarios, ScenarioFn fn,
+                  const SweepStoreOptions& store = {},
+                  bool prepare_baselines = true) {
+  SweepRunner runner(opts);
+  runner.set_prepare_baselines(prepare_baselines);
+  runner.add_grid({store, scenarios, std::move(fn)});
+  return std::move(runner.run().front());
+}
+
 TEST(Sweep, DuplicateScenarioKeyThrows) {
-  SweepRunner runner(WorkloadOptions{});
-  runner.set_prepare_baselines(false);
   std::vector<Scenario> scenarios(2);
   scenarios[0].key = scenarios[1].key = "dup";
-  EXPECT_THROW(runner.run(scenarios,
-                          [](const Scenario&, const SweepContext&) {
-                            return ScenarioResult{};
-                          }),
+  EXPECT_THROW(sweep(WorkloadOptions{}, scenarios,
+                     [](const Scenario&, const SweepContext&) {
+                       return ScenarioResult{};
+                     },
+                     {}, /*prepare_baselines=*/false),
                std::invalid_argument);
 }
 
 TEST(Sweep, ScenarioFailureFailsTheSweepAndStopsClaiming) {
   WorkloadOptions opts;
   opts.sweep_parallel = 2;
-  SweepRunner runner(opts);
-  runner.set_prepare_baselines(false);
   std::vector<Scenario> scenarios(8);
   for (int i = 0; i < 8; ++i) {
     scenarios[i].key = std::string("s") + std::to_string(i);
@@ -120,14 +128,14 @@ TEST(Sweep, ScenarioFailureFailsTheSweepAndStopsClaiming) {
   // so at most s0 and the one already-claimed sibling ever start.
   std::atomic<int> started{0};
   try {
-    runner.run(scenarios,
-               [&](const Scenario& s, const SweepContext&) {
-                 ++started;
-                 if (s.key == "s0") throw std::runtime_error("boom");
-                 std::this_thread::sleep_for(
-                     std::chrono::milliseconds(200));
-                 return ScenarioResult{};
-               });
+    sweep(opts, scenarios,
+          [&](const Scenario& s, const SweepContext&) {
+            ++started;
+            if (s.key == "s0") throw std::runtime_error("boom");
+            std::this_thread::sleep_for(std::chrono::milliseconds(200));
+            return ScenarioResult{};
+          },
+          {}, /*prepare_baselines=*/false);
     FAIL() << "expected the sweep to fail";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("s0"), std::string::npos);
@@ -164,20 +172,16 @@ TEST(Sweep, ParallelSweepOverlapsScenarios) {
 
   WorkloadOptions serial;
   serial.sweep_parallel = 1;
-  SweepRunner r1(serial);
-  r1.set_prepare_baselines(false);
   common::Timer t1;
-  r1.run(scenarios, sleeper);
+  sweep(serial, scenarios, sleeper, {}, /*prepare_baselines=*/false);
   const double serial_s = t1.seconds();
   EXPECT_EQ(high_water.load(), 1);  // serial sweeps never overlap
 
   high_water.store(0);
   WorkloadOptions par;
   par.sweep_parallel = 4;
-  SweepRunner r4(par);
-  r4.set_prepare_baselines(false);
   common::Timer t4;
-  r4.run(scenarios, sleeper);
+  sweep(par, scenarios, sleeper, {}, /*prepare_baselines=*/false);
   const double parallel_s = t4.seconds();
 
   std::printf("[sweep] 8-scenario grid: serial %.2f s, sweep-parallel=4 "
@@ -255,16 +259,13 @@ TEST_F(SweepWorkloadTest, TablesAreByteIdenticalAcrossParallelism) {
   for (const int parallel : {1, 2, 8}) {
     WorkloadOptions opts = options();
     opts.sweep_parallel = parallel;
-    SweepRunner runner(opts);
-    runner.prepare(scenarios);
-    const data::Dataset eval_set =
-        eval_subset(runner.context().workload(DatasetKind::kMnist), 16);
-    ResultTable table = runner.run(
-        scenarios, [&](const Scenario& s, const SweepContext& ctx) {
+    ResultTable table =
+        sweep(opts, scenarios, [](const Scenario& s, const SweepContext& ctx) {
           ScenarioResult out;
           out.metrics = {
               {"accuracy",
-               eval_scenario(s, ctx.clone_network(s.dataset), eval_set)}};
+               eval_scenario(s, ctx.clone_network(s.dataset),
+                             eval_subset(ctx.workload(s.dataset), 16))}};
           return out;
         });
     EXPECT_EQ(table.sweep_parallel(), std::min<int>(parallel, 6));
@@ -313,9 +314,8 @@ TEST_F(SweepWorkloadTest, RetrainScenariosAreByteIdenticalAcrossParallelism) {
   for (const int parallel : {1, 2}) {
     WorkloadOptions opts = options();
     opts.sweep_parallel = parallel;
-    SweepRunner runner(opts);
-    ResultTable table = runner.run(
-        scenarios, [&](const Scenario& s, const SweepContext& ctx) {
+    ResultTable table =
+        sweep(opts, scenarios, [](const Scenario& s, const SweepContext& ctx) {
           const Workload& wl = ctx.workload(s.dataset);
           snn::Network net = ctx.clone_network(s.dataset);
           common::Rng rng(s.fault_seed);
@@ -379,9 +379,7 @@ TEST_F(SweepWorkloadTest, StoreShardsMergeAndWarmRunsAreByteIdentical) {
   const auto run_with = [&](const std::string& dir, int index, int count) {
     WorkloadOptions opts = options();
     opts.sweep_parallel = 2;
-    SweepRunner runner(opts);
-    runner.set_store(store_opts(dir, index, count));
-    return runner.run(scenarios, fn);
+    return sweep(opts, scenarios, fn, store_opts(dir, index, count));
   };
 
   const ResultTable full = run_with(store_root + "_u", 0, 1);
@@ -479,14 +477,12 @@ TEST_F(SweepWorkloadTest, RetrainGridShardsAndWarmRunsAreByteIdentical) {
     return out;
   };
   const auto run_with = [&](const std::string& dir, int index, int count) {
-    SweepRunner runner(options());
     SweepStoreOptions st;
     st.dir = dir;
     st.bench = "fig2_like";
     st.shard_index = index;
     st.shard_count = count;
-    runner.set_store(st);
-    return runner.run(scenarios, fn);
+    return sweep(options(), scenarios, fn, st);
   };
 
   const ResultTable full = run_with(store_root + "_u", 0, 1);
@@ -517,11 +513,18 @@ TEST_F(SweepWorkloadTest, RetrainGridShardsAndWarmRunsAreByteIdentical) {
 }
 
 TEST_F(SweepWorkloadTest, CloneNetworkGivesIndependentBaselineCopies) {
+  // A one-cell sweep prepares the MNIST baseline into the runner's
+  // context, which stays readable after run().
   SweepRunner runner(options());
   std::vector<Scenario> scenarios(1);
   scenarios[0].key = "probe";
   scenarios[0].dataset = DatasetKind::kMnist;
-  const SweepContext& ctx = runner.prepare(scenarios);
+  runner.add_grid({SweepStoreOptions{}, scenarios,
+                   [](const Scenario&, const SweepContext&) {
+                     return ScenarioResult{};
+                   }});
+  runner.run();
+  const SweepContext& ctx = runner.context();
 
   snn::Network a = ctx.clone_network(DatasetKind::kMnist);
   snn::Network b = ctx.clone_network(DatasetKind::kMnist);

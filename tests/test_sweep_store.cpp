@@ -1,5 +1,6 @@
 // SweepRunner x LocalDirStore integration: resume/warm-run semantics,
-// deterministic sharding, fingerprint invalidation, and the codec the
+// deterministic sharding, fingerprint invalidation, the one cell lookup
+// (lookup_cell) and its at-least-once re-check, and the codec the
 // records travel through. Uses workload-free scenario functions so the
 // store machinery is exercised without training anything.
 
@@ -8,9 +9,11 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 
 #include "core/sweep.h"
+#include "obs/metrics.h"
 #include "store/compact.h"
 #include "store/manifest.h"
 #include "store/result_store.h"
@@ -66,7 +69,7 @@ class SweepStoreTest : public ::testing::Test {
   }
 
   // Deterministic cell computation whose invocations we can count.
-  SweepRunner::ScenarioFn counting_fn(std::atomic<int>& computed) {
+  ScenarioFn counting_fn(std::atomic<int>& computed) {
     return [&computed](const Scenario& s, const SweepContext&) {
       ++computed;
       ScenarioResult out;
@@ -78,11 +81,19 @@ class SweepStoreTest : public ::testing::Test {
     };
   }
 
-  SweepRunner runner(const SweepStoreOptions& st) {
+  // One grid through a fresh workload-free runner: the table it returns.
+  static ResultTable sweep(const SweepStoreOptions& st,
+                           const std::vector<Scenario>& scenarios,
+                           ScenarioFn fn) {
     SweepRunner r{WorkloadOptions{}};
     r.set_prepare_baselines(false);
-    r.set_store(st);
-    return r;
+    r.add_grid({st, scenarios, std::move(fn)});
+    return std::move(r.run().front());
+  }
+
+  static std::string fingerprint(const SweepStoreOptions& st,
+                                 const Scenario& s) {
+    return fingerprint_cell(st, WorkloadOptions{}, s);
   }
 
   std::string dir_;
@@ -92,15 +103,15 @@ TEST_F(SweepStoreTest, WarmRerunComputesNothingAndIsByteIdentical) {
   const std::vector<Scenario> scenarios = grid();
   std::atomic<int> computed{0};
 
-  SweepRunner cold = runner(store_opts(dir_));
-  const ResultTable t_cold = cold.run(scenarios, counting_fn(computed));
+  const ResultTable t_cold =
+      sweep(store_opts(dir_), scenarios, counting_fn(computed));
   EXPECT_EQ(computed.load(), 6);
   EXPECT_TRUE(t_cold.complete());
   EXPECT_EQ(t_cold.computed_cells(), 6u);
   EXPECT_EQ(t_cold.cached_cells(), 0u);
 
-  SweepRunner warm = runner(store_opts(dir_));
-  const ResultTable t_warm = warm.run(scenarios, counting_fn(computed));
+  const ResultTable t_warm =
+      sweep(store_opts(dir_), scenarios, counting_fn(computed));
   EXPECT_EQ(computed.load(), 6) << "warm run must not recompute";
   EXPECT_TRUE(t_warm.complete());
   EXPECT_EQ(t_warm.computed_cells(), 0u);
@@ -120,10 +131,10 @@ TEST_F(SweepStoreTest, WarmRerunComputesNothingAndIsByteIdentical) {
 TEST_F(SweepStoreTest, ResumeFalseRecomputesEverything) {
   const std::vector<Scenario> scenarios = grid();
   std::atomic<int> computed{0};
-  runner(store_opts(dir_)).run(scenarios, counting_fn(computed));
+  sweep(store_opts(dir_), scenarios, counting_fn(computed));
   SweepStoreOptions st = store_opts(dir_);
   st.resume = false;
-  const ResultTable t = runner(st).run(scenarios, counting_fn(computed));
+  const ResultTable t = sweep(st, scenarios, counting_fn(computed));
   EXPECT_EQ(computed.load(), 12);
   EXPECT_EQ(t.computed_cells(), 6u);
 }
@@ -134,14 +145,14 @@ TEST_F(SweepStoreTest, ShardsPartitionDeterministicallyAndMergeExactly) {
 
   // The unsharded reference table.
   const ResultTable t_full =
-      runner(store_opts(dir_ + "_u")).run(scenarios, counting_fn(computed));
+      sweep(store_opts(dir_ + "_u"), scenarios, counting_fn(computed));
   EXPECT_EQ(computed.load(), 6);
 
   // Two shards, separate stores (separate machines).
-  const ResultTable t0 = runner(store_opts(dir_ + "_a", 0, 2))
-                             .run(scenarios, counting_fn(computed));
-  const ResultTable t1 = runner(store_opts(dir_ + "_b", 1, 2))
-                             .run(scenarios, counting_fn(computed));
+  const ResultTable t0 =
+      sweep(store_opts(dir_ + "_a", 0, 2), scenarios, counting_fn(computed));
+  const ResultTable t1 =
+      sweep(store_opts(dir_ + "_b", 1, 2), scenarios, counting_fn(computed));
   EXPECT_EQ(computed.load(), 6 + 6);  // each shard computed half
   EXPECT_FALSE(t0.complete());
   EXPECT_FALSE(t1.complete());
@@ -183,11 +194,11 @@ TEST_F(SweepStoreTest, ResumeComputesOnlyTheMissingCells) {
   const std::vector<Scenario> scenarios = grid();
   std::atomic<int> computed{0};
   // A "killed" sweep: only shard 0/2's cells made it into the store.
-  runner(store_opts(dir_, 0, 2)).run(scenarios, counting_fn(computed));
+  sweep(store_opts(dir_, 0, 2), scenarios, counting_fn(computed));
   EXPECT_EQ(computed.load(), 3);
   // The rerun resumes: replays the 3 cached cells, computes the rest.
   const ResultTable t =
-      runner(store_opts(dir_)).run(scenarios, counting_fn(computed));
+      sweep(store_opts(dir_), scenarios, counting_fn(computed));
   EXPECT_EQ(computed.load(), 6);
   EXPECT_TRUE(t.complete());
   EXPECT_EQ(t.cached_cells(), 3u);
@@ -198,11 +209,11 @@ TEST_F(SweepStoreTest, ForeignShardCachedCellsAreReplayed) {
   const std::vector<Scenario> scenarios = grid();
   std::atomic<int> computed{0};
   // Shard 1's cells land in the SHARED store first...
-  runner(store_opts(dir_, 1, 2)).run(scenarios, counting_fn(computed));
+  sweep(store_opts(dir_, 1, 2), scenarios, counting_fn(computed));
   // ...so shard 0 pointed at the same store replays them for free and
   // its table is already complete.
   const ResultTable t =
-      runner(store_opts(dir_, 0, 2)).run(scenarios, counting_fn(computed));
+      sweep(store_opts(dir_, 0, 2), scenarios, counting_fn(computed));
   EXPECT_EQ(computed.load(), 6);
   EXPECT_TRUE(t.complete());
   EXPECT_EQ(t.cached_cells(), 3u);
@@ -211,53 +222,49 @@ TEST_F(SweepStoreTest, ForeignShardCachedCellsAreReplayed) {
 TEST_F(SweepStoreTest, FingerprintInvalidationOnConfigAndRetrainChange) {
   std::vector<Scenario> scenarios = grid();
   std::atomic<int> computed{0};
-  runner(store_opts(dir_)).run(scenarios, counting_fn(computed));
+  sweep(store_opts(dir_), scenarios, counting_fn(computed));
   EXPECT_EQ(computed.load(), 6);
 
   // Result-affecting bench config changed (e.g. --epochs 4 -> 8): every
   // cell re-addresses, nothing stale hits.
   SweepStoreOptions st = store_opts(dir_);
   st.config = {{"epochs", "8"}};
-  runner(st).run(scenarios, counting_fn(computed));
+  sweep(st, scenarios, counting_fn(computed));
   EXPECT_EQ(computed.load(), 12);
 
   // Per-scenario retrain config changed: only via the fingerprint.
-  SweepRunner probe = runner(store_opts(dir_));
+  const SweepStoreOptions probe = store_opts(dir_);
   Scenario s = scenarios[0];
-  const std::string base = probe.fingerprint(s);
+  const std::string base = fingerprint(probe, s);
   s.epochs = 9;
-  EXPECT_NE(probe.fingerprint(s), base);
+  EXPECT_NE(fingerprint(probe, s), base);
   s = scenarios[0];
   s.retrain = true;
-  EXPECT_NE(probe.fingerprint(s), base);
+  EXPECT_NE(fingerprint(probe, s), base);
   s = scenarios[0];
   s.vth = 0.55;
-  EXPECT_NE(probe.fingerprint(s), base);
-  EXPECT_EQ(probe.fingerprint(scenarios[0]), base);
+  EXPECT_NE(fingerprint(probe, s), base);
+  EXPECT_EQ(fingerprint(probe, scenarios[0]), base);
 
   // Workload seed is part of the address too (it retrains the baseline).
   WorkloadOptions other_seed;
   other_seed.seed = 8;
-  SweepRunner seeded{other_seed};
-  seeded.set_prepare_baselines(false);
-  seeded.set_store(store_opts(dir_));
-  EXPECT_NE(seeded.fingerprint(scenarios[0]), base);
+  EXPECT_NE(fingerprint_cell(probe, other_seed, scenarios[0]), base);
 }
 
 TEST_F(SweepStoreTest, CorruptRecordIsRecomputedNotTrusted) {
   const std::vector<Scenario> scenarios = grid();
   std::atomic<int> computed{0};
-  SweepRunner cold = runner(store_opts(dir_));
-  cold.run(scenarios, counting_fn(computed));
+  sweep(store_opts(dir_), scenarios, counting_fn(computed));
 
   // Truncate one record in place (mid-download crash, disk rot...).
   const store::LocalDirStore rs(dir_);
-  const std::string fp = cold.fingerprint(scenarios[2]);
+  const std::string fp = fingerprint(store_opts(dir_), scenarios[2]);
   ASSERT_TRUE(rs.contains(fp));
   fs::resize_file(rs.object_path(fp), 20);
 
   const ResultTable t =
-      runner(store_opts(dir_)).run(scenarios, counting_fn(computed));
+      sweep(store_opts(dir_), scenarios, counting_fn(computed));
   EXPECT_EQ(computed.load(), 7);  // exactly the damaged cell
   EXPECT_TRUE(t.complete());
   EXPECT_EQ(t.cached_cells(), 5u);
@@ -269,7 +276,7 @@ TEST_F(SweepStoreTest, CompactedStoreWarmRerunComputesNothing) {
   const std::vector<Scenario> scenarios = grid();
   std::atomic<int> computed{0};
   const ResultTable t_cold =
-      runner(store_opts(dir_)).run(scenarios, counting_fn(computed));
+      sweep(store_opts(dir_), scenarios, counting_fn(computed));
   EXPECT_EQ(computed.load(), 6);
 
   // Pack every cell into a segment; no loose record remains.
@@ -281,7 +288,7 @@ TEST_F(SweepStoreTest, CompactedStoreWarmRerunComputesNothing) {
   // The warm run is served entirely from the segment — zero cells
   // computed, tables byte-identical to the loose-store run.
   const ResultTable t_warm =
-      runner(store_opts(dir_)).run(scenarios, counting_fn(computed));
+      sweep(store_opts(dir_), scenarios, counting_fn(computed));
   EXPECT_EQ(computed.load(), 6) << "compacted store must not recompute";
   EXPECT_TRUE(t_warm.complete());
   EXPECT_EQ(t_warm.computed_cells(), 0u);
@@ -298,7 +305,7 @@ TEST_F(SweepStoreTest, SubstitutersServeCellsComputedElsewhere) {
   // the substituter path is exercised through segments too).
   const std::string dir_a = dir_ + "_a";
   const ResultTable t_a =
-      runner(store_opts(dir_a)).run(scenarios, counting_fn(computed));
+      sweep(store_opts(dir_a), scenarios, counting_fn(computed));
   EXPECT_EQ(computed.load(), 6);
   store::compact_store(store::LocalDirStore(dir_a));
 
@@ -306,7 +313,7 @@ TEST_F(SweepStoreTest, SubstitutersServeCellsComputedElsewhere) {
   // nothing is ever written into A.
   SweepStoreOptions st_b = store_opts(dir_);
   st_b.substituters = {dir_a};
-  const ResultTable t_b = runner(st_b).run(scenarios, counting_fn(computed));
+  const ResultTable t_b = sweep(st_b, scenarios, counting_fn(computed));
   EXPECT_EQ(computed.load(), 6) << "every cell substituted";
   EXPECT_TRUE(t_b.complete());
   EXPECT_EQ(t_b.computed_cells(), 0u);
@@ -320,10 +327,107 @@ TEST_F(SweepStoreTest, SubstitutersServeCellsComputedElsewhere) {
   // A typo'd substituter fails loudly instead of missing everything.
   SweepStoreOptions st_typo = store_opts(dir_ + "_fresh");
   st_typo.substituters = {dir_ + "_nope"};
-  EXPECT_THROW(runner(st_typo).run(scenarios, counting_fn(computed)),
+  EXPECT_THROW(sweep(st_typo, scenarios, counting_fn(computed)),
                std::invalid_argument);
   fs::remove_all(dir_a);
   fs::remove_all(dir_ + "_fresh");
+}
+
+// ------------------------------------------------------------ lookup_cell
+
+TEST_F(SweepStoreTest, LookupCellHitsOnlyIntactRecordsOfTheExpectedKey) {
+  store::LocalDirStore rs(dir_);
+  ScenarioResult r;
+  r.scenario.key = "cell=1";
+  r.metrics = {{"value", 10.0}};
+  r.log = "log cell=1\n";
+  const std::string bytes = encode_scenario_result(r);
+  const std::string fp(64, 'a');
+  const std::string truncated_fp(64, 'b');
+  rs.put(fp, bytes);
+  rs.put(truncated_fp, bytes.substr(0, bytes.size() - 1));
+
+  // Hit: the decoded record, every field intact.
+  const std::optional<ScenarioResult> hit = lookup_cell(rs, fp, "cell=1");
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->scenario.key, "cell=1");
+  EXPECT_EQ(hit->metrics, r.metrics);
+  EXPECT_EQ(hit->log, r.log);
+
+  // Miss: nothing stored under the fingerprint.
+  EXPECT_FALSE(lookup_cell(rs, std::string(64, 'c'), "cell=1").has_value());
+  // A record whose decoded key is not the expected key (a fingerprint
+  // collision) is a miss, never a wrong replay.
+  EXPECT_FALSE(lookup_cell(rs, fp, "cell=2").has_value());
+  // A frame-valid record whose payload the codec rejects is a miss.
+  ASSERT_TRUE(rs.get(truncated_fp).has_value());
+  EXPECT_FALSE(lookup_cell(rs, truncated_fp, "cell=1").has_value());
+}
+
+// An in-process at-least-once queue: hands out grid 0's cells in index
+// order and delivers cell `dup` a second time right after the first,
+// like a daemon re-queueing the cell of a worker killed after publishing.
+class DuplicatingQueue final : public CellQueue {
+ public:
+  DuplicatingQueue(int cells, int dup) {
+    for (int i = 0; i < cells; ++i) {
+      claims_.push_back(Claim{0, i, 1.0});
+      if (i == dup) claims_.push_back(Claim{0, i, 1.0});
+    }
+  }
+
+  std::optional<Claim> claim(int /*worker*/) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (next_ >= claims_.size()) return std::nullopt;
+    return claims_[next_++];
+  }
+  void complete(const Claim& claim, bool cached, double) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    completed_.emplace_back(claim.index, cached);
+  }
+  void fail(const Claim&, const std::string&) override { ++failed_; }
+  bool at_least_once() const override { return true; }
+
+  std::vector<std::pair<int, bool>> completed() const { return completed_; }
+  int failed() const { return failed_; }
+
+ private:
+  std::mutex mu_;
+  std::vector<Claim> claims_;
+  std::size_t next_ = 0;
+  std::vector<std::pair<int, bool>> completed_;
+  std::atomic<int> failed_{0};
+};
+
+TEST_F(SweepStoreTest, DuplicateDeliveryReplaysThePublishedRecord) {
+  const std::vector<Scenario> scenarios = grid();
+  std::atomic<int> computed{0};
+  // Single-delivery reference through the built-in queue.
+  const ResultTable reference =
+      sweep(store_opts(dir_ + "_ref"), scenarios, counting_fn(computed));
+  ASSERT_EQ(computed.load(), 6);
+
+  obs::Counter& rechecked = obs::counter("sweep.cells.recheck_cached");
+  const std::uint64_t rechecked_before = rechecked.value();
+  DuplicatingQueue queue(static_cast<int>(scenarios.size()), /*dup=*/2);
+  WorkloadOptions serial;
+  serial.sweep_parallel = 1;  // the duplicate arrives after the publish
+  SweepRunner runner(serial);
+  runner.set_prepare_baselines(false);
+  runner.set_cell_queue(&queue);
+  runner.add_grid({store_opts(dir_), scenarios, counting_fn(computed)});
+  const ResultTable table = std::move(runner.run().front());
+
+  EXPECT_EQ(computed.load(), 12) << "the duplicated cell must run once";
+  EXPECT_EQ(rechecked.value() - rechecked_before, 1u);
+  EXPECT_EQ(queue.failed(), 0);
+  const std::vector<std::pair<int, bool>> done = queue.completed();
+  ASSERT_EQ(done.size(), 7u);
+  EXPECT_EQ(done[2], std::make_pair(2, false));
+  EXPECT_EQ(done[3], std::make_pair(2, true)) << "re-check hit is cached";
+  EXPECT_TRUE(table.complete());
+  EXPECT_EQ(table.to_csv(), reference.to_csv());
+  fs::remove_all(dir_ + "_ref");
 }
 
 TEST(SweepStoreCodec, RoundTripsEveryField) {
