@@ -2,8 +2,9 @@
 // float GEMM (naive vs blocked vs pool-parallel across 64^3..512^3), the
 // fixed-point faulty-GEMM engine (clean / corrupt / bypass, vectorized vs
 // forced-scalar), the register-level cycle simulator, PLIF
-// forward/backward, prune-mask construction, fault-map generation, and
-// post-fab test.
+// forward/backward, a Conv2d training step at the MNIST model's layer
+// shapes, prune-mask construction, fault-map generation, and post-fab
+// test.
 //
 // Usage:
 //   micro_kernels [--out_dir=DIR] [--json=NAME] [--threads=N]
@@ -38,6 +39,7 @@
 #include "fault/post_fab_test.h"
 #include "fault/prune_mask.h"
 #include "obs/metrics.h"
+#include "snn/conv2d.h"
 #include "snn/plif.h"
 #include "systolic/cycle_sim.h"
 #include "systolic/faulty_gemm.h"
@@ -227,6 +229,34 @@ void BM_PlifTrainStep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 8 * n);
 }
 BENCHMARK(BM_PlifTrainStep)->Arg(1024)->Arg(16384);
+
+// One BPTT time step (forward, then backward) of a 3x3 Conv2d at the MNIST
+// model's real shapes: batch 32, Cin -> 8 channels on an HxH map, ~15%
+// binary spike input (the first layer's input is a spike encoding too).
+// Items are the three GEMMs' multiply-adds: output, weight gradient and
+// input gradient.
+void BM_ConvTrainStep(benchmark::State& state) {
+  const int cin = static_cast<int>(state.range(0));
+  const int hw = static_cast<int>(state.range(1));
+  constexpr int kBatch = 32;
+  constexpr int kCout = 8;
+  common::Rng rng(16);
+  snn::Conv2d conv("conv", cin, kCout, 3, 1, rng);
+  tensor::Tensor x({kBatch, cin, hw, hw});
+  for (auto& v : x) v = rng.bernoulli(0.15) ? 1.0f : 0.0f;
+  tensor::Tensor g({kBatch, kCout, hw, hw});
+  for (auto& v : g) v = static_cast<float>(rng.uniform(-0.1, 0.1));
+  for (auto _ : state) {
+    conv.reset_state();
+    benchmark::DoNotOptimize(conv.forward(x, 0, snn::Mode::kTrain));
+    benchmark::DoNotOptimize(conv.backward(g, 0));
+  }
+  state.SetItemsProcessed(state.iterations() * 3LL * kBatch * hw * hw *
+                          conv.gemm_k() * kCout);
+  state.SetLabel(std::to_string(cin) + "->8 " + std::to_string(hw) + "x" +
+                 std::to_string(hw));
+}
+BENCHMARK(BM_ConvTrainStep)->Args({1, 16})->Args({8, 16})->Args({8, 8});
 
 void BM_PruneMaskBuild(benchmark::State& state) {
   common::Rng rng(15);

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <vector>
 
+#include "compute/simd.h"
 #include "compute/thread_pool.h"
 
 namespace falvolt::compute {
@@ -16,9 +17,6 @@ namespace {
 // 8 accumulator vectors + a B row + an A broadcast).
 constexpr int kMr = 8;
 constexpr int kNr = 8;
-// K panel: one packed B panel is kKc x kNr floats (8 KB), resident in L1
-// while the micro-kernel streams over it.
-constexpr int kKc = 256;
 
 // Row-parallel work is split at this many output rows per chunk.
 constexpr int kRowGrain = 16;
@@ -236,6 +234,69 @@ inline bool parallel_worthwhile(int m, long long flops) {
   return flops >= kParallelFlops && m >= 2 * kRowGrain;
 }
 
+// ---------------------------------------------------------- shape-specific
+
+// One full 8x8 tile of C = A^T * B (A stored [k x m]) over rows [k0, k1).
+// The accumulators load from C and store back to it, so slicing the rows
+// leaves every element's multiply-add chain unchanged. Named accumulators,
+// as in micro_kernel_full, keep the tile in registers.
+void at_b_tile_full(const float* a, const float* b, float* c, int m, int n,
+                    int i0, int j0, int k0, int k1) {
+  float* c0 = c + static_cast<std::size_t>(i0) * n + j0;
+  const std::size_t ldc = static_cast<std::size_t>(n);
+  F32x8 acc0 = load_f32x8(c0);
+  F32x8 acc1 = load_f32x8(c0 + ldc);
+  F32x8 acc2 = load_f32x8(c0 + 2 * ldc);
+  F32x8 acc3 = load_f32x8(c0 + 3 * ldc);
+  F32x8 acc4 = load_f32x8(c0 + 4 * ldc);
+  F32x8 acc5 = load_f32x8(c0 + 5 * ldc);
+  F32x8 acc6 = load_f32x8(c0 + 6 * ldc);
+  F32x8 acc7 = load_f32x8(c0 + 7 * ldc);
+  for (int kk = k0; kk < k1; ++kk) {
+    const float* ar = a + static_cast<std::size_t>(kk) * m + i0;
+    const F32x8 bv = load_f32x8(b + static_cast<std::size_t>(kk) * n + j0);
+    acc0 = madd_f32x8(splat_f32x8(ar[0]), bv, acc0);
+    acc1 = madd_f32x8(splat_f32x8(ar[1]), bv, acc1);
+    acc2 = madd_f32x8(splat_f32x8(ar[2]), bv, acc2);
+    acc3 = madd_f32x8(splat_f32x8(ar[3]), bv, acc3);
+    acc4 = madd_f32x8(splat_f32x8(ar[4]), bv, acc4);
+    acc5 = madd_f32x8(splat_f32x8(ar[5]), bv, acc5);
+    acc6 = madd_f32x8(splat_f32x8(ar[6]), bv, acc6);
+    acc7 = madd_f32x8(splat_f32x8(ar[7]), bv, acc7);
+  }
+  store_f32x8(c0, acc0);
+  store_f32x8(c0 + ldc, acc1);
+  store_f32x8(c0 + 2 * ldc, acc2);
+  store_f32x8(c0 + 3 * ldc, acc3);
+  store_f32x8(c0 + 4 * ldc, acc4);
+  store_f32x8(c0 + 5 * ldc, acc5);
+  store_f32x8(c0 + 6 * ldc, acc6);
+  store_f32x8(c0 + 7 * ldc, acc7);
+}
+
+// Edge tile (mr < kMr and/or nr < kNr): the same chains, scalar.
+void at_b_tile_edge(const float* a, const float* b, float* c, int m, int n,
+                    int i0, int j0, int k0, int k1, int mr, int nr) {
+  float acc[kMr][kNr] = {};
+  for (int r = 0; r < mr; ++r) {
+    const float* crow = c + static_cast<std::size_t>(i0 + r) * n + j0;
+    for (int j = 0; j < nr; ++j) acc[r][j] = crow[j];
+  }
+  for (int kk = k0; kk < k1; ++kk) {
+    const float* arow = a + static_cast<std::size_t>(kk) * m + i0;
+    const float* brow = b + static_cast<std::size_t>(kk) * n + j0;
+    for (int r = 0; r < mr; ++r) {
+      for (int j = 0; j < nr; ++j) {
+        acc[r][j] = madd(arow[r], brow[j], acc[r][j]);
+      }
+    }
+  }
+  for (int r = 0; r < mr; ++r) {
+    float* crow = c + static_cast<std::size_t>(i0 + r) * n + j0;
+    for (int j = 0; j < nr; ++j) crow[j] = acc[r][j];
+  }
+}
+
 }  // namespace
 
 void gemm_naive(const float* a, const float* b, float* c, int m, int k,
@@ -273,7 +334,8 @@ void gemm_blocked(const float* a, const float* b, float* c, int m, int k,
   if (m == 0 || k == 0 || n == 0) return;
   const int num_panels = (n + kNr - 1) / kNr;
   const int row_blocks = (m + kMr - 1) / kMr;
-  std::vector<float> bp(static_cast<std::size_t>(num_panels) * kKc * kNr);
+  std::vector<float> bp(static_cast<std::size_t>(num_panels) *
+                        std::min(k, kKc) * kNr);
   const bool parallel = threads > 1 && row_blocks > 1;
   // Chunks at least row_blocks/threads wide cap the effective concurrency
   // at the requested width even when the global pool is larger.
@@ -337,17 +399,96 @@ void gemm_a_bt_blocked(const float* a, const float* b, float* c, int m,
   }
 }
 
+void gemm_at_b_tiled(const float* a, const float* b, float* c, int k, int m,
+                     int n, bool accumulate, int threads) {
+  zero_output(c, m, n, accumulate);
+  if (m == 0 || n == 0) return;
+  const int row_tiles = (m + kMr - 1) / kMr;
+  // Rows of A and B are consumed in slabs of kKc so the A slab stays in
+  // L2 while every tile of C passes over it.
+  const auto tiles = [&](int lo, int hi) {
+    for (int k0 = 0; k0 < k; k0 += kKc) {
+      const int k1 = std::min(k, k0 + kKc);
+      for (int tile = lo; tile < hi; ++tile) {
+        const int i0 = tile * kMr;
+        const int mr = std::min(kMr, m - i0);
+        for (int j0 = 0; j0 < n; j0 += kNr) {
+          const int nr = std::min(kNr, n - j0);
+          if (mr == kMr && nr == kNr) {
+            at_b_tile_full(a, b, c, m, n, i0, j0, k0, k1);
+          } else {
+            at_b_tile_edge(a, b, c, m, n, i0, j0, k0, k1, mr, nr);
+          }
+        }
+      }
+    }
+  };
+  if (threads > 1 && row_tiles > 1) {
+    global_pool().parallel_for(0, row_tiles,
+                               (row_tiles + threads - 1) / threads, tiles);
+  } else {
+    tiles(0, row_tiles);
+  }
+}
+
+void gemm_a_bt_k8(const float* at, int lda, const float* bt, int ldb,
+                  float* c, int m, int n) {
+  // gemm_a_bt_blocked's schedule at k = 8: partial q (0..3) is
+  // a[q]*b[q] + 0, then + a[q+4]*b[q+4]; the row result is
+  // 0 + ((s0 + s1) + (s2 + s3)), the zeroed output plus the partials.
+  const std::size_t ld = static_cast<std::size_t>(lda);
+  const std::size_t ldb8 = static_cast<std::size_t>(ldb);
+  const F32x8 zero = splat_f32x8(0.0f);
+  for (int i = 0; i < m; ++i) {
+    const float* ai = at + i;
+    const F32x8 a0 = splat_f32x8(ai[0]);
+    const F32x8 a1 = splat_f32x8(ai[ld]);
+    const F32x8 a2 = splat_f32x8(ai[2 * ld]);
+    const F32x8 a3 = splat_f32x8(ai[3 * ld]);
+    const F32x8 a4 = splat_f32x8(ai[4 * ld]);
+    const F32x8 a5 = splat_f32x8(ai[5 * ld]);
+    const F32x8 a6 = splat_f32x8(ai[6 * ld]);
+    const F32x8 a7 = splat_f32x8(ai[7 * ld]);
+    float* crow = c + static_cast<std::size_t>(i) * n;
+    int j = 0;
+    for (; j + 8 <= n; j += 8) {
+      const float* bj = bt + j;
+      F32x8 s0 = madd_f32x8(a0, load_f32x8(bj), zero);
+      F32x8 s1 = madd_f32x8(a1, load_f32x8(bj + ldb8), zero);
+      F32x8 s2 = madd_f32x8(a2, load_f32x8(bj + 2 * ldb8), zero);
+      F32x8 s3 = madd_f32x8(a3, load_f32x8(bj + 3 * ldb8), zero);
+      s0 = madd_f32x8(a4, load_f32x8(bj + 4 * ldb8), s0);
+      s1 = madd_f32x8(a5, load_f32x8(bj + 5 * ldb8), s1);
+      s2 = madd_f32x8(a6, load_f32x8(bj + 6 * ldb8), s2);
+      s3 = madd_f32x8(a7, load_f32x8(bj + 7 * ldb8), s3);
+      store_f32x8(crow + j, add_f32x8(zero, add_f32x8(add_f32x8(s0, s1),
+                                                      add_f32x8(s2, s3))));
+    }
+    for (; j < n; ++j) {
+      const float* bj = bt + j;
+      float s[4] = {};
+      for (int q = 0; q < 4; ++q) {
+        s[q] = madd(ai[q * ld], bj[q * ldb8], 0.0f);
+      }
+      for (int q = 0; q < 4; ++q) {
+        s[q] = madd(ai[(q + 4) * ld], bj[(q + 4) * ldb8], s[q]);
+      }
+      crow[j] = 0.0f + ((s[0] + s[1]) + (s[2] + s[3]));
+    }
+  }
+}
+
 void gemm_auto(const float* a, const float* b, float* c, int m, int k,
                int n, bool accumulate) {
   const long long flops =
       static_cast<long long>(m) * k * n;
   const bool parallel =
       parallel_worthwhile(m, flops) && global_threads() > 1;
-  // Narrow or tiny problems — and sparse spike inputs, where the
-  // zero-skip path drops most of the work — stay on the naive kernel.
-  const bool use_blocked = n >= kNr && k >= kNr && m >= kMr &&
-                           flops >= 1LL << 14 &&
-                           sampled_density(a, m, k) >= 0.2;
+  // Up to one K panel the blocked tier sums exactly like the zero-skip
+  // kernel and is faster at any spike density. Above it the two tiers
+  // round differently, and narrow or sparse problems keep the naive tier.
+  const bool use_blocked =
+      k <= kKc || (n >= kNr && m >= kMr && sampled_density(a, m, k) >= 0.2);
   if (use_blocked) {
     gemm_blocked(a, b, c, m, k, n, accumulate, parallel ? global_threads() : 1);
     return;
@@ -365,26 +506,29 @@ void gemm_auto(const float* a, const float* b, float* c, int m, int k,
 void gemm_at_b_auto(const float* a, const float* b, float* c, int k, int m,
                     int n, bool accumulate) {
   const long long flops = static_cast<long long>(m) * k * n;
-  // The naive k-outer kernel zero-skips sparse activations and cannot be
-  // row-partitioned; switch to transpose+blocked only when the extra
-  // arithmetic is clearly bought back by tiling and threads.
+  const int threads = parallel_worthwhile(m, flops) && global_threads() > 1
+                          ? global_threads()
+                          : 1;
+  // The two tiers sum in different orders (K panels vs one chain), so this
+  // density rule decides the summation order; changing it shifts values.
   const bool use_blocked = n >= kNr && m >= 2 * kMr && k >= kNr &&
                            flops >= 1LL << 20 &&
                            sampled_density(a, k, m) >= 0.2;
   if (use_blocked) {
-    const bool parallel =
-        parallel_worthwhile(m, flops) && global_threads() > 1;
-    gemm_at_b_blocked(a, b, c, k, m, n, accumulate,
-                      parallel ? global_threads() : 1);
-    return;
+    gemm_at_b_blocked(a, b, c, k, m, n, accumulate, threads);
+  } else {
+    gemm_at_b_tiled(a, b, c, k, m, n, accumulate, threads);
   }
-  gemm_at_b_naive(a, b, c, k, m, n, accumulate);
+}
+
+bool gemm_a_bt_picks_blocked(int m, int k, int n) {
+  return k >= 8 && static_cast<long long>(m) * k * n >= 1LL << 14;
 }
 
 void gemm_a_bt_auto(const float* a, const float* b, float* c, int m, int k,
                     int n, bool accumulate) {
-  const long long flops = static_cast<long long>(m) * k * n;
-  if (k >= 8 && flops >= 1LL << 14) {
+  if (gemm_a_bt_picks_blocked(m, k, n)) {
+    const long long flops = static_cast<long long>(m) * k * n;
     const bool parallel =
         parallel_worthwhile(m, flops) && global_threads() > 1;
     gemm_a_bt_blocked(a, b, c, m, k, n, accumulate,

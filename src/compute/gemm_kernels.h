@@ -1,30 +1,50 @@
 #pragma once
 // Float GEMM kernels for the unified compute backend.
 //
-// Three tiers:
+// Tiers:
 //
 //   *_naive    — the reference loops (i-k-j with a zero-skip fast path for
 //                spike inputs; the seed library's kernels).
 //   *_blocked  — cache-blocked: B packed into column panels, register
 //                tiling over an MR x NR micro-tile, K sliced into panels
-//                that fit L1/L2.
-//   gemm_auto* — dispatch: picks naive for small/narrow problems, blocked
-//                for large ones, and splits output rows across the global
-//                thread pool when the problem is big enough to pay for it.
+//                of kKc that fit L1/L2.
+//   gemm_at_b_tiled, gemm_a_bt_k8
+//              — register-tiled kernels for the conv backward pass that
+//                reproduce a reference tier's bits faster.
+//   gemm_auto* — dispatch: picks a tier by problem shape (and, where the
+//                tiers sum in different orders, by input density), and
+//                splits output rows across the global thread pool when the
+//                problem is big enough to pay for it.
 //
-// Determinism: within a tier, kernels partition only output rows and keep
-// each row's accumulation schedule fixed, so results are bit-identical for
-// any thread count. ACROSS tiers results agree only to float tolerance —
-// the blocked tier sums K panels as separate partials (and the compiler
-// may contract its multiply-adds to FMA), so it is not bitwise equal to
-// naive for every shape.
+// Determinism: every kernel partitions only output rows (or output tiles)
+// and keeps each element's accumulation schedule fixed, so results are
+// bit-identical for any thread count. Across tiers:
+//
+//   - gemm_blocked equals gemm_naive bit for bit when K <= kKc and
+//     `accumulate` is false: each output element is then one
+//     multiply-add chain over k ascending in both (a zero-skipped term
+//     adds exactly nothing for finite B). For K > kKc the blocked tier
+//     sums K panels as separate partials and agrees only to tolerance.
+//   - gemm_at_b_tiled equals gemm_at_b_naive bit for bit (same chain,
+//     starting from C), while gemm_at_b_blocked sums in panels.
+//   - gemm_a_bt_k8 equals gemm_a_bt_blocked bit for bit at k = 8.
+//
+// The two shape-specific kernels pin every multiply-add with
+// compute/simd.h's madd(), which rounds as the compiler's contraction of
+// the other tiers' `c += a * b` does: fused in optimised FMA builds,
+// product then add elsewhere.
 //
 // tensor::gemm / gemm_at_b / gemm_a_bt are thin wrappers over the auto
-// dispatchers; call the explicit tiers directly only in benches and tests.
+// dispatchers; call the explicit tiers directly only in benches, tests
+// and layers that split one product into blocks (Conv2d).
 
 #include <cstddef>
 
 namespace falvolt::compute {
+
+/// K panel of the blocked tier: one packed B panel is kKc x 8 floats
+/// (8 KB), resident in L1 while the micro-kernel streams over it.
+inline constexpr int kKc = 256;
 
 // ---------------------------------------------------------------- naive
 
@@ -60,15 +80,44 @@ void gemm_a_bt_blocked(const float* a, const float* b, float* c, int m,
                        int k, int n, bool accumulate = false,
                        int threads = 1);
 
+// ---------------------------------------------------------- shape-specific
+
+/// C[m x n] = A^T * B (A stored [k x m]) on dense 8x8 register tiles, with
+/// gemm_at_b_naive's per-element schedule: a multiply-add chain over k
+/// ascending that starts from C (from 0 without `accumulate`). Unlike the
+/// naive kernel it splits across the pool by output tiles.
+void gemm_at_b_tiled(const float* a, const float* b, float* c, int k, int m,
+                     int n, bool accumulate = false, int threads = 1);
+
+/// C[m x n] = A * B^T for k = 8, overwriting C with exactly what
+/// gemm_a_bt_blocked(accumulate=false) computes, but vectorized across
+/// the n output columns. Both operands come transposed: A as 8 rows of
+/// stride `lda` (row q holds A[0..m)[q]), B as 8 rows of stride `ldb` (row
+/// q holds B[0..n)[q]); C has row stride n.
+void gemm_a_bt_k8(const float* at, int lda, const float* bt, int ldb,
+                  float* c, int m, int n);
+
 // --------------------------------------------------------------- dispatch
 
-/// Heuristic dispatchers used by tensor::gemm and friends: naive vs
-/// blocked by problem shape, parallel across the global pool when large.
+/// Dispatchers used by tensor::gemm and friends, parallel across the
+/// global pool when large:
+///   - gemm_auto: blocked for every K <= kKc (bitwise equal to naive
+///     there, and much faster on spike inputs too); above kKc, naive for
+///     small or sparse A and blocked for large dense A.
+///   - gemm_at_b_auto: transpose + blocked for large dense A, else the
+///     tiled kernel. The density rule picks a summation order, so it
+///     stays even though the tiled kernel is faster on dense A as well.
+///   - gemm_a_bt_auto: blocked when gemm_a_bt_picks_blocked, else naive.
 void gemm_auto(const float* a, const float* b, float* c, int m, int k,
                int n, bool accumulate = false);
 void gemm_at_b_auto(const float* a, const float* b, float* c, int k, int m,
                     int n, bool accumulate = false);
 void gemm_a_bt_auto(const float* a, const float* b, float* c, int m, int k,
                     int n, bool accumulate = false);
+
+/// True when gemm_a_bt_auto runs an [m x k] * [n x k]^T product on the
+/// blocked tier. A caller that splits such a product into row blocks asks
+/// once for the whole product, so every block keeps its bits.
+bool gemm_a_bt_picks_blocked(int m, int k, int n);
 
 }  // namespace falvolt::compute

@@ -1,5 +1,5 @@
 #pragma once
-// Minimal SIMD helpers for the integer hot paths.
+// Minimal SIMD helpers for the integer and float hot paths.
 //
 // The faulty-GEMM engine's proven-saturation-free fast path accumulates
 // plain int32 weights across groups of adjacent output columns; with AVX2
@@ -7,6 +7,16 @@
 // input row position is a single load+add. The scalar fallback keeps the
 // exact same 8-lane shape (and therefore the same add order per lane), so
 // results are bit-identical whether or not AVX2 is compiled in.
+//
+// The float helpers below serve hand-vectorized GEMM kernels that must
+// reproduce the scalar loops of gemm_kernels.cpp bit for bit. Those loops
+// accumulate with `c += a * b`, which GCC (at -O2 and above) and Clang
+// contract into one fused multiply-add when the target has FMA; GCC at
+// -O0 rounds the product first. madd() and madd_f32x8() pin that same
+// choice, so a kernel built from them matches the loops in every build.
+// Writing the expression out is not enough: in `a * b + c * d` the
+// compiler may fuse either product. (GCC at -O1/-Og does not contract
+// either; the CMake build types use -O0, -O2, -O3 or -Os.)
 
 #include <cstddef>
 #include <cstdint>
@@ -15,14 +25,74 @@
 #include <immintrin.h>
 #endif
 
+#if defined(__FMA__) && (defined(__clang__) || defined(__OPTIMIZE__))
+#define FALVOLT_FUSED_MADD 1
+#else
+#define FALVOLT_FUSED_MADD 0
+#endif
+
 namespace falvolt::compute {
+
+/// a * b + c with the rounding the library's scalar loops get: one fused
+/// multiply-add where the compiler contracts them, else a rounded product
+/// then an add.
+inline float madd(float a, float b, float c) {
+#if FALVOLT_FUSED_MADD
+  return __builtin_fmaf(a, b, c);
+#else
+  return a * b + c;
+#endif
+}
+
+/// Eight float lanes: one AVX register, or a plain array in the portable
+/// build (same lanes, same per-lane operations).
+#if defined(__AVX2__)
+using F32x8 = __m256;
+inline F32x8 load_f32x8(const float* p) { return _mm256_loadu_ps(p); }
+inline void store_f32x8(float* p, F32x8 v) { _mm256_storeu_ps(p, v); }
+inline F32x8 splat_f32x8(float v) { return _mm256_set1_ps(v); }
+inline F32x8 add_f32x8(F32x8 a, F32x8 b) { return _mm256_add_ps(a, b); }
+/// Lane-wise madd(a, b, c).
+inline F32x8 madd_f32x8(F32x8 a, F32x8 b, F32x8 c) {
+#if FALVOLT_FUSED_MADD
+  return _mm256_fmadd_ps(a, b, c);
+#else
+  return _mm256_add_ps(_mm256_mul_ps(a, b), c);
+#endif
+}
+#else
+struct F32x8 {
+  float v[8];
+};
+inline F32x8 load_f32x8(const float* p) {
+  F32x8 r{};
+  for (int l = 0; l < 8; ++l) r.v[l] = p[l];
+  return r;
+}
+inline void store_f32x8(float* p, F32x8 v) {
+  for (int l = 0; l < 8; ++l) p[l] = v.v[l];
+}
+inline F32x8 splat_f32x8(float v) {
+  F32x8 r{};
+  for (int l = 0; l < 8; ++l) r.v[l] = v;
+  return r;
+}
+inline F32x8 add_f32x8(F32x8 a, F32x8 b) {
+  for (int l = 0; l < 8; ++l) a.v[l] += b.v[l];
+  return a;
+}
+inline F32x8 madd_f32x8(F32x8 a, F32x8 b, F32x8 c) {
+  for (int l = 0; l < 8; ++l) c.v[l] = madd(a.v[l], b.v[l], c.v[l]);
+  return c;
+}
+#endif
 
 /// Column-group width of the integer fast path (one AVX2 register of
 /// int32 lanes). The scalar fallback uses the same width so the two
 /// builds partition columns identically.
 inline constexpr int kI32Lanes = 8;
 
-/// Name of the compiled integer SIMD backend (perf-trajectory metadata).
+/// Name of the compiled SIMD backend (perf-trajectory metadata).
 inline const char* simd_backend() {
 #if defined(__AVX2__)
   return "avx2";

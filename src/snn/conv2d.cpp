@@ -1,8 +1,12 @@
 #include "snn/conv2d.h"
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 #include <stdexcept>
 
+#include "compute/gemm_kernels.h"
+#include "compute/thread_pool.h"
 #include "tensor/gemm.h"
 
 namespace falvolt::snn {
@@ -52,8 +56,26 @@ void Conv2d::bind_geometry(const tensor::Tensor& x) {
 }
 
 void Conv2d::reset_state() {
-  cols_hist_.clear();
+  steps_ = 0;
   batch_ = 0;
+}
+
+tensor::Tensor& Conv2d::cols_buffer(int t, Mode mode, int rows, int cols) {
+  tensor::Tensor* buffer = &eval_cols_;
+  if (mode == Mode::kTrain) {
+    if (t != steps_) {
+      throw std::logic_error("Conv2d::forward: cache out of sync");
+    }
+    if (cols_hist_.size() <= static_cast<std::size_t>(t)) {
+      cols_hist_.emplace_back();
+    }
+    buffer = &cols_hist_[static_cast<std::size_t>(t)];
+    ++steps_;
+  }
+  if (buffer->shape() != tensor::Shape{rows, cols}) {
+    *buffer = tensor::Tensor({rows, cols});
+  }
+  return *buffer;
 }
 
 tensor::Tensor Conv2d::forward(const tensor::Tensor& x, int t, Mode mode) {
@@ -64,14 +86,8 @@ tensor::Tensor Conv2d::forward(const tensor::Tensor& x, int t, Mode mode) {
   const int m = out_channels_;
   batch_ = n;
 
-  tensor::Tensor cols({n * p, k});
-  const std::size_t in_plane =
-      static_cast<std::size_t>(in_channels_) * geometry_.in_h * geometry_.in_w;
-  for (int s = 0; s < n; ++s) {
-    tensor::im2col(x.data() + static_cast<std::size_t>(s) * in_plane,
-                   geometry_,
-                   cols.data() + static_cast<std::size_t>(s) * p * k);
-  }
+  tensor::Tensor& cols = cols_buffer(t, mode, n * p, k);
+  tensor::im2col(x.data(), n, geometry_, cols.data());
 
   // GEMM: [n*p, k] x [k, m] -> [n*p, m]
   tensor::Tensor prod({n * p, m});
@@ -92,18 +108,11 @@ tensor::Tensor Conv2d::forward(const tensor::Tensor& x, int t, Mode mode) {
       }
     }
   }
-
-  if (mode == Mode::kTrain) {
-    if (static_cast<int>(cols_hist_.size()) != t) {
-      throw std::logic_error("Conv2d::forward: cache out of sync");
-    }
-    cols_hist_.push_back(std::move(cols));
-  }
   return out;
 }
 
 tensor::Tensor Conv2d::backward(const tensor::Tensor& grad_out, int t) {
-  if (t < 0 || t >= static_cast<int>(cols_hist_.size())) {
+  if (t < 0 || t >= steps_) {
     throw std::logic_error("Conv2d::backward: no cache for this time step");
   }
   const tensor::Tensor& cols = cols_hist_[static_cast<std::size_t>(t)];
@@ -142,18 +151,54 @@ tensor::Tensor Conv2d::backward(const tensor::Tensor& grad_out, int t) {
     }
   }
 
-  // Input gradient: dCols[n*p x k] = G * W^T, then col2im per sample.
-  tensor::Tensor dcols({n * p, k});
-  tensor::gemm_a_bt(g.data(), weight_.value.data(), dcols.data(), n * p, m,
-                    k);
+  // Input gradient, one sample at a time: dCols_s[p x k] = G_s * W^T
+  // fills a cache-resident block that col2im consumes straight away. The
+  // tier is picked once for the whole [n*p x k] product, as
+  // tensor::gemm_a_bt would pick it, so every block keeps its bits; at
+  // Cout = 8 the blocked tier's schedule runs vectorized across k.
   tensor::Tensor grad_in(
       {n, in_channels_, geometry_.in_h, geometry_.in_w});
   const std::size_t in_plane =
       static_cast<std::size_t>(in_channels_) * geometry_.in_h * geometry_.in_w;
-  for (int s = 0; s < n; ++s) {
-    tensor::col2im(dcols.data() + static_cast<std::size_t>(s) * p * k,
-                   geometry_,
-                   grad_in.data() + static_cast<std::size_t>(s) * in_plane);
+  const std::size_t block_size = static_cast<std::size_t>(p) * k;
+  const bool blocked = compute::gemm_a_bt_picks_blocked(n * p, m, k);
+  const bool k8 = blocked && m == 8;
+  // The k = 8 kernel reads G straight from grad_out's channel planes and
+  // W^T [m x k] with rows contiguous along k.
+  std::vector<float> wt;
+  if (k8) {
+    wt.resize(static_cast<std::size_t>(m) * k);
+    for (int kk = 0; kk < k; ++kk) {
+      for (int c = 0; c < m; ++c) {
+        wt[static_cast<std::size_t>(c) * k + kk] =
+            weight_.value[static_cast<std::size_t>(kk) * m + c];
+      }
+    }
+  }
+  const auto samples = [&](int s0, int s1) {
+    const std::unique_ptr<float[]> block(new float[block_size]);
+    for (int s = s0; s < s1; ++s) {
+      const std::size_t g_offset = static_cast<std::size_t>(s) * p * m;
+      if (k8) {
+        compute::gemm_a_bt_k8(grad_out.data() + g_offset, p, wt.data(), k,
+                              block.get(), p, k);
+      } else if (blocked) {
+        compute::gemm_a_bt_blocked(g.data() + g_offset, weight_.value.data(),
+                                   block.get(), p, m, k);
+      } else {
+        compute::gemm_a_bt_naive(g.data() + g_offset, weight_.value.data(),
+                                 block.get(), p, m, k);
+      }
+      tensor::col2im(block.get(), 1, geometry_,
+                     grad_in.data() + static_cast<std::size_t>(s) * in_plane);
+    }
+  };
+  const int grain = static_cast<int>(std::max<std::size_t>(
+      1, (std::size_t{1} << 16) / std::max<std::size_t>(block_size, 1)));
+  if (n > grain && compute::global_threads() > 1) {
+    compute::global_pool().parallel_for(0, n, grain, samples);
+  } else {
+    samples(0, n);
   }
   return grad_in;
 }

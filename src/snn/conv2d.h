@@ -39,6 +39,7 @@ class Conv2d final : public Layer, public MatmulLayer {
 
  private:
   void bind_geometry(const tensor::Tensor& x);
+  tensor::Tensor& cols_buffer(int t, Mode mode, int rows, int cols);
 
   int in_channels_;
   int out_channels_;
@@ -50,8 +51,12 @@ class Conv2d final : public Layer, public MatmulLayer {
   tensor::ConvGeometry geometry_;
   bool geometry_bound_ = false;
   GemmEngine* engine_ = nullptr;  // non-owning; nullptr -> float engine
-  // Per-time-step caches of the im2col matrices: [N * out_pixels, K].
+  // im2col matrices [N * out_pixels, K]: one per training time step (the
+  // first `steps_` are live) and one for eval. They outlive reset_state()
+  // so a same-shaped batch reuses them; im2col overwrites every element.
   std::vector<tensor::Tensor> cols_hist_;
+  tensor::Tensor eval_cols_;
+  int steps_ = 0;
   int batch_ = 0;
 };
 

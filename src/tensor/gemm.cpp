@@ -7,10 +7,9 @@
 namespace falvolt::tensor {
 
 // The tensor-level entry points are thin wrappers over the unified
-// compute backend: the auto dispatchers pick the zero-skip naive kernel
-// for small/sparse problems and the cache-blocked (optionally
-// pool-parallel) kernels for large dense ones. Conv2d, Linear, and the
-// trainer's backward pass all route through here.
+// compute backend's auto dispatchers (see compute/gemm_kernels.h for
+// the tier rules). Linear, the float GEMM engine and Conv2d's weight
+// gradient route through here.
 
 void gemm(const float* a, const float* b, float* c, int m, int k, int n,
           bool accumulate) {

@@ -3,9 +3,9 @@
 //   C[M x N] = A[M x K] * B[K x N]  (+ accumulate variants)
 // via im2col, so one interface serves the whole library. The
 // implementations delegate to the unified compute backend
-// (compute/gemm_kernels.h), which dispatches between the zero-skip naive
-// kernel and the cache-blocked, thread-pool-parallel kernels by problem
-// shape and input sparsity.
+// (compute/gemm_kernels.h), whose dispatchers pick a kernel tier by
+// problem shape (and, where tiers round differently, by input density)
+// and split large problems across the thread pool.
 
 #include <cstddef>
 

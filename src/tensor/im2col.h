@@ -29,14 +29,19 @@ struct ConvGeometry {
   int out_pixels() const { return out_h() * out_w(); }
 };
 
-/// Expand one sample (C,H,W, rank-3 view of a contiguous buffer) to the
-/// im2col matrix [out_pixels x patch_size]. `out` must hold that many
-/// floats. Out-of-image taps read as 0 (zero padding).
-void im2col(const float* input, const ConvGeometry& g, float* out);
+/// Expand `n` contiguous (C,H,W) samples to the im2col matrix
+/// [n * out_pixels x patch_size]; sample s fills rows [s * out_pixels,
+/// (s + 1) * out_pixels). Every element of `out` is written, and
+/// out-of-image taps read as 0 (zero padding). Each sample is read from a
+/// zero-bordered copy, and large batches split across the global pool.
+void im2col(const float* input, int n, const ConvGeometry& g, float* out);
 
-/// Reverse scatter: accumulate an im2col-shaped gradient back into an input
-/// gradient buffer (C,H,W). `grad_input` must be pre-zeroed by the caller
-/// when starting a fresh accumulation.
-void col2im(const float* cols, const ConvGeometry& g, float* grad_input);
+/// Reverse scatter for `n` samples: add an im2col-shaped gradient
+/// [n * out_pixels x patch_size] into the (C,H,W) input gradients, on top
+/// of what they already hold (pre-zero them to start fresh). Every input
+/// element receives its terms in ascending output-pixel order (oy, then
+/// ox), so the sums do not depend on the batch split.
+void col2im(const float* cols, int n, const ConvGeometry& g,
+            float* grad_input);
 
 }  // namespace falvolt::tensor

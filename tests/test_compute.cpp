@@ -7,6 +7,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -174,12 +176,6 @@ TEST(BlockedGemm, ABtMatchesNaive) {
   }
 }
 
-// ------------------------------------------------ determinism regression
-//
-// The library's core reproducibility guarantee: for a fixed seed, the
-// parallel kernels and engines produce output BIT-IDENTICAL to their
-// single-thread runs, so experiment results never depend on --threads.
-
 class ThreadScope {
  public:
   explicit ThreadScope(int threads) : saved_(global_threads()) {
@@ -190,6 +186,121 @@ class ThreadScope {
  private:
   int saved_;
 };
+
+// ------------------------------------------------- cross-tier identity
+//
+// gemm_auto sends every K <= kKc problem to the blocked tier and
+// gemm_at_b_auto runs spike inputs on the tiled kernel, both on the
+// promise that they reproduce the naive tier's bits. memcmp, not a
+// tolerance: a one-ulp shift must fail.
+
+// Matrix with the given share of nonzeros: ones (spikes) or analog values.
+tensor::Tensor sparse_matrix(int rows, int cols, double density, bool binary,
+                             common::Rng& rng) {
+  tensor::Tensor a({rows, cols});
+  for (auto& v : a) {
+    if (!rng.bernoulli(density)) continue;
+    v = binary ? 1.0f : static_cast<float>(rng.uniform(-1.0, 1.0));
+  }
+  return a;
+}
+
+void expect_same_bits(const tensor::Tensor& got, const tensor::Tensor& want) {
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), sizeof(float) * got.size()),
+            0)
+      << "max |diff| " << tensor::max_abs_diff(got, want);
+}
+
+TEST(CrossTier, BlockedEqualsNaiveUpToOneKPanel) {
+  common::Rng rng(31);
+  for (const int m : {1, 7, 37}) {
+    for (const int n : {8, 9, 10, 17, 32}) {
+      for (const int k : {8, 9, 72, 128, kKc}) {
+        for (const bool binary : {true, false}) {
+          SCOPED_TRACE("m=" + std::to_string(m) + " n=" + std::to_string(n) +
+                       " k=" + std::to_string(k) +
+                       (binary ? " binary" : " analog"));
+          const tensor::Tensor a = sparse_matrix(m, k, 0.2, binary, rng);
+          const tensor::Tensor b = random_tensor({k, n}, rng);
+          tensor::Tensor naive({m, n});
+          tensor::Tensor blocked({m, n});
+          gemm_naive(a.data(), b.data(), naive.data(), m, k, n);
+          gemm_blocked(a.data(), b.data(), blocked.data(), m, k, n);
+          expect_same_bits(blocked, naive);
+          tensor::Tensor dispatched({m, n});
+          gemm_auto(a.data(), b.data(), dispatched.data(), m, k, n);
+          expect_same_bits(dispatched, naive);
+        }
+      }
+    }
+  }
+}
+
+TEST(CrossTier, TiledAtBEqualsNaive) {
+  // (k, m, n): full 8x8 tiles, ragged m and/or n edges, one-element
+  // problems, and k longer than one kKc row slab.
+  const int shapes[][3] = {{1, 1, 1},    {5, 3, 2},    {37, 21, 18},
+                           {64, 8, 8},   {300, 72, 8}, {600, 9, 3},
+                           {129, 17, 33}, {520, 40, 16}};
+  common::Rng rng(32);
+  for (const auto& shape : shapes) {
+    const int k = shape[0], m = shape[1], n = shape[2];
+    for (const bool binary : {true, false}) {
+      for (const bool accumulate : {false, true}) {
+        for (const int threads : {1, 4}) {
+          SCOPED_TRACE("k=" + std::to_string(k) + " m=" + std::to_string(m) +
+                       " n=" + std::to_string(n) +
+                       (binary ? " binary" : " analog") +
+                       (accumulate ? " accumulate" : "") +
+                       " threads=" + std::to_string(threads));
+          const tensor::Tensor a = sparse_matrix(k, m, 0.2, binary, rng);
+          const tensor::Tensor b = random_tensor({k, n}, rng);
+          const tensor::Tensor c0 = random_tensor({m, n}, rng);
+          tensor::Tensor naive = c0;
+          tensor::Tensor tiled = c0;
+          gemm_at_b_naive(a.data(), b.data(), naive.data(), k, m, n,
+                          accumulate);
+          {
+            ThreadScope scope(threads);
+            gemm_at_b_tiled(a.data(), b.data(), tiled.data(), k, m, n,
+                            accumulate, threads);
+          }
+          expect_same_bits(tiled, naive);
+        }
+      }
+    }
+  }
+}
+
+TEST(CrossTier, ABtK8EqualsBlocked) {
+  common::Rng rng(33);
+  for (const int m : {1, 7, 37, 256}) {
+    for (const int n : {1, 8, 9, 72, 75}) {
+      SCOPED_TRACE("m=" + std::to_string(m) + " n=" + std::to_string(n));
+      const tensor::Tensor a = random_tensor({m, 8}, rng);
+      const tensor::Tensor b = random_tensor({n, 8}, rng);
+      tensor::Tensor blocked({m, n});
+      gemm_a_bt_blocked(a.data(), b.data(), blocked.data(), m, 8, n);
+      // Column-major copies: at[q][i] = A[i][q], bt[q][j] = B[j][q].
+      tensor::Tensor at({8, m});
+      tensor::Tensor bt({8, n});
+      for (int q = 0; q < 8; ++q) {
+        for (int i = 0; i < m; ++i) at.at2(q, i) = a.at2(i, q);
+        for (int j = 0; j < n; ++j) bt.at2(q, j) = b.at2(j, q);
+      }
+      tensor::Tensor k8({m, n}, 7.0f);  // overwritten, not accumulated
+      gemm_a_bt_k8(at.data(), m, bt.data(), n, k8.data(), m, n);
+      expect_same_bits(k8, blocked);
+    }
+  }
+}
+
+// ------------------------------------------------ determinism regression
+//
+// The library's core reproducibility guarantee: for a fixed seed, the
+// parallel kernels and engines produce output BIT-IDENTICAL to their
+// single-thread runs, so experiment results never depend on --threads.
 
 TEST(Determinism, BlockedGemmParallelBitIdentical) {
   ThreadScope scope(4);
@@ -205,8 +316,9 @@ TEST(Determinism, BlockedGemmParallelBitIdentical) {
 }
 
 TEST(Determinism, NaiveGemmParallelBitIdentical) {
-  // The auto dispatcher row-partitions the naive kernel for sparse spike
-  // inputs; partitioning must not change any row.
+  // The auto dispatcher sends this sparse spike input (K <= kKc) to the
+  // row-partitioned blocked tier, which must match the serial zero-skip
+  // kernel bit for bit.
   ThreadScope scope(4);
   common::Rng rng(22);
   const int m = 140, k = 90, n = 30;

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "compute/gemm_kernels.h"
+#include "compute/thread_pool.h"
 #include "tensor/tensor_ops.h"
 #include "test_util.h"
 
@@ -149,6 +156,271 @@ TEST(Conv2d, SpatialSizeChangeMidSequenceThrows) {
   EXPECT_THROW(conv.forward(tensor::Tensor({1, 1, 6, 6}), 1, Mode::kTrain),
                std::invalid_argument);
 }
+
+// --------------------------------------------------------- bit identity
+//
+// Conv2d runs on copy-light batched im2col/col2im, the blocked forward
+// GEMM, a tiled weight-gradient kernel and a per-sample input gradient.
+// None of that may move a bit. The reference below is the plain
+// lowering: per-sample im2col/col2im loops with a bounds check per tap,
+// the zero-skip forward GEMM, and the backward tiers that
+// tensor::gemm_at_b / gemm_a_bt pick for the whole batch.
+namespace reference {
+
+void im2col(const float* input, const tensor::ConvGeometry& g, float* out) {
+  const int patch = g.patch_size();
+  for (int oy = 0; oy < g.out_h(); ++oy) {
+    for (int ox = 0; ox < g.out_w(); ++ox) {
+      float* row =
+          out + (static_cast<std::size_t>(oy) * g.out_w() + ox) * patch;
+      int col = 0;
+      for (int c = 0; c < g.in_channels; ++c) {
+        const float* plane =
+            input + static_cast<std::size_t>(c) * g.in_h * g.in_w;
+        for (int ky = 0; ky < g.kernel_h; ++ky) {
+          const int iy = oy * g.stride + ky - g.pad;
+          for (int kx = 0; kx < g.kernel_w; ++kx, ++col) {
+            const int ix = ox * g.stride + kx - g.pad;
+            if (iy >= 0 && iy < g.in_h && ix >= 0 && ix < g.in_w) {
+              row[col] = plane[static_cast<std::size_t>(iy) * g.in_w + ix];
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+void col2im(const float* cols, const tensor::ConvGeometry& g,
+            float* grad_input) {
+  const int patch = g.patch_size();
+  for (int oy = 0; oy < g.out_h(); ++oy) {
+    for (int ox = 0; ox < g.out_w(); ++ox) {
+      const float* row =
+          cols + (static_cast<std::size_t>(oy) * g.out_w() + ox) * patch;
+      int col = 0;
+      for (int c = 0; c < g.in_channels; ++c) {
+        float* plane =
+            grad_input + static_cast<std::size_t>(c) * g.in_h * g.in_w;
+        for (int ky = 0; ky < g.kernel_h; ++ky) {
+          const int iy = oy * g.stride + ky - g.pad;
+          for (int kx = 0; kx < g.kernel_w; ++kx, ++col) {
+            const int ix = ox * g.stride + kx - g.pad;
+            if (iy >= 0 && iy < g.in_h && ix >= 0 && ix < g.in_w) {
+              plane[static_cast<std::size_t>(iy) * g.in_w + ix] += row[col];
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// Nonzero share of the first 32 rows of a [rows x cols] matrix: the
+// dispatchers' density probe.
+double sampled_density(const float* a, int rows, int cols) {
+  const int probe = std::min(rows, 32);
+  if (probe == 0 || cols == 0) return 1.0;
+  std::size_t nz = 0;
+  for (std::size_t i = 0; i < static_cast<std::size_t>(probe) * cols; ++i) {
+    nz += a[i] != 0.0f;
+  }
+  return static_cast<double>(nz) / (static_cast<double>(probe) * cols);
+}
+
+struct Conv {
+  tensor::ConvGeometry g;
+  int out_channels;
+  const tensor::Tensor* weight;  // [K x Cout]
+  const tensor::Tensor* bias;    // [Cout]
+};
+
+tensor::Tensor forward(const Conv& cv, const tensor::Tensor& x,
+                       tensor::Tensor& cols) {
+  const int n = x.dim(0);
+  const int p = cv.g.out_pixels();
+  const int k = cv.g.patch_size();
+  const int m = cv.out_channels;
+  cols = tensor::Tensor({n * p, k});
+  const std::size_t in_plane =
+      static_cast<std::size_t>(cv.g.in_channels) * cv.g.in_h * cv.g.in_w;
+  for (int s = 0; s < n; ++s) {
+    im2col(x.data() + s * in_plane, cv.g,
+           cols.data() + static_cast<std::size_t>(s) * p * k);
+  }
+  tensor::Tensor prod({n * p, m});
+  compute::gemm_naive(cols.data(), cv.weight->data(), prod.data(), n * p, k,
+                      m);
+  tensor::Tensor out({n, m, cv.g.out_h(), cv.g.out_w()});
+  for (int s = 0; s < n; ++s) {
+    for (int pix = 0; pix < p; ++pix) {
+      for (int c = 0; c < m; ++c) {
+        out.data()[(static_cast<std::size_t>(s) * m + c) * p + pix] =
+            prod.data()[(static_cast<std::size_t>(s) * p + pix) * m + c] +
+            (*cv.bias)[static_cast<std::size_t>(c)];
+      }
+    }
+  }
+  return out;
+}
+
+tensor::Tensor backward(const Conv& cv, const tensor::Tensor& cols,
+                        const tensor::Tensor& grad_out,
+                        tensor::Tensor& weight_grad,
+                        tensor::Tensor& bias_grad) {
+  const int n = grad_out.dim(0);
+  const int p = cv.g.out_pixels();
+  const int k = cv.g.patch_size();
+  const int m = cv.out_channels;
+  tensor::Tensor g({n * p, m});
+  for (int s = 0; s < n; ++s) {
+    for (int c = 0; c < m; ++c) {
+      for (int pix = 0; pix < p; ++pix) {
+        g.data()[(static_cast<std::size_t>(s) * p + pix) * m + c] =
+            grad_out.data()[(static_cast<std::size_t>(s) * m + c) * p + pix];
+      }
+    }
+  }
+  const long long rows = static_cast<long long>(n) * p;
+  if (m >= 8 && k >= 16 && rows >= 8 && rows * k * m >= 1LL << 20 &&
+      sampled_density(cols.data(), n * p, k) >= 0.2) {
+    compute::gemm_at_b_blocked(cols.data(), g.data(), weight_grad.data(),
+                               n * p, k, m, /*accumulate=*/true);
+  } else {
+    compute::gemm_at_b_naive(cols.data(), g.data(), weight_grad.data(), n * p,
+                             k, m, /*accumulate=*/true);
+  }
+  for (long long row = 0; row < rows; ++row) {
+    for (int c = 0; c < m; ++c) {
+      bias_grad[static_cast<std::size_t>(c)] +=
+          g.data()[static_cast<std::size_t>(row) * m + c];
+    }
+  }
+  tensor::Tensor dcols({n * p, k});
+  if (m >= 8 && rows * m * k >= 1LL << 14) {
+    compute::gemm_a_bt_blocked(g.data(), cv.weight->data(), dcols.data(),
+                               n * p, m, k);
+  } else {
+    compute::gemm_a_bt_naive(g.data(), cv.weight->data(), dcols.data(), n * p,
+                             m, k);
+  }
+  tensor::Tensor grad_in({n, cv.g.in_channels, cv.g.in_h, cv.g.in_w});
+  const std::size_t in_plane =
+      static_cast<std::size_t>(cv.g.in_channels) * cv.g.in_h * cv.g.in_w;
+  for (int s = 0; s < n; ++s) {
+    col2im(dcols.data() + static_cast<std::size_t>(s) * p * k, cv.g,
+           grad_in.data() + s * in_plane);
+  }
+  return grad_in;
+}
+
+}  // namespace reference
+
+void expect_same_bits(const tensor::Tensor& got, const tensor::Tensor& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), sizeof(float) * got.size()),
+            0)
+      << what << " differs (max |diff| "
+      << tensor::max_abs_diff(got, want) << ")";
+}
+
+class ThreadScope {
+ public:
+  explicit ThreadScope(int threads) : saved_(compute::global_threads()) {
+    compute::set_global_threads(threads);
+  }
+  ~ThreadScope() { compute::set_global_threads(saved_); }
+
+ private:
+  int saved_;
+};
+
+// Spike trains (binary, ~15% ones) or analog values in [-1, 1].
+tensor::Tensor conv_input(tensor::Shape shape, bool binary,
+                          common::Rng& rng) {
+  tensor::Tensor x(std::move(shape));
+  for (auto& v : x) {
+    v = binary ? (rng.bernoulli(0.15) ? 1.0f : 0.0f)
+               : static_cast<float>(rng.uniform(-1.0, 1.0));
+  }
+  return x;
+}
+
+class ConvBitIdentity : public ::testing::TestWithParam<int> {};
+
+TEST_P(ConvBitIdentity, MatchesPlainLowering) {
+  ThreadScope threads(GetParam());
+  constexpr int kBatch = 8;
+  constexpr int kSteps = 2;
+  const int sizes[][2] = {{4, 4}, {5, 7}, {16, 16}};
+  for (const int cin : {1, 2, 8}) {
+    for (const int cout : {1, 3, 4, 8}) {
+      for (const int kernel : {1, 3}) {
+        for (const int pad : {0, 1}) {
+          for (const auto& hw : sizes) {
+            for (const bool binary : {true, false}) {
+              const std::string what =
+                  "cin=" + std::to_string(cin) + " cout=" +
+                  std::to_string(cout) + " kernel=" + std::to_string(kernel) +
+                  " pad=" + std::to_string(pad) + " " +
+                  std::to_string(hw[0]) + "x" + std::to_string(hw[1]) +
+                  (binary ? " binary" : " analog");
+              SCOPED_TRACE(what);
+              common::Rng rng(static_cast<std::uint64_t>(
+                  cin * 1000 + cout * 100 + kernel * 10 + pad + hw[1] * 7 +
+                  binary));
+              Conv2d conv("c", cin, cout, kernel, pad, rng);
+              std::vector<Param*> params = conv.params();
+              for (auto& b : params[1]->value) {
+                b = static_cast<float>(rng.uniform(-0.5, 0.5));
+              }
+              conv.reset_state();
+
+              reference::Conv cv;
+              cv.g.in_channels = cin;
+              cv.g.in_h = hw[0];
+              cv.g.in_w = hw[1];
+              cv.g.kernel_h = cv.g.kernel_w = kernel;
+              cv.g.pad = pad;
+              cv.out_channels = cout;
+              cv.weight = &params[0]->value;
+              cv.bias = &params[1]->value;
+
+              std::vector<tensor::Tensor> cols(kSteps);
+              std::vector<tensor::Tensor> outs;
+              for (int t = 0; t < kSteps; ++t) {
+                const tensor::Tensor x = conv_input(
+                    {kBatch, cin, hw[0], hw[1]}, binary, rng);
+                outs.push_back(conv.forward(x, t, Mode::kTrain));
+                expect_same_bits(outs.back(),
+                                 reference::forward(cv, x, cols[t]),
+                                 "output");
+              }
+              tensor::Tensor weight_grad(params[0]->value.shape());
+              tensor::Tensor bias_grad(params[1]->value.shape());
+              for (int t = kSteps - 1; t >= 0; --t) {
+                tensor::Tensor grad_out = conv_input(
+                    outs[static_cast<std::size_t>(t)].shape(), false, rng);
+                expect_same_bits(
+                    conv.backward(grad_out, t),
+                    reference::backward(cv, cols[static_cast<std::size_t>(t)],
+                                        grad_out, weight_grad, bias_grad),
+                    "input gradient");
+              }
+              expect_same_bits(params[0]->grad, weight_grad,
+                               "weight gradient");
+              expect_same_bits(params[1]->grad, bias_grad, "bias gradient");
+              if (HasFailure()) return;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, ConvBitIdentity, ::testing::Values(1, 4));
 
 }  // namespace
 }  // namespace falvolt::snn
