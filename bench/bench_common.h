@@ -1,14 +1,14 @@
 #pragma once
-// Shared plumbing for the figure-reproduction benches: workload loading
-// (with on-disk baseline caching), scenario-sweep orchestration, result
-// tables, and CSV/JSON output.
+// Shared plumbing for the registered grids (bench/grids/) and the
+// drivers that run them (sweep_fleet, sweep_merge): the common and
+// execution-only flag sets, fingerprint configuration, store options,
+// telemetry/fault-injection scopes, dataset selection, and the helpers
+// grids use to build cells and render figures.
 
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -22,7 +22,6 @@
 #include "common/env.h"
 #include "common/stats.h"
 #include "common/table.h"
-#include "common/timer.h"
 #include "core/experiment.h"
 #include "core/falvolt.h"
 #include "core/fap.h"
@@ -32,7 +31,6 @@
 #include "io/fault_injector.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "store/result_store.h"  // store_exists + the StoreApi chain
 
 namespace falvolt::bench {
 
@@ -69,7 +67,7 @@ enum ExecFlagGroup : unsigned {
 
 struct ExecFlagDef {
   const char* name;
-  enum Kind { kString, kBool, kInt } kind;
+  enum Kind { kString, kInt } kind;
   const char* str_default;
   int int_default;
   unsigned groups;
@@ -124,9 +122,6 @@ inline void add_exec_flags(common::CliFlags& cli,
       case ExecFlagDef::kString:
         cli.add_string(def.name, def.str_default, def.help);
         break;
-      case ExecFlagDef::kBool:
-        cli.add_bool(def.name, def.int_default != 0, def.help);
-        break;
       case ExecFlagDef::kInt:
         cli.add_int(def.name, def.int_default, def.help);
         break;
@@ -143,7 +138,10 @@ inline bool is_exec_flag(const std::string& name, unsigned groups = ~0u) {
   return false;
 }
 
-/// Standard flags shared by every figure bench.
+/// The flags every grid shares. sweep_fleet registers them once and
+/// forwards them to each grid's own flag set (common + the grid's
+/// add_flags), so a cell's fingerprint does not depend on which grids
+/// were selected with it.
 inline void add_common_flags(common::CliFlags& cli) {
   cli.add_bool("fast", common::fast_mode(),
                "shrink datasets/epochs ~2x (also via FALVOLT_FAST=1)");
@@ -159,15 +157,12 @@ inline void add_common_flags(common::CliFlags& cli) {
               "compute worker threads (0 = $FALVOLT_THREADS, else the "
               "hardware concurrency)");
   cli.add_int("sweep-parallel", 0,
-              "concurrent scenarios of the figure grid (1 = serial; 0 = "
-              "$FALVOLT_SWEEP_PARALLEL, else the hardware concurrency). "
+              "concurrent cells across all selected grids (1 = serial; 0 "
+              "= $FALVOLT_SWEEP_PARALLEL, else the hardware concurrency). "
               "Result tables are byte-identical at any value");
   cli.add_string("datasets", "all",
                  "comma list of mnist,nmnist,dvs to subset the grid "
                  "(all = the bench's paper grid)");
-  cli.add_string("sweep-json", "",
-                 "machine-readable sweep summary path ('' = "
-                 "<bench>_sweep.json, none = disabled)");
   cli.add_string("store", "",
                  "content-addressed scenario result store spec: "
                  "local:<dir>, segment:<dir> (read-only compacted "
@@ -200,9 +195,9 @@ inline void add_common_flags(common::CliFlags& cli) {
 /// costs only spurious recomputes, never a stale hit.
 inline bool flag_affects_results(const std::string& name) {
   static const std::set<std::string> kExecutionOnly = {
-      "threads",  "sweep-parallel", "sweep-json",     "datasets",
-      "repeats",  "store",          "resume",         "shard",
-      "list-scenarios", "substituters"};
+      "threads", "sweep-parallel", "datasets",       "repeats",
+      "store",   "resume",         "shard",          "list-scenarios",
+      "substituters"};
   if (is_exec_flag(name)) return false;
   // --substituters only changes WHERE a fingerprint-addressed record is
   // read from, never what any cell computes, so it must not split the
@@ -364,60 +359,6 @@ inline core::SweepStoreOptions store_options(
   return st;
 }
 
-/// Print one grid's --list-scenarios rows (the row format shared by the
-/// bench dry run and sweep_fleet's cross-bench listing). `fp_of`
-/// computes the cell fingerprint; `rs` is null when the store does not
-/// exist yet (every cell then lists as MISS, or "-" with no store at
-/// all). Cross-grid listings pass a bench `label` (rows print as
-/// "bench:key") and thread a running `start_index` through so every row
-/// of the combined listing has a unique index. Returns the index after
-/// the last row.
-inline std::size_t list_scenario_rows(
-    const core::SweepStoreOptions& st,
-    const std::vector<core::Scenario>& scenarios,
-    const std::function<std::string(const core::Scenario&)>& fp_of,
-    const falvolt::store::StoreApi* rs, const std::string& label = "",
-    std::size_t start_index = 0) {
-  // The same cost-balanced partition (greedy LPT over static cost
-  // estimates) SweepRunner computes — the listing's "shard" column IS
-  // the plan every independently launched shard follows.
-  std::vector<double> costs(scenarios.size());
-  for (std::size_t i = 0; i < costs.size(); ++i) {
-    costs[i] = core::scenario_cost_estimate(scenarios[i]);
-  }
-  const std::vector<int> owners =
-      core::shard_partition(costs, st.shard_count);
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    const std::string fp = fp_of(scenarios[i]);
-    const int owner = owners[i];
-    const char* status = rs          ? (rs->contains(fp) ? "HIT" : "MISS")
-                         : st.dir.empty() ? "-"
-                                          : "MISS";
-    const std::string key = label.empty()
-                                ? scenarios[i].key
-                                : label + ":" + scenarios[i].key;
-    std::printf("%-5zu %-6d %-6s %-16s %s\n", start_index + i, owner,
-                status, fp.substr(0, 16).c_str(), key.c_str());
-  }
-  return start_index + scenarios.size();
-}
-
-/// True when the table covers the full grid; otherwise print the shard
-/// hand-off notice (the caller skips its figure aggregation — only
-/// sweep_merge, or a warm re-run against the merged store, can emit the
-/// complete table).
-inline bool sweep_complete(const core::ResultTable& results) {
-  if (results.complete()) return true;
-  std::printf(
-      "\n[sweep] shard %d/%d: %zu cell(s) computed, %zu replayed, %zu "
-      "left to other shards — figure tables are emitted by sweep_merge "
-      "(or a re-run against the merged store), not by a partial shard.\n",
-      results.shard_index(), results.shard_count(),
-      results.computed_cells(), results.cached_cells(),
-      results.absent_cells());
-  return false;
-}
-
 /// Shared, read-only per-dataset eval subsets, built lazily on first use
 /// by a scenario function. Lazy matters: on a warm store re-run no
 /// scenario computes, so no dataset is prepared and no subset is built —
@@ -428,18 +369,16 @@ class EvalSets {
   /// `n` samples per dataset; n <= 0 means the full test split.
   EvalSets(const core::SweepContext& ctx, int n) : ctx_(ctx), n_(n) {}
 
-  /// Thread-safe: scenario functions call this concurrently.
-  const data::Dataset& of(core::DatasetKind kind);
-
-  /// The same subset as one prebuilt whole-set EvalBatch (batched eval
+  /// The subset as one prebuilt whole-set EvalBatch (batched eval
   /// mode): built once per dataset and shared read-only by every
   /// scenario cell, so the per-time-step batch tensors are assembled
   /// once per grid instead of once per evaluation and each cell's
   /// engine resolves one fault plan per time step for ALL samples.
-  /// Thread-safe like of().
+  /// Thread-safe: scenario functions call this concurrently.
   const snn::EvalBatch& batch(core::DatasetKind kind);
 
  private:
+  /// The `n`-sample subset itself; the caller holds mu_.
   const data::Dataset& of_locked(core::DatasetKind kind);
 
   const core::SweepContext& ctx_;
@@ -470,48 +409,6 @@ inline void print_baseline(const core::Workload& w) {
               core::dataset_name(w.kind), w.baseline_accuracy,
               w.data.train.size(), w.data.test.size(),
               w.data.train.time_steps());
-}
-
-/// Handle --list-scenarios: print the grid with fingerprints, owning
-/// shards, and store status (for shard planning), then tell the caller
-/// to exit. A pure dry run: computes nothing, writes no outputs, and —
-/// unlike an actual sweep — does not even create the store directories
-/// (a store that does not exist yet simply lists every cell as MISS).
-inline bool list_scenarios(const common::CliFlags& cli,
-                           const core::SweepStoreOptions& st,
-                           const std::vector<core::Scenario>& scenarios) {
-  if (!cli.get_bool("list-scenarios")) return false;
-  std::unique_ptr<falvolt::store::StoreApi> rs;
-  if (!st.dir.empty() && falvolt::store::store_spec_exists(st.dir)) {
-    rs = falvolt::store::open_store(st.dir, st.substituters,
-                                    /*create=*/false);
-  }
-  std::printf("# %zu scenario(s), shard %d/%d%s%s\n", scenarios.size(),
-              st.shard_index, st.shard_count,
-              st.dir.empty() ? "" : ", store ", st.dir.c_str());
-  std::printf("%-5s %-6s %-6s %-16s %s\n", "idx", "shard", "store",
-              "fingerprint", "key");
-  const core::WorkloadOptions opts = workload_options(cli);
-  list_scenario_rows(
-      st, scenarios,
-      [&](const core::Scenario& s) {
-        return core::fingerprint_cell(st, opts, s);
-      },
-      rs.get());
-  return true;
-}
-
-/// Run one figure bench's grid standalone — its own SweepRunner, the
-/// baseline banner on stdout — and return its table. The fleet driver
-/// runs the very same GridDef cells, so the store is interchangeable.
-inline core::ResultTable run_bench_grid(
-    const common::CliFlags& cli, const core::GridDef& def,
-    core::SweepStoreOptions store, std::vector<core::Scenario> scenarios) {
-  core::SweepRunner runner(workload_options(cli));
-  runner.set_on_baseline(print_baseline);
-  runner.add_grid({std::move(store), std::move(scenarios),
-                   def.scenario_fn(cli, runner.context())});
-  return std::move(runner.run().front());
 }
 
 /// Parse a --datasets spec into dataset kinds. An empty or "all" spec
@@ -590,7 +487,8 @@ inline std::vector<core::DatasetKind> dataset_list(
   return out;
 }
 
-/// Append a printf-formatted line to a scenario's buffered log.
+/// Append printf-formatted text to a scenario's buffered log or a
+/// figure's report.
 inline void logf(std::string& log, const char* fmt, ...)
     __attribute__((format(printf, 2, 3)));
 inline void logf(std::string& log, const char* fmt, ...) {
@@ -602,72 +500,23 @@ inline void logf(std::string& log, const char* fmt, ...) {
   log += buf;
 }
 
-/// "" for a whole-grid run, ".shard<i>of<n>" for a shard — shard runs
-/// produce partial outputs and must never truncate a complete table a
-/// previous full run left in the CWD.
-inline std::string shard_suffix(const common::CliFlags& cli) {
-  const auto [index, count] = core::parse_shard_spec(cli.get_string("shard"));
-  if (count <= 1) return "";
-  return ".shard" + std::to_string(index) + "of" + std::to_string(count);
+/// The first metric of the cell at `key` — the value a figure plots.
+inline double cell_value(const core::ResultTable& results,
+                         const std::string& key) {
+  return results.get(key).metrics.front().second;
 }
 
-/// CSV file next to the executable's working directory.
-inline std::string csv_path(const common::CliFlags& cli,
-                            const std::string& bench_name) {
-  return bench_name + shard_suffix(cli) + ".csv";
-}
-
-/// Resolved --sweep-json path; empty string disables the summary. The
-/// default path is shard-suffixed like the CSV; an explicit --sweep-json
-/// is the user's choice and used verbatim.
-inline std::string sweep_json_path(const common::CliFlags& cli,
-                                   const std::string& bench_name) {
-  const std::string& p = cli.get_string("sweep-json");
-  if (p == "none") return "";
-  return p.empty() ? bench_name + shard_suffix(cli) + "_sweep.json" : p;
-}
-
-/// Validate that the sweep JSON summary path is writable. Call BEFORE
-/// the sweep runs: an unwritable CWD must fail before hours of compute,
-/// not after (the benches likewise construct their CsvWriter up front
-/// for the same reason).
-inline void probe_sweep_json(const common::CliFlags& cli,
-                             const std::string& bench_name) {
-  const std::string path = sweep_json_path(cli, bench_name);
-  if (path.empty()) return;
-  // Append mode: tests writability without clobbering the previous
-  // run's summary should this run die mid-sweep.
-  std::ofstream probe(path, std::ios::app);
-  if (!probe) {
-    throw std::runtime_error("cannot open sweep summary path " + path);
-  }
-}
-
-/// Write the sweep JSON summary (if enabled) and print where it went.
-inline void emit_sweep_summary(const common::CliFlags& cli,
-                               const std::string& bench_name,
-                               const core::ResultTable& results) {
-  const std::string path = sweep_json_path(cli, bench_name);
-  if (path.empty()) return;
-  results.write_json(path, bench_name);
-  std::printf("[sweep] %zu scenarios in %.1f s at sweep-parallel=%d — "
-              "JSON summary written to %s\n",
-              results.size(), results.total_seconds(),
-              results.sweep_parallel(), path.c_str());
-}
-
-/// Append the per-scenario CSV rows to an already-open writer, in
-/// scenario order (byte-identical at any sweep parallelism).
-inline void write_scenario_rows(common::CsvWriter& csv,
-                                const core::ResultTable& results) {
+/// A figure whose CSV rows are its cells' own csv_rows, in scenario
+/// order (byte-identical at any sweep parallelism).
+inline core::Figure scenario_rows_figure(std::vector<std::string> header,
+                                         const core::ResultTable& results) {
+  core::Figure fig;
+  fig.csv_header = std::move(header);
   for (const core::ScenarioResult& r : results.rows()) {
-    for (const auto& row : r.csv_rows) csv.row(row);
+    fig.csv_rows.insert(fig.csv_rows.end(), r.csv_rows.begin(),
+                        r.csv_rows.end());
   }
-}
-
-/// Banner printed by every bench so logs are self-describing.
-inline void banner(const std::string& name, const std::string& what) {
-  std::printf("=== %s ===\n%s\n\n", name.c_str(), what.c_str());
+  return fig;
 }
 
 /// First `n` samples of a dataset (vulnerability sweeps evaluate through
@@ -689,11 +538,6 @@ inline const data::Dataset& EvalSets::of_locked(core::DatasetKind kind) {
              .first;
   }
   return it->second;
-}
-
-inline const data::Dataset& EvalSets::of(core::DatasetKind kind) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return of_locked(kind);
 }
 
 inline const snn::EvalBatch& EvalSets::batch(core::DatasetKind kind) {

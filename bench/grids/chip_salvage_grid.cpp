@@ -10,7 +10,9 @@
 // baseline. Unlike the narrative example — which threads one lot RNG
 // through every chip — each cell derives its defect population from its
 // own seed, so cells are order-independent and content-addressable.
-
+//
+// Run it with `sweep_fleet --grids chip_salvage_triage --store <dir>`;
+// the per-die grades land in ./chip_salvage_triage.csv.
 
 #include "bench_common.h"
 #include "core/grid_registry.h"
@@ -19,7 +21,11 @@
 
 namespace falvolt::bench::chip_salvage {
 
+namespace {
+
 std::string cell_key(int chip) { return "chip=" + std::to_string(chip); }
+
+}  // namespace
 
 /// Deterministic defect count of one chip: ~30% of dies are clean, the
 /// rest carry 1..(defect_rate * total_pes) random stuck-bit defects.
@@ -139,6 +145,26 @@ void register_grid() {
                        common::CsvWriter::format(r.final_accuracy)}};
       return out;
     };
+  };
+  def.aggregate = [](const common::CliFlags&,
+                     const core::ResultTable& results) {
+    core::Figure fig = scenario_rows_figure(
+        {"chip", "grade", "detected_faults", "accuracy"}, results);
+    int grade_a = 0, salvaged = 0;
+    for (const std::vector<std::string>& row : fig.csv_rows) {
+      grade_a += row[1] == "A";
+      salvaged += row[1] == "B";
+    }
+    const int chips = static_cast<int>(fig.csv_rows.size());
+    logf(fig.report,
+         "lot summary: %d chips | grade A %d | salvaged %d | scrapped %d\n"
+         "yield without FalVolt: %.0f%%   with FalVolt: %.0f%%\n",
+         chips, grade_a, salvaged, chips - grade_a - salvaged,
+         100.0 * grade_a / chips, 100.0 * (grade_a + salvaged) / chips);
+    fig.report +=
+        "\nExpected shape: FalVolt salvages defective dies, so yield with "
+        "FalVolt exceeds the clean-die share of the lot.\n";
+    return fig;
   };
   core::GridRegistry::instance().add(std::move(def));
 }

@@ -1,6 +1,12 @@
-// Fig. 5c grid — accuracy vs systolic array size at a fixed number of
-// faulty PEs (MSB sa1, unmitigated). Grid + scenario function, shared
-// between the fig5c_array_size main and the sweep_fleet driver.
+// Fig. 5c — classification accuracy vs systolic array size.
+//
+// Reproduces: 4 faulty PEs (MSB sa1) in arrays of 4x4 .. 256x256. Smaller
+// arrays fold more weights onto each PE (higher reuse), so the same
+// absolute number of faults does far more damage — the paper's
+// array-reuse argument.
+//
+// Run it with `sweep_fleet --grids fig5c_array_size --store <dir>`; the
+// figure (mean and stddev over repeats) lands in ./fig5c_array_size.csv.
 
 #include <memory>
 
@@ -31,8 +37,6 @@ double eval_cost(int n) {
   return latency(n) / kReference;
 }
 
-}  // namespace
-
 const std::vector<int>& sizes() {
   static const std::vector<int> kSizes = {4, 8, 16, 32, 64, 256};
   return kSizes;
@@ -54,6 +58,8 @@ std::string cell_key(core::DatasetKind kind, int array_size, int rep) {
   return std::string(core::dataset_name(kind)) + "/array=" +
          std::to_string(array_size) + "/rep=" + std::to_string(rep);
 }
+
+}  // namespace
 
 void register_grid() {
   core::GridDef def;
@@ -108,6 +114,41 @@ void register_grid() {
       out.metrics = {{"accuracy", acc}};
       return out;
     };
+  };
+  def.aggregate = [](const common::CliFlags& cli,
+                     const core::ResultTable& results) {
+    const int reps = repeats(cli);
+    core::Figure fig;
+    fig.csv_header = {"dataset", "array", "total_pes", "accuracy", "stddev"};
+    std::vector<std::string> header = {"dataset"};
+    for (const int s : sizes()) {
+      header.push_back(std::to_string(s * s));  // paper plots total PEs
+    }
+    common::TextTable table(header);
+    for (const auto kind : kinds(cli)) {
+      std::vector<double> row;
+      for (const int n : sizes()) {
+        common::RunningStats acc;
+        for (int rep = 0; rep < reps; ++rep) {
+          acc.add(cell_value(results, cell_key(kind, n, rep)));
+        }
+        row.push_back(acc.mean());
+        fig.csv_rows.push_back({std::string(core::dataset_name(kind)),
+                                std::to_string(n) + "x" + std::to_string(n),
+                                std::to_string(n * n),
+                                common::CsvWriter::format(acc.mean()),
+                                common::CsvWriter::format(acc.stddev())});
+      }
+      table.row_labeled(core::dataset_name(kind), row, 1);
+    }
+    logf(fig.report,
+         "Accuracy [%%] vs total number of PEs (%d faulty PEs, avg over %d "
+         "maps):\n",
+         static_cast<int>(cli.get_int("faulty-pes")), reps);
+    fig.report += table.str() +
+                  "\nExpected shape (paper): small arrays suffer far more "
+                  "from the same absolute fault count (array reuse).\n";
+    return fig;
   };
   core::GridRegistry::instance().add(std::move(def));
 }

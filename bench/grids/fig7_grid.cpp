@@ -1,12 +1,21 @@
-// Fig. 7 grid — mitigation comparison (FaP vs FaPIT vs FalVolt) at
-// 10% / 30% / 60% faulty PEs. Grid + scenario function, shared between
-// the fig7_mitigation main and the sweep_fleet driver.
+// Fig. 7 — mitigation comparison: FaP vs FaPIT vs FalVolt.
+//
+// Reproduces: accuracy after each mitigation at 10% / 30% / 60% faulty
+// PEs (MSB sa1, 256x256 array) on MNIST, N-MNIST and DVS-Gesture. The
+// paper's claim: FaP collapses as the rate grows, FaPIT recovers
+// partially, and only FalVolt stays at (near-)baseline accuracy up to
+// 60% faults.
+//
+// Run it with `sweep_fleet --grids fig7_mitigation --store <dir>`; the
+// figure lands in ./fig7_mitigation.csv.
 
 #include "bench_common.h"
 #include "core/grid_registry.h"
 #include "grids/grids.h"
 
 namespace falvolt::bench::fig7 {
+
+namespace {
 
 const std::vector<double>& rates() {
   static const std::vector<double> kRates = {0.10, 0.30, 0.60};
@@ -34,6 +43,8 @@ std::string cell_key(core::DatasetKind kind, double rate,
   return std::string(core::dataset_name(kind)) + "/rate=" +
          common::TextTable::format(rate * 100, 0) + "/" + method;
 }
+
+}  // namespace
 
 void register_grid() {
   core::GridDef def;
@@ -102,6 +113,46 @@ void register_grid() {
                        common::CsvWriter::format(wl.baseline_accuracy)}};
       return out;
     };
+  };
+  def.aggregate = [](const common::CliFlags& cli,
+                     const core::ResultTable& results) {
+    core::Figure fig = scenario_rows_figure(
+        {"dataset", "fault_rate_percent", "method", "best_accuracy",
+         "baseline"},
+        results);
+    for (const auto kind : kinds(cli)) {
+      // Baseline accuracy comes from the cells' own "baseline" metric,
+      // not the runner's context: on a warm-store re-run no workload was
+      // ever prepared, yet the replayed cells still carry it.
+      const double baseline =
+          results.get(cell_key(kind, rates().front(), "FaP"))
+              .metrics.back()
+              .second;
+      common::TextTable table({"faulty", "FaP", "FaPIT", "FalVolt"});
+      for (const double rate : rates()) {
+        const double fap = cell_value(results, cell_key(kind, rate, "FaP"));
+        const double fapit =
+            cell_value(results, cell_key(kind, rate, "FaPIT"));
+        const double falvolt =
+            cell_value(results, cell_key(kind, rate, "FalVolt"));
+        table.row_labeled(common::TextTable::format(rate * 100, 0) + "%",
+                          {fap, fapit, falvolt}, 1);
+        logf(fig.report,
+             "  %-15s rate=%2.0f%%  FaP %.1f | FaPIT %.1f | FalVolt %.1f "
+             "(baseline %.1f)\n",
+             core::dataset_name(kind), rate * 100, fap, fapit, falvolt,
+             baseline);
+      }
+      logf(fig.report, "\nAccuracy [%%] — %s (baseline %.1f%%):\n",
+           core::dataset_name(kind), baseline);
+      fig.report += table.str() + "\n";
+    }
+    fig.report +=
+        "Reported values are best checkpoints over the retraining run.\n"
+        "Expected shape (paper): FaP degrades rapidly with rate; FaPIT "
+        "recovers partially; FalVolt reaches (near-)baseline even at "
+        "60%.\n";
+    return fig;
   };
   core::GridRegistry::instance().add(std::move(def));
 }

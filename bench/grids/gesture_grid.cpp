@@ -8,12 +8,17 @@
 // workload. The falvolt arm retrains a clone against the damage map
 // (field recalibration); the unmitigated arm is the accuracy the device
 // limps along at until it does.
+//
+// Run it with `sweep_fleet --grids gesture_pipeline --store <dir>`; the
+// figure lands in ./gesture_pipeline.csv.
 
 #include "bench_common.h"
 #include "core/grid_registry.h"
 #include "grids/grids.h"
 
 namespace falvolt::bench::gesture {
+
+namespace {
 
 const std::vector<double>& rates() {
   static const std::vector<double> kRates = {0.10, 0.20, 0.30};
@@ -29,6 +34,8 @@ const std::vector<std::string>& methods() {
 std::string cell_key(double rate, const std::string& method) {
   return "rate=" + common::TextTable::format(rate * 100, 0) + "/" + method;
 }
+
+}  // namespace
 
 void register_grid() {
   core::GridDef def;
@@ -101,6 +108,28 @@ void register_grid() {
            s.fault_rate * 100, s.tag.c_str(), acc);
       return out;
     };
+  };
+  def.aggregate = [](const common::CliFlags&,
+                     const core::ResultTable& results) {
+    core::Figure fig = scenario_rows_figure(
+        {"fault_rate_percent", "method", "accuracy"}, results);
+    std::vector<std::string> header = {"faulty"};
+    header.insert(header.end(), methods().begin(), methods().end());
+    common::TextTable table(header);
+    for (const double rate : rates()) {
+      std::vector<double> row;
+      for (const std::string& method : methods()) {
+        row.push_back(cell_value(results, cell_key(rate, method)));
+      }
+      table.row_labeled(common::TextTable::format(rate * 100, 0) + "%", row,
+                        1);
+    }
+    fig.report = "Gesture accuracy [%] on the damaged accelerator:\n" +
+                 table.str() +
+                 "\nExpected shape: unmitigated accuracy falls as the "
+                 "fault rate grows; FalVolt recalibration recovers most of "
+                 "the loss.\n";
+    return fig;
   };
   core::GridRegistry::instance().add(std::move(def));
 }

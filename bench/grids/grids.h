@@ -1,108 +1,56 @@
 #pragma once
-// The figure benches' grid definitions, registered into
-// core::GridRegistry (see grid_registry.h for why).
-//
-// Each figN namespace is that bench's single source of truth for its
-// grid axes and scenario-key scheme: the GridDef's grid builder AND the
-// bench main's table aggregation both go through these helpers, so the
-// two can never disagree — and the sweep_fleet driver, which runs the
-// registered GridDefs, addresses exactly the cells the standalone bench
-// would.
-
-#include <string>
-#include <vector>
-
-#include "common/cli.h"
-#include "core/experiment.h"
-#include "fixed/stuck_bits.h"
+// The study's grid definitions, registered into core::GridRegistry (see
+// grid_registry.h). Each bench/grids/<name>_grid.cpp is its bench's
+// single source of truth: grid axes, scenario-key scheme, scenario
+// function, and figure aggregation all live in that one file, so the
+// cells a figure reads are exactly the cells its grid built.
 
 namespace falvolt::bench {
 
 /// Register every grid — the seven figure benches, the design-choice
 /// ablation, and the example-derived workloads — into
-/// core::GridRegistry::instance(). Idempotent — every bench main and
-/// every driver calls it first.
+/// core::GridRegistry::instance(). Idempotent — every driver calls it
+/// first.
 void register_all_grids();
 
 namespace fig2 {
-const std::vector<float>& vths();
-const std::vector<double>& rates();
-std::vector<core::DatasetKind> kinds(const common::CliFlags& cli);
-int epochs(const common::CliFlags& cli, core::DatasetKind kind);
-std::string cell_key(core::DatasetKind kind, double rate, float vth);
 void register_grid();
 }  // namespace fig2
 
 namespace fig5a {
-const std::vector<fx::StuckType>& types();
-const char* type_name(fx::StuckType t);
-std::vector<int> bits(int word_bits);
-std::vector<core::DatasetKind> kinds(const common::CliFlags& cli);
-int repeats(const common::CliFlags& cli);
-std::string cell_key(core::DatasetKind kind, fx::StuckType type, int bit,
-                     int rep);
 void register_grid();
 }  // namespace fig5a
 
 namespace fig5b {
-const std::vector<int>& counts();
-std::vector<core::DatasetKind> kinds(const common::CliFlags& cli);
-int repeats(const common::CliFlags& cli);
-std::string cell_key(core::DatasetKind kind, int count, int rep);
 void register_grid();
 }  // namespace fig5b
 
 namespace fig5c {
-const std::vector<int>& sizes();
-std::vector<core::DatasetKind> kinds(const common::CliFlags& cli);
-int repeats(const common::CliFlags& cli);
-std::string cell_key(core::DatasetKind kind, int array_size, int rep);
 void register_grid();
 }  // namespace fig5c
 
 namespace fig6 {
-const std::vector<double>& rates();
-std::vector<core::DatasetKind> kinds(const common::CliFlags& cli);
-int epochs(const common::CliFlags& cli, core::DatasetKind kind);
-std::string cell_key(core::DatasetKind kind, double rate);
 void register_grid();
 }  // namespace fig6
 
 namespace fig7 {
-const std::vector<double>& rates();
-const std::vector<std::string>& methods();
-std::vector<core::DatasetKind> kinds(const common::CliFlags& cli);
-int epochs(const common::CliFlags& cli, core::DatasetKind kind);
-std::string cell_key(core::DatasetKind kind, double rate,
-                     const std::string& method);
 void register_grid();
 }  // namespace fig7
 
 namespace fig8 {
-const std::vector<std::string>& methods();
-std::vector<core::DatasetKind> kinds(const common::CliFlags& cli);
-int horizon(const common::CliFlags& cli, core::DatasetKind kind);
-std::string cell_key(core::DatasetKind kind, const std::string& method);
 void register_grid();
 }  // namespace fig8
 
 // FalVolt design-choice ablations (MNIST at 30% faulty PEs); see
 // ablation_grid.cpp for the arm definitions.
 namespace ablation {
-struct Arm {
-  const char* ablation;
-  const char* arm;
-};
-const std::vector<Arm>& arms();
-int epochs(const common::CliFlags& cli);
-std::string cell_key(const std::string& ablation, const std::string& arm);
 void register_grid();
 }  // namespace ablation
 
 // Example-derived workload: chip-salvage triage over a fab lot (one
 // cell per manufactured die; MNIST).
 namespace chip_salvage {
-std::string cell_key(int chip);
+/// Deterministic defect count of die `chip` (0 for a clean die).
 int chip_defects(int chip, double defect_rate, int total_pes);
 void register_grid();
 }  // namespace chip_salvage
@@ -110,9 +58,6 @@ void register_grid();
 // Example-derived workload: in-field gesture pipeline on a damaged edge
 // accelerator (fault-rate x mitigation cells; DVS-Gesture).
 namespace gesture {
-const std::vector<double>& rates();
-const std::vector<std::string>& methods();
-std::string cell_key(double rate, const std::string& method);
 void register_grid();
 }  // namespace gesture
 

@@ -162,7 +162,7 @@ def main():
     if args.fleet_json:
         fleet = load(args.fleet_json, "fleet")
         cur["fleet"] = {
-            "grid": "fig5b_noise_resilience",
+            "grid": ",".join(g["bench"] for g in fleet.get("grids", [])),
             "total_seconds": fleet["run"]["total_seconds"],
             "workers": fleet["run"]["workers"],
             "cells_computed": fleet["run"]["cells_computed"],

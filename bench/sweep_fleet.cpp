@@ -1,28 +1,29 @@
-// sweep_fleet — run several figure grids as ONE cross-bench sweep.
+// sweep_fleet — the study's one driver: run any selection of the
+// registered grids as ONE cross-bench sweep and write their figures.
 //
-// Every registered figure grid (core::GridRegistry, populated by
-// bench/grids/) is enumerated, its cells fingerprinted exactly as the
-// standalone bench would fingerprint them, and the union of all pending
-// cells run through one work-stealing queue of N workers against one
-// shared store: a worker that finishes fig5b's cheap eval cells
-// immediately steals fig8's expensive retrain cells instead of idling,
-// and a dataset baseline is trained (or cache-loaded) once per fleet
-// run no matter how many grids need it.
+// Every selected grid (core::GridRegistry, populated by bench/grids/) is
+// built from the command line, its cells fingerprinted, and the union
+// of all pending cells run through one cost-ordered queue of
+// --sweep-parallel workers against one shared store: a worker that
+// finishes fig5b's cheap eval cells immediately steals fig8's expensive
+// retrain cells instead of idling, and a dataset baseline is trained
+// (or cache-loaded) once per run no matter how many grids need it.
 //
-// Because fingerprints are shared, the store is interchangeable with
-// per-bench runs: after a fleet run, `fig5b_fault_count --store <dir>`
-// replays every cell (cells_computed: 0) and emits its figure tables
-// byte-identical to a standalone run — the fleet computes values, the
-// benches own their presentation. Per-grid shard specs compose
-// (--shard i/n partitions every grid), so fleets can span machines and
-// be unioned with sweep_merge like any other sweep.
+// Every grid whose table is complete then renders its figure
+// (GridDef::aggregate): ./<bench>.csv in the bench's own schema, the
+// printed report, and the generic <store>/tables/<bench>.csv. A warm
+// re-run replays every cell (cells_computed: 0) and rewrites the same
+// bytes. --shard i/n partitions every grid, so fleets can span machines
+// and be unioned with sweep_merge; a shard that leaves cells to other
+// shards writes no figure.
 //
-//   sweep_fleet --store fleet_store --workers 8 --fast
+//   sweep_fleet --store fleet_store --sweep-parallel 8 --fast
 //     --grids fig5b_fault_count,fig2_vth_sweep
 //     --set fig5b_fault_count.eval-samples=24,fig2_vth_sweep.epochs=1
 //
 // Common flags (--fast, --seed, --datasets, --repeats, ...) apply to
-// every grid; bench-specific flags are set per grid with --set.
+// every grid; bench-specific flags are set per grid with --set (listed
+// under --help).
 
 #include <signal.h>
 #include <sys/wait.h>
@@ -56,6 +57,13 @@ using namespace falvolt;
 
 namespace {
 
+// A command-line mistake. main() prints one "sweep_fleet: <error> (see
+// --help)" line and exits 2 — the CliFlags::parse_or_exit contract — so
+// a bench flag set through --set fails exactly like a fleet flag.
+struct UsageError : std::invalid_argument {
+  using std::invalid_argument::invalid_argument;
+};
+
 // Per-grid flag overrides from --set "bench.flag=value[,...]". Flags
 // the fleet itself manages (the shared store, shard spec, worker
 // counts) and the shared workload identity (fast/seed — the fleet has
@@ -65,25 +73,23 @@ namespace {
 std::map<std::string, std::vector<std::string>> parse_overrides(
     const std::string& spec) {
   static const std::set<std::string> kFleetManaged = {
-      "store", "shard",          "fast",       "seed",
-      "threads", "sweep-parallel", "sweep-json", "list-scenarios",
-      "substituters"};
+      "store",   "shard",          "fast",          "seed",
+      "threads", "sweep-parallel", "list-scenarios", "substituters"};
   std::map<std::string, std::vector<std::string>> out;
   for (const std::string& entry : fb::split_list(spec)) {
     const std::size_t dot = entry.find('.');
     const std::size_t eq = entry.find('=', dot == std::string::npos ? 0 : dot);
     if (dot == std::string::npos || eq == std::string::npos || dot == 0 ||
         eq <= dot + 1) {
-      throw std::invalid_argument(
-          "--set entries must be bench.flag=value, got '" + entry + "'");
+      throw UsageError("--set entries must be bench.flag=value, got '" +
+                       entry + "'");
     }
     const std::string flag = entry.substr(dot + 1, eq - dot - 1);
     // Every exec-table flag (telemetry, faults, process layout) is
     // fleet-managed by definition: one table keeps this list honest.
     if (kFleetManaged.count(flag) || fb::is_exec_flag(flag)) {
-      throw std::invalid_argument(
-          "--set must not override fleet-managed flag --" + flag +
-          " per grid (set it at the fleet level instead)");
+      throw UsageError("--set must not override fleet-managed flag --" +
+                       flag + " per grid (set it at the fleet level instead)");
     }
     out[entry.substr(0, dot)].push_back("--" + entry.substr(dot + 1));
   }
@@ -98,6 +104,55 @@ struct FleetGridSpec {
   core::SweepStoreOptions store;
 };
 
+// --help appendix: every registered grid's title and bench-specific
+// flags (the lines of its own CliFlags usage, minus the "usage:" line).
+void print_grid_help(const core::GridRegistry& registry) {
+  std::printf("\ngrids (bench flags are set per grid with --set "
+              "<bench>.<flag>=<value>):\n");
+  for (const std::string& name : registry.names()) {
+    const core::GridDef& def = registry.get(name);
+    common::CliFlags flags(def.name);
+    def.add_flags(flags);
+    const std::string usage = flags.usage();
+    std::printf("  %s — %s\n", name.c_str(), def.title.c_str());
+    for (const std::string& line : fb::split_list(
+             usage.substr(usage.find('\n') + 1), '\n')) {
+      std::printf("  %s\n", line.c_str());
+    }
+  }
+}
+
+// Each cell's owning shard: the same cost-balanced partition (greedy
+// LPT over static cost estimates) SweepRunner computes, so the listing
+// and the daemon's triage follow the plan every shard follows.
+std::vector<int> shard_owners(const FleetGridSpec& spec) {
+  std::vector<double> costs(spec.scenarios.size());
+  for (std::size_t i = 0; i < costs.size(); ++i) {
+    costs[i] = core::scenario_cost_estimate(spec.scenarios[i]);
+  }
+  return core::shard_partition(costs, spec.store.shard_count);
+}
+
+// Print one grid's rows of the --list-scenarios listing ("bench:key"),
+// numbered from `start_index`; returns the index after the last row.
+// `rs` is null when the store does not exist yet (every cell then lists
+// as MISS).
+std::size_t list_scenario_rows(const FleetGridSpec& spec,
+                               const core::WorkloadOptions& opts,
+                               const store::StoreApi* rs,
+                               std::size_t start_index) {
+  const std::vector<int> owners = shard_owners(spec);
+  for (std::size_t i = 0; i < spec.scenarios.size(); ++i) {
+    const std::string fp =
+        core::fingerprint_cell(spec.store, opts, spec.scenarios[i]);
+    const char* status = rs && rs->contains(fp) ? "HIT" : "MISS";
+    std::printf("%-5zu %-6d %-6s %-16s %s:%s\n", start_index + i, owners[i],
+                status, fp.substr(0, 16).c_str(), spec.def->name.c_str(),
+                spec.scenarios[i].key.c_str());
+  }
+  return start_index + spec.scenarios.size();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) try {
@@ -107,9 +162,6 @@ int main(int argc, char** argv) try {
   common::CliFlags cli("sweep_fleet");
   fb::add_common_flags(cli);
   fb::add_exec_flags(cli, fb::kExecFleet);
-  cli.add_int("workers", 0,
-              "concurrent cells across ALL grids (overrides "
-              "--sweep-parallel when > 0; 0 = --sweep-parallel resolution)");
   cli.add_string("grids", "all",
                  "comma list of registered figure grids to sweep "
                  "(all = every registered grid)");
@@ -118,10 +170,12 @@ int main(int argc, char** argv) try {
                  "'bench.flag=value[,bench.flag=value...]' (e.g. "
                  "fig5b_fault_count.eval-samples=24)");
   cli.add_string("json", "",
-                 "fleet summary JSON path ('' = disabled). Per-bench "
-                 "sweep JSONs come from warm bench re-runs against the "
-                 "fleet store");
-  if (!cli.parse_or_exit(argc, argv)) return 0;
+                 "fleet summary JSON path ('' = disabled). A per-bench "
+                 "sweep JSON comes from sweep_merge --json");
+  if (!cli.parse_or_exit(argc, argv)) {
+    print_grid_help(registry);
+    return 0;
+  }
   fb::ExecScope obs_scope(cli);
 
   // Process layout (the kExecFleet exec flags): --hosts N runs this
@@ -180,8 +234,12 @@ int main(int argc, char** argv) try {
   // name is a hard error up front — a typo'd --grids must not silently
   // sweep the wrong subset for hours.
   const bool implicit_all = cli.get_string("grids") == "all";
-  const std::vector<core::DatasetKind> dataset_filter =
-      fb::parse_dataset_spec(cli.get_string("datasets"));
+  std::vector<core::DatasetKind> dataset_filter;
+  try {
+    dataset_filter = fb::parse_dataset_spec(cli.get_string("datasets"));
+  } catch (const std::invalid_argument& e) {
+    throw UsageError(e.what());
+  }
   std::vector<std::string> names;
   if (implicit_all) {
     names = registry.names();
@@ -221,31 +279,22 @@ int main(int argc, char** argv) try {
           known += known.empty() ? "" : ", ";
           known += n;
         }
-        std::fprintf(stderr,
-                     "sweep_fleet: --grids names unknown grid '%s' "
-                     "(registered: %s)\n",
-                     name.c_str(), known.c_str());
-        return 1;
+        throw UsageError("--grids names unknown grid '" + name +
+                         "' (registered: " + known + ")");
       }
       if (std::find(names.begin(), names.end(), name) == names.end()) {
         names.push_back(name);  // a repeated name must not double-compute
       }
     }
   }
-  if (names.empty()) {
-    std::fprintf(stderr, "sweep_fleet: no grids selected\n");
-    return 1;
-  }
+  if (names.empty()) throw UsageError("no grids selected");
   std::map<std::string, std::vector<std::string>> overrides =
       parse_overrides(cli.get_string("set"));
   for (const auto& [bench, tokens] : overrides) {
     (void)tokens;
     if (std::find(names.begin(), names.end(), bench) == names.end()) {
-      std::fprintf(stderr,
-                   "sweep_fleet: --set names '%s', which is not among the "
-                   "selected grids\n",
-                   bench.c_str());
-      return 1;
+      throw UsageError("--set names '" + bench +
+                       "', which is not among the selected grids");
     }
   }
 
@@ -256,13 +305,12 @@ int main(int argc, char** argv) try {
   // missing from this denylist fails each grid's parse loudly
   // ("unknown flag") instead of being dropped. A grid parses common +
   // its own flags, then its --set overrides, so its fingerprint config
-  // is exactly what the standalone bench would compute for the same
-  // invocation.
+  // does not depend on which other grids were selected with it.
   static const std::set<std::string> kNotForwarded = {
-      "store",     // forwarded below as the resolved shared store dir
-      "datasets",  // forwarded per grid, narrowed to the grid's axis
-      "sweep-json", "list-scenarios",  // fleet-handled, not per-grid
-      "workers", "grids", "set", "json"};  // fleet-only flags
+      "store",           // forwarded below as the resolved shared store dir
+      "datasets",        // forwarded per grid, narrowed to the grid's axis
+      "list-scenarios",  // fleet-handled, not per-grid
+      "grids", "set", "json"};  // fleet-only flags
   std::vector<std::string> forwards;
   for (const auto& [flag, value] : cli.items()) {
     // Exec-table flags (telemetry, fault injection, process layout) are
@@ -279,8 +327,8 @@ int main(int argc, char** argv) try {
   // its axis (e.g. --datasets mnist,nmnist reaches fig2 — whose axis is
   // mnist+dvs — as just "mnist"): the fleet sweeps the cells that
   // apply instead of tripping the grid's strict-subset error. An
-  // explicitly named grid gets the raw spec, keeping the standalone
-  // contract that asking a bench for a foreign dataset is an error.
+  // explicitly named grid gets the raw spec: asking a named grid for a
+  // foreign dataset is an error.
   const auto datasets_for = [&](const core::GridDef& def) -> std::string {
     const std::string& raw = cli.get_string("datasets");
     if (!implicit_all || dataset_filter.empty() || def.datasets.empty()) {
@@ -319,17 +367,15 @@ int main(int argc, char** argv) try {
       spec.scenarios = def.scenarios(spec.cli);
       spec.store =
           fb::store_options(spec.cli, def.name, def.aggregation_only);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "sweep_fleet: grid %s: %s\n", name.c_str(),
-                   e.what());
-      return 1;
+    } catch (const std::invalid_argument& e) {
+      throw UsageError("grid " + name + ": " + e.what());
     }
     specs.push_back(std::move(spec));
   }
 
   // Shard-planning dry run: the full cross-bench cell listing, computed
-  // with the same fingerprints the sweep would use. Like the benches'
-  // --list-scenarios it never creates store directories.
+  // with the same fingerprints the sweep would use. A pure dry run: it
+  // computes nothing, writes nothing, and never creates the store.
   if (cli.get_bool("list-scenarios")) {
     std::unique_ptr<store::StoreApi> rs;
     if (store::store_spec_exists(store_dir)) {
@@ -345,20 +391,16 @@ int main(int argc, char** argv) try {
                 "fingerprint", "bench:key");
     std::size_t index = 0;
     for (const FleetGridSpec& spec : specs) {
-      index = fb::list_scenario_rows(
-          spec.store, spec.scenarios,
-          [&spec, &fleet_opts](const core::Scenario& s) {
-            return core::fingerprint_cell(spec.store, fleet_opts, s);
-          },
-          rs.get(), spec.def->name, index);
+      index = list_scenario_rows(spec, fleet_opts, rs.get(), index);
     }
     return 0;
   }
 
   // Probe the summary path BEFORE the sweep: an unwritable --json must
-  // fail now, not after hours of retraining (same fail-fast contract as
-  // the bench mains' CSV writers). Append mode leaves any previous
-  // summary intact should this run die mid-sweep.
+  // fail now, not after hours of retraining. Append mode leaves any
+  // previous summary intact should this run die mid-sweep. (Figure CSVs
+  // need no probe: every cell is in the store by the time they are
+  // written, so an unwritable directory costs a warm re-run.)
   if (!cli.get_string("json").empty()) {
     std::ofstream probe(cli.get_string("json"), std::ios::app);
     if (!probe) {
@@ -368,15 +410,15 @@ int main(int argc, char** argv) try {
     }
   }
 
-  core::WorkloadOptions opts = fleet_opts;
-  if (cli.get_int("workers") > 0) {
-    opts.sweep_parallel = static_cast<int>(cli.get_int("workers"));
-  }
-
-  core::SweepRunner fleet(opts);
+  core::SweepRunner fleet(fleet_opts);
   fleet.set_on_baseline(fb::print_baseline);
   for (FleetGridSpec& spec : specs) {
-    fleet.add_grid({spec.store, spec.scenarios,
+    core::SweepStoreOptions store = spec.store;
+    // Under --hosts the in-process pass runs after the workers have
+    // published every owned miss: it must replay them, whatever
+    // --resume said (that flag already steered the daemon's triage).
+    if (daemon_mode) store.resume = true;
+    fleet.add_grid({std::move(store), spec.scenarios,
                     spec.def->scenario_fn(spec.cli, fleet.context())});
   }
 
@@ -421,12 +463,7 @@ int main(int argc, char** argv) try {
           store_dir, fb::split_list(cli.get_string("substituters")),
           /*create=*/true);
       for (const FleetGridSpec& spec : specs) {
-        std::vector<double> costs(spec.scenarios.size(), 0.0);
-        for (std::size_t i = 0; i < spec.scenarios.size(); ++i) {
-          costs[i] = core::scenario_cost_estimate(spec.scenarios[i]);
-        }
-        const std::vector<int> owners =
-            core::shard_partition(costs, spec.store.shard_count);
+        const std::vector<int> owners = shard_owners(spec);
         for (std::size_t i = 0; i < spec.scenarios.size(); ++i) {
           if (spec.store.shard_count > 1 &&
               owners[i] != spec.store.shard_index) {
@@ -440,7 +477,8 @@ int main(int argc, char** argv) try {
             continue;  // already paid for — nothing to schedule
           }
           cells.push_back(fleet::DaemonCell{
-              spec.def->name, spec.scenarios[i].key, fp, costs[i]});
+              spec.def->name, spec.scenarios[i].key, fp,
+              core::scenario_cost_estimate(spec.scenarios[i])});
         }
       }
     }
@@ -471,7 +509,7 @@ int main(int argc, char** argv) try {
           "hosts", "daemon-socket", "worker-faults",   // layout, set below
           "trace", "metrics-json", "faults",  // telemetry owned by daemon
           "json", "list-scenarios",           // daemon-only outputs
-          "store", "sweep-parallel", "workers", "threads"};  // forced below
+          "store", "sweep-parallel", "threads"};  // forced below
       const long want_threads = cli.get_int("threads");
       const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
       const int worker_threads =
@@ -616,31 +654,43 @@ int main(int argc, char** argv) try {
     }
   }
 
-  // Auto-merge: a table with no absent cells means the LAST shard just
-  // landed — emit the figure CSV straight from the shared store so a
-  // multi-host fleet needs no manual sweep_merge step. Earlier shards
-  // still see foreign cells absent and leave emission to the finisher.
+  // Figures: a table with no absent cells is the whole grid (for a
+  // sharded fleet, the LAST shard just landed), so the grid renders its
+  // figure — ./<bench>.csv plus its report — and, for a writable store,
+  // the generic table under <store>/tables/. Earlier shards still see
+  // foreign cells absent and leave both to the finisher.
   const store::StoreSpec store_spec = store::parse_store_spec(store_dir);
-  bool emitted_tables = false;
-  if (store_spec.scheme != "segment") {
-    for (std::size_t g = 0; g < tables.size(); ++g) {
-      if (!tables[g].complete() || tables[g].size() == 0) continue;
+  std::size_t figures = 0;
+  for (std::size_t g = 0; g < tables.size(); ++g) {
+    if (!tables[g].complete() || tables[g].size() == 0) continue;
+    const core::GridDef& def = *specs[g].def;
+    if (store_spec.scheme != "segment") {
       const std::string table_dir = store_spec.path + "/tables";
-      const std::string path = table_dir + "/" + specs[g].def->name + ".csv";
+      const std::string path = table_dir + "/" + def.name + ".csv";
       if (!io::env().mkdirs(table_dir) ||
           !io::env().write_file(path, tables[g].to_csv())) {
         std::fprintf(stderr, "sweep_fleet: cannot write %s\n", path.c_str());
         return 1;
       }
-      std::printf("[fleet] %s complete — table written to %s\n",
-                  specs[g].def->name.c_str(), path.c_str());
-      emitted_tables = true;
     }
+    // A plain CsvWriter, not io::env(): --faults exercises the store's
+    // I/O and must never tear a figure. An unwritable CWD throws (exit
+    // 1, naming the path) with every cell already in the store.
+    const core::Figure fig = def.aggregate(specs[g].cli, tables[g]);
+    const std::string path = def.name + ".csv";
+    common::CsvWriter csv(path, fig.csv_header);
+    for (const std::vector<std::string>& row : fig.csv_rows) csv.row(row);
+    csv.close();
+    std::printf("\n=== %s ===\n%s\n\n%s[fleet] %s complete — figure "
+                "written to %s\n",
+                def.name.c_str(), def.title.c_str(), fig.report.c_str(),
+                def.name.c_str(), path.c_str());
+    ++figures;
   }
-  if (!emitted_tables) {
-    std::printf("[fleet] figure tables: re-run each bench with --store %s "
-                "(replays every cell) or use sweep_merge\n",
-                store_dir.c_str());
+  if (figures == 0) {
+    std::printf("[fleet] no grid is complete yet (cells left to other "
+                "shards): the run that completes a grid writes its "
+                "figure, or use sweep_merge\n");
   }
 
   if (!cli.get_string("json").empty()) {
@@ -705,6 +755,9 @@ int main(int argc, char** argv) try {
                 cli.get_string("json").c_str());
   }
   return 0;
+} catch (const UsageError& e) {
+  std::fprintf(stderr, "sweep_fleet: %s (see --help)\n", e.what());
+  return 2;
 } catch (const std::exception& e) {
   std::fprintf(stderr, "sweep_fleet: %s\n", e.what());
   return 1;

@@ -2,9 +2,9 @@
 // destination store (GC + segment compaction), and emit the final
 // figure tables.
 //
-// A multi-machine sweep runs `fig<X> --shard i/n --store <dir_i>` once
-// per shard; each shard publishes its cells (content-addressed) and the
-// full grid manifest into its own store. This tool then:
+// A multi-machine sweep runs `sweep_fleet --shard i/n --store <dir_i>`
+// once per shard; each shard publishes its cells (content-addressed) and
+// every grid's full manifest into its own store. This tool then:
 //
 //   1. unions the shard stores into --into (records are re-validated
 //      before import; a corrupt shard record is skipped and reported,
@@ -33,9 +33,9 @@
 //      fields (per-cell seconds, the "run" line) reflect the shard runs
 //      that actually computed the cells.
 //
-// The bench's own figure CSV/stdout tables can afterwards be produced
-// with zero recomputation by re-running the bench against the merged
-// store (all cells hit) — compacted or not.
+// The bench's own figure CSV and printed report come afterwards, with
+// zero recomputation, from `sweep_fleet --grids <bench> --store <merged>`
+// (every cell hits) — compacted or not.
 
 #include <cstdio>
 #include <fstream>
@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
                "corrupt loose records are left for --prune). Run only "
                "while no sweep is writing to the store");
   cli.add_string("faults", "",
-                 "I/O fault-injection spec (see the benches' --faults; '' "
+                 "I/O fault-injection spec (see sweep_fleet --faults; '' "
                  "= $FALVOLT_FAULTS, none = disabled) — faults merge/"
                  "compact/prune store I/O the same way");
   if (!cli.parse_or_exit(argc, argv)) return 0;

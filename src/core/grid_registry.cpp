@@ -13,7 +13,8 @@ void GridRegistry::add(GridDef def) {
   if (def.name.empty()) {
     throw std::logic_error("GridRegistry: grid needs a name");
   }
-  if (!def.add_flags || !def.scenarios || !def.scenario_fn) {
+  if (!def.add_flags || !def.scenarios || !def.scenario_fn ||
+      !def.aggregate) {
     throw std::logic_error("GridRegistry: grid '" + def.name +
                            "' is missing a callback");
   }

@@ -1,16 +1,12 @@
 #pragma once
-// Registry of the figure benches' scenario grids.
+// Registry of the study's scenario grids.
 //
-// Historically every figure binary materialized its grid inside main(),
-// which made the grids unreachable from anything but that binary. A
-// GridDef instead captures the three things a driver needs to run a
-// bench's sweep without its main(): the bench's flag schema, its grid
-// construction, and its scenario function. The bench mains register
-// their own GridDef (bench/grids/) and then consume it, so a figure run
-// standalone and the same figure run by the sweep_fleet driver execute
-// literally the same grid-building and cell-computing code — which is
-// what makes their store fingerprints (and therefore their tables)
-// interchangeable.
+// A GridDef captures everything a driver needs to run one bench end to
+// end without bench-specific code: the bench's flag schema, its grid
+// construction, its scenario function, and its figure aggregation.
+// Every grid registers itself (bench/grids/) and the sweep_fleet driver
+// runs any selection of them through one queue, so a cell computed for
+// one selection is the same store record for every other.
 
 #include <functional>
 #include <set>
@@ -22,10 +18,20 @@
 
 namespace falvolt::core {
 
+/// One bench's rendered figure: the header and rows of its own CSV
+/// schema, and the report a driver prints (text tables plus the
+/// "Expected shape (paper)" line).
+struct Figure {
+  std::vector<std::string> csv_header;
+  std::vector<std::vector<std::string>> csv_rows;
+  std::string report;
+};
+
 /// One bench's grid, self-describing enough for a foreign driver.
 struct GridDef {
   /// Canonical bench name — the store's bench id (e.g.
-  /// "fig5b_fault_count"); also the registry key.
+  /// "fig5b_fault_count"); also the registry key and the stem of the
+  /// figure CSV a driver writes.
   std::string name;
   /// One-line description for listings.
   std::string title;
@@ -39,8 +45,8 @@ struct GridDef {
   /// (bench::dataset_list), which is right for a bench asked for
   /// explicitly but wrong for "every grid that applies".
   std::vector<DatasetKind> datasets;
-  /// Flags that shape only post-sweep aggregation, never a cell value —
-  /// exempted from cell fingerprints (e.g. fig8's --target-drop).
+  /// Flags that shape only `aggregate`, never a cell value — exempted
+  /// from cell fingerprints (e.g. fig8's --target-drop).
   std::set<std::string> aggregation_only;
   /// Builds the scenario grid from the parsed flags. Cells should carry
   /// an honest cost estimate for the runner's cost-ordered queue: set
@@ -56,9 +62,15 @@ struct GridDef {
   /// the CliFlags it was built from may be gone by the time it runs.
   std::function<ScenarioFn(const common::CliFlags&, const SweepContext&)>
       scenario_fn;
+  /// Renders a COMPLETE table (every cell filled, in the order
+  /// `scenarios` built them) into the bench's figure. Reads only the
+  /// cells' stored values and the flags, never a workload: on a warm
+  /// store no baseline is prepared.
+  std::function<Figure(const common::CliFlags&, const ResultTable&)>
+      aggregate;
 };
 
-/// Process-global name -> GridDef map. Benches register at startup
+/// Process-global name -> GridDef map. Grids register at startup
 /// (bench::register_all_grids()); drivers enumerate or look up by name.
 class GridRegistry {
  public:

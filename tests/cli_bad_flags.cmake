@@ -1,8 +1,11 @@
 # Bad command-line flags exit 2 with exactly one
-# "<program>: <error> (see --help)" line on stderr — never an abort.
+# "<program>: <error> (see --help)" line on stderr — never an abort —
+# and before any store I/O: the --store directory is never created.
+# --help lists the grids' own flags.
 #
-#   cmake -DFIG5B=<path to fig5b_fault_count> \
-#         -DSWEEP_MERGE=<path to sweep_merge> -P cli_bad_flags.cmake
+#   cmake -DSWEEP_FLEET=<path to sweep_fleet> \
+#         -DSWEEP_MERGE=<path to sweep_merge> -DSTORE=<unused dir> \
+#         -P cli_bad_flags.cmake
 
 function(expect_exit_2 program)
   execute_process(COMMAND ${program} ${ARGN}
@@ -17,8 +20,34 @@ function(expect_exit_2 program)
   endif()
   string(STRIP "${err}" line)
   message(STATUS "${name} ${args} -> ${line}")
+  set(last_error "${line}" PARENT_SCOPE)
 endfunction()
 
-expect_exit_2(${FIG5B} --bogus-flag)
-expect_exit_2(${FIG5B} --repeats abc)
+file(REMOVE_RECURSE ${STORE})
+expect_exit_2(${SWEEP_FLEET} --store ${STORE} --bogus-flag)
+expect_exit_2(${SWEEP_FLEET} --store ${STORE} --repeats abc)
+# Bench flags arrive through --set and keep the same contract.
+expect_exit_2(${SWEEP_FLEET} --store ${STORE}
+              --set fig5b_fault_count.bogus=1)
+expect_exit_2(${SWEEP_FLEET} --store ${STORE}
+              --set fig5b_fault_count.eval-samples=abc)
+expect_exit_2(${SWEEP_FLEET} --store ${STORE} --set nodot)
+expect_exit_2(${SWEEP_FLEET} --store ${STORE} --grids no_such_grid)
+if(NOT last_error MATCHES "registered: ")
+  message(FATAL_ERROR "unknown grid must list the registered ones")
+endif()
+if(EXISTS ${STORE})
+  message(FATAL_ERROR "a rejected command line created the store ${STORE}")
+endif()
 expect_exit_2(${SWEEP_MERGE} --bogus)
+
+# Bench flags are set with --set, so --help lists every grid's own.
+execute_process(COMMAND ${SWEEP_FLEET} --help
+                RESULT_VARIABLE rc OUTPUT_VARIABLE help ERROR_QUIET)
+foreach(flag --eval-samples --faulty-pes --target-drop --chips
+        --defect-rate --accept-drop)
+  string(FIND "${help}" "${flag} (default" at)
+  if(NOT rc EQUAL 0 OR at EQUAL -1)
+    message(FATAL_ERROR "sweep_fleet --help (exit ${rc}) lists no ${flag}")
+  endif()
+endforeach()

@@ -1,12 +1,15 @@
 // SweepRunner over several grids (cross-bench work-stealing sweeps), the
-// GridRegistry the figure benches publish their grids through, and the
-// provenance block the record codec carries for fleet debugging.
+// GridRegistry the grids publish themselves through (including their
+// figure aggregation), and the provenance block the record codec carries
+// for fleet debugging.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <functional>
+#include <sstream>
 #include <thread>
 
 #include "bench_common.h"
@@ -434,6 +437,7 @@ TEST(GridRegistry, AllGridsRegisterAndBuild) {
     EXPECT_TRUE(
         static_cast<bool>(def.scenario_fn(cli, probe.context())))
         << name;
+    EXPECT_TRUE(static_cast<bool>(def.aggregate)) << name;
   }
 
   // Spot-check the cost tagging the scheduler depends on: fig5c's
@@ -492,12 +496,138 @@ TEST(GridRegistry, LookupAndValidation) {
   dup.scenario_fn = [](const common::CliFlags&, const SweepContext&) {
     return ScenarioFn{};
   };
+  dup.aggregate = [](const common::CliFlags&, const ResultTable&) {
+    return Figure{};
+  };
+  // Complete, so rejected for its name alone.
+  GridDef no_aggregate = dup;
+  no_aggregate.name = "no_aggregate";
+  no_aggregate.aggregate = nullptr;
   EXPECT_THROW(reg.add(std::move(dup)), std::logic_error);
+
+  // A grid that cannot render its figure is incomplete too.
+  EXPECT_THROW(reg.add(std::move(no_aggregate)), std::logic_error);
+  EXPECT_EQ(reg.find("no_aggregate"), nullptr);
 
   GridDef incomplete;
   incomplete.name = "incomplete";
   EXPECT_THROW(reg.add(std::move(incomplete)), std::logic_error);
 }
+
+// ------------------------------------------------- figure aggregation
+
+// A registered grid's flags parsed from `args`, its scenarios, and a
+// table filled (as replayed cells, no compute) with the metrics
+// `metrics_of` assigns each scenario.
+struct FilledGrid {
+  const GridDef* def;
+  common::CliFlags cli;
+  std::vector<Scenario> scenarios;
+  ResultTable table;
+};
+
+FilledGrid fill_grid(
+    const std::string& name, std::vector<const char*> args,
+    const std::function<std::vector<std::pair<std::string, double>>(
+        const Scenario&)>& metrics_of) {
+  bench::register_all_grids();
+  const GridDef& def = GridRegistry::instance().get(name);
+  FilledGrid g{&def, common::CliFlags(name), {}, {}};
+  bench::add_common_flags(g.cli);
+  def.add_flags(g.cli);
+  args.insert(args.begin(), name.c_str());
+  g.cli.parse(static_cast<int>(args.size()), args.data());
+  g.scenarios = def.scenarios(g.cli);
+  g.table = ResultTable(g.scenarios.size());
+  for (std::size_t i = 0; i < g.scenarios.size(); ++i) {
+    ScenarioResult r;
+    r.scenario = g.scenarios[i];
+    r.metrics = metrics_of(g.scenarios[i]);
+    g.table.put_cached(i, std::move(r));
+  }
+  return g;
+}
+
+// fig5b: one CSV row per (dataset, faulty-PE count), the mean and the
+// population stddev over the repeats, and the count as a percentage of
+// the array's PEs.
+TEST(FigureAggregation, Fig5bAveragesRepeatsPerFaultCount) {
+  const FilledGrid g = fill_grid(
+      "fig5b_fault_count",
+      {"--datasets", "mnist", "--repeats", "2", "--array-size", "64"},
+      [](const Scenario& s) {
+        // rep 0 -> 50 + count, rep 1 -> 60 + count: mean 55 + count,
+        // stddev 5.
+        const double acc = 50.0 + 10.0 * s.repeat + s.fault_count;
+        return std::vector<std::pair<std::string, double>>{
+            {"accuracy", acc}};
+      });
+  const Figure fig = g.def->aggregate(g.cli, g.table);
+  EXPECT_EQ(fig.csv_header,
+            (std::vector<std::string>{"dataset", "faulty_pes",
+                                      "fault_rate_percent", "accuracy",
+                                      "stddev"}));
+  const std::vector<int> counts = {0, 4, 8, 16, 32, 40, 48, 56, 64};
+  ASSERT_EQ(fig.csv_rows.size(), counts.size());
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    const int c = counts[i];
+    EXPECT_EQ(fig.csv_rows[i],
+              (std::vector<std::string>{
+                  "MNIST", std::to_string(c),
+                  common::CsvWriter::format(100.0 * c / (64 * 64)),
+                  common::CsvWriter::format(55.0 + c), "5"}))
+        << "count " << c;
+  }
+  EXPECT_EQ(fig.csv_rows[2][2], "0.195312");  // 8 of 4096 PEs
+  EXPECT_NE(fig.report.find("Expected shape (paper)"), std::string::npos);
+}
+
+// fig8: epochs-to-target is the first epoch at or above (FaPIT's
+// baseline - target-drop); the speedup is FaPIT's epochs over FalVolt's
+// — the repo's reading of the paper's "2x faster" claim.
+TEST(FigureAggregation, Fig8EpochsToTargetSpeedup) {
+  // MNIST: FaPIT first reaches 87 (= 90 - 3) at epoch 4, FalVolt at
+  // epoch 2. N-MNIST: FaPIT never reaches it within the horizon.
+  const FilledGrid g = fill_grid(
+      "fig8_convergence",
+      {"--datasets", "mnist,nmnist", "--epochs", "6", "--target-drop", "3"},
+      [](const Scenario& s) {
+        const bool mnist = s.dataset == DatasetKind::kMnist;
+        const std::vector<double> curve =
+            s.tag == "FaPIT"
+                ? (mnist ? std::vector<double>{50, 60, 70, 88, 89, 90}
+                         : std::vector<double>{50, 60, 70, 80, 85, 86})
+                : std::vector<double>{80, 87.5, 88, 89, 90, 90};
+        std::vector<std::pair<std::string, double>> metrics = {
+            {"baseline", 90.0}};
+        for (std::size_t e = 0; e < curve.size(); ++e) {
+          metrics.emplace_back("epoch" + std::to_string(e + 1), curve[e]);
+        }
+        return metrics;
+      });
+  const Figure fig = g.def->aggregate(g.cli, g.table);
+  EXPECT_EQ(fig.csv_header,
+            (std::vector<std::string>{"dataset", "method", "epoch",
+                                      "accuracy"}));
+  const auto summary_line = [&fig](const std::string& dataset) {
+    const std::size_t at = fig.report.find(
+        "\n" + dataset + " ", fig.report.find("Epochs to reach"));
+    EXPECT_NE(at, std::string::npos) << dataset << "\n" << fig.report;
+    if (at == std::string::npos) return std::vector<std::string>{};
+    std::istringstream line(
+        fig.report.substr(at + 1, fig.report.find('\n', at + 1) - at - 1));
+    std::vector<std::string> fields;
+    for (std::string f; line >> f;) fields.push_back(f);
+    return fields;
+  };
+  EXPECT_EQ(summary_line("MNIST"),
+            (std::vector<std::string>{"MNIST", "4", "2", "2.00x"}));
+  EXPECT_EQ(summary_line("N-MNIST"),
+            (std::vector<std::string>{"N-MNIST", ">horizon", "2", "n/a"}));
+  EXPECT_NE(fig.report.find("Epochs to reach (baseline - 3.0) points"),
+            std::string::npos);
+}
+
 
 }  // namespace
 }  // namespace falvolt::core
