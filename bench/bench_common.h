@@ -77,10 +77,9 @@ struct ExecFlagDef {
 inline const std::vector<ExecFlagDef>& exec_flag_defs() {
   static const std::vector<ExecFlagDef> defs = {
       {"trace", ExecFlagDef::kString, "", 0, kExecObs,
-       "Chrome trace-event JSON output path ('' = $FALVOLT_TRACE, "
-       "else disabled; none = disabled). Spans cover baselines, "
-       "cells, and store I/O; load the file in Perfetto or "
-       "chrome://tracing. Observation only — tables and "
+       "Chrome trace-event JSON output path ('' = disabled). Spans "
+       "cover baselines, cells, and store I/O; load the file in "
+       "Perfetto or chrome://tracing. Observation only — tables and "
        "fingerprints are byte-identical with tracing on or off"},
       {"metrics-json", ExecFlagDef::kString, "", 0, kExecObs,
        "write the process metrics registry (counters/timers) as "
@@ -88,12 +87,11 @@ inline const std::vector<ExecFlagDef>& exec_flag_defs() {
       {"faults", ExecFlagDef::kString, "", 0, kExecObs,
        "I/O fault-injection spec, e.g. "
        "'mode=independent,p=0.01,seed=7' or "
-       "'mode=runlength,runlen=12,kill=1' ('' = $FALVOLT_FAULTS, "
-       "else disabled; none = disabled). Tears/bit-flips store "
-       "writes and arms PullThePlug process-kill points to "
-       "exercise the store's crash-safety guarantees. Execution "
-       "only: never fingerprinted, and surviving output is "
-       "byte-identical to an uninjected run"},
+       "'mode=runlength,runlen=12,kill=1' ('' = disabled). "
+       "Tears/bit-flips store writes and arms PullThePlug "
+       "process-kill points to exercise the store's crash-safety "
+       "guarantees. Execution only: never fingerprinted, and "
+       "surviving output is byte-identical to an uninjected run"},
       {"hosts", ExecFlagDef::kInt, nullptr, 0, kExecFleet,
        "run the fleet as a scheduler daemon over N forked worker "
        "processes claiming cells over a UNIX socket (0 = in-process; "
@@ -105,8 +103,8 @@ inline const std::vector<ExecFlagDef>& exec_flag_defs() {
        "this path (workers are normally forked by the daemon, not "
        "launched by hand)"},
       {"worker-faults", ExecFlagDef::kString, "", 0, kExecFleet,
-       "per-worker fault-injection spec 'i:spec' applied (via "
-       "$FALVOLT_FAULTS) to forked worker i only, e.g. "
+       "per-worker fault-injection spec 'i:spec' passed as --faults "
+       "to forked worker i only, e.g. "
        "'1:mode=runlength,runlen=30,kill=1' — the crash-harness "
        "hook for killing one fleet worker while the rest run clean"},
   };
@@ -158,31 +156,30 @@ inline void add_common_flags(common::CliFlags& cli) {
               "hardware concurrency)");
   cli.add_int("sweep-parallel", 0,
               "concurrent cells across all selected grids (1 = serial; 0 "
-              "= $FALVOLT_SWEEP_PARALLEL, else the hardware concurrency). "
-              "Result tables are byte-identical at any value");
+              "= the hardware concurrency). Result tables are "
+              "byte-identical at any value");
   cli.add_string("datasets", "all",
                  "comma list of mnist,nmnist,dvs to subset the grid "
                  "(all = the bench's paper grid)");
   cli.add_string("store", "",
-                 "content-addressed scenario result store spec: "
-                 "local:<dir>, segment:<dir> (read-only compacted "
-                 "archive), or a bare directory path ('' = "
-                 "$FALVOLT_STORE, else disabled; none = disabled). Cells "
-                 "already in the store are replayed instead of recomputed");
+                 "content-addressed scenario result store directory ('' "
+                 "= disabled). Cells already in the store are replayed "
+                 "instead of recomputed");
   cli.add_string("substituters", "",
-                 "comma list of read-only store specs (same grammar as "
-                 "--store) consulted in order behind it: cells computed "
-                 "elsewhere replay from the first substituter that has "
-                 "them, exactly like local hits. Needs --store; "
-                 "substituters are never written to and must already "
-                 "exist");
+                 "comma list of store directories consulted read-only, "
+                 "in order, behind --store: cells computed elsewhere "
+                 "replay from the first substituter that has them, "
+                 "exactly like local hits. Needs --store; substituters "
+                 "are never written to and must already exist");
   cli.add_bool("resume", true,
                "replay cells already present in --store; 'false' "
                "recomputes every owned cell and overwrites its record");
   cli.add_string("shard", "",
                  "deterministic grid partition 'i/n': this run computes "
-                 "only cells with grid index % n == i ('' = whole grid). "
-                 "Union the shard stores with the sweep_merge tool");
+                 "only shard i's cells of a cost-balanced greedy LPT "
+                 "(longest-processing-time first) partition into n "
+                 "shards ('' = whole grid). Union the shard stores with "
+                 "the sweep_merge tool");
   cli.add_bool("list-scenarios", false,
                "print the scenario grid (index, owning shard, "
                "fingerprint, store status) and exit without computing");
@@ -228,25 +225,15 @@ inline std::vector<std::pair<std::string, std::string>> fingerprint_config(
   return out;
 }
 
-/// Resolved --faults spec; empty string disables injection.
-inline std::string resolve_fault_spec(const std::string& flag_value) {
-  if (flag_value == "none") return "";
-  if (!flag_value.empty()) return flag_value;
-  const std::string env = common::env_or("FALVOLT_FAULTS", "");
-  return env == "none" ? "" : env;
-}
-
-/// RAII fault-injection session: parses the resolved --faults /
-/// $FALVOLT_FAULTS spec and arms io::FaultInjector for the process
-/// lifetime; on destruction disarms and prints the FaultTestReport-style
-/// summary line. A malformed spec exits 1 immediately — injection
-/// misconfiguration must never be discovered hours into a sweep (and a
-/// typo'd spec silently running clean would be worse). No-op when the
-/// spec is empty.
+/// RAII fault injection: parses the --faults spec and arms
+/// io::FaultInjector for the process lifetime; on destruction disarms
+/// and prints the FaultTestReport-style summary line. A malformed spec
+/// exits 1 immediately — injection misconfiguration must never be
+/// discovered hours into a sweep (and a typo'd spec silently running
+/// clean would be worse). No-op when the spec is empty or "none".
 class FaultScope {
  public:
-  explicit FaultScope(const std::string& flag_value) {
-    const std::string spec = resolve_fault_spec(flag_value);
+  explicit FaultScope(const std::string& spec) {
     if (spec.empty()) return;
     io::FaultSpec parsed;
     try {
@@ -276,23 +263,21 @@ class FaultScope {
 /// RAII session for the exec-flag table's kExecObs group — THE scope
 /// helper a driver constructs right after CliFlags::parse so every
 /// baseline/cell/store span lands inside the session: starts Chrome
-/// tracing when --trace (or $FALVOLT_TRACE) names a file, and on
-/// destruction stops the trace and dumps the process metrics registry
-/// to --metrics-json when set. All knobs are execution-only
-/// (flag_affects_results) — they never reach a cell fingerprint, and
-/// with none set this is a no-op.
+/// tracing when --trace names a file, and on destruction stops the
+/// trace and dumps the process metrics registry to --metrics-json when
+/// set. All knobs are execution-only (flag_affects_results) — they
+/// never reach a cell fingerprint, and with none set this is a no-op.
 ///
-/// Also owns the process's FaultScope (--faults / $FALVOLT_FAULTS):
-/// every bench driver that constructs an ExecScope gets fault injection
-/// armed before any store I/O and the injection report on exit, with
-/// the io.faults.* counters landing in the same --metrics-json dump.
+/// Also owns the process's FaultScope (--faults): every program that
+/// constructs an ExecScope gets fault injection armed before any store
+/// I/O and the injection report on exit, with the io.faults.* counters
+/// landing in the same --metrics-json dump.
 class ExecScope {
  public:
   explicit ExecScope(const common::CliFlags& cli)
       : faults_(cli.get_string("faults")),
         metrics_path_(cli.get_string("metrics-json")) {
-    const std::string path =
-        obs::resolve_trace_path(cli.get_string("trace"));
+    const std::string& path = cli.get_string("trace");
     if (!path.empty()) {
       obs::trace_start(path);  // fail-fast: bad path dies before compute
       trace_path_ = path;
@@ -325,20 +310,12 @@ class ExecScope {
   std::string trace_path_;
 };
 
-/// Resolved --store directory; empty string disables the store.
-inline std::string resolve_store_dir(const common::CliFlags& cli) {
-  const std::string& dir = cli.get_string("store");
-  if (dir == "none") return "";
-  if (!dir.empty()) return dir;
-  return common::env_or("FALVOLT_STORE", "");
-}
-
 /// Build a grid's store/shard configuration from the CLI.
 inline core::SweepStoreOptions store_options(
     const common::CliFlags& cli, const std::string& bench_name,
     const std::set<std::string>& aggregation_only = {}) {
   core::SweepStoreOptions st;
-  st.dir = resolve_store_dir(cli);
+  st.dir = cli.get_string("store");
   st.bench = bench_name;
   st.config = fingerprint_config(cli, aggregation_only);
   st.substituters = split_list(cli.get_string("substituters"));
@@ -348,13 +325,13 @@ inline core::SweepStoreOptions store_options(
   st.shard_count = count;
   if (st.dir.empty() && count > 1) {
     throw std::invalid_argument(
-        "--shard needs --store (or $FALVOLT_STORE): a shard's results "
-        "are only useful once published to a store");
+        "--shard needs --store: a shard's results are only useful once "
+        "published to a store");
   }
   if (st.dir.empty() && !st.substituters.empty()) {
     throw std::invalid_argument(
-        "--substituters needs --store (or $FALVOLT_STORE): substituted "
-        "cells replay through the local store's read chain");
+        "--substituters needs --store: substituted cells replay through "
+        "the local store's read chain");
   }
   return st;
 }

@@ -147,8 +147,8 @@ void register_grid() {
            core::dataset_name(kind));
       fig.report += curve.str() + "\n";
 
-      // Same contract as MitigationResult::epochs_to_reach: first
-      // 1-based epoch at or above the target, -1 when never reached.
+      // Epochs to target: the first 1-based epoch at or above the
+      // target, -1 when never reached.
       const double target = fapit.metrics.front().second - target_drop;
       const auto epochs_to_reach = [&](const core::ScenarioResult& r) {
         for (int e = 1; e <= epochs; ++e) {

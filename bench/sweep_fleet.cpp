@@ -135,8 +135,9 @@ std::vector<int> shard_owners(const FleetGridSpec& spec) {
 
 // Print one grid's rows of the --list-scenarios listing ("bench:key"),
 // numbered from `start_index`; returns the index after the last row.
-// `rs` is null when the store does not exist yet (every cell then lists
-// as MISS).
+// A cell is a HIT exactly when the sweep would replay it (lookup_cell),
+// so a damaged record lists as MISS. `rs` is null when the store does
+// not exist yet (every cell then lists as MISS).
 std::size_t list_scenario_rows(const FleetGridSpec& spec,
                                const core::WorkloadOptions& opts,
                                const store::StoreApi* rs,
@@ -145,7 +146,9 @@ std::size_t list_scenario_rows(const FleetGridSpec& spec,
   for (std::size_t i = 0; i < spec.scenarios.size(); ++i) {
     const std::string fp =
         core::fingerprint_cell(spec.store, opts, spec.scenarios[i]);
-    const char* status = rs && rs->contains(fp) ? "HIT" : "MISS";
+    const char* status =
+        rs && core::lookup_cell(*rs, fp, spec.scenarios[i].key) ? "HIT"
+                                                                 : "MISS";
     std::printf("%-5zu %-6d %-6s %-16s %s:%s\n", start_index + i, owners[i],
                 status, fp.substr(0, 16).c_str(), spec.def->name.c_str(),
                 spec.scenarios[i].key.c_str());
@@ -176,7 +179,6 @@ int main(int argc, char** argv) try {
     print_grid_help(registry);
     return 0;
   }
-  fb::ExecScope obs_scope(cli);
 
   // Process layout (the kExecFleet exec flags): --hosts N runs this
   // invocation as the scheduler daemon forking N workers; a forked
@@ -186,18 +188,13 @@ int main(int argc, char** argv) try {
   const std::string socket_flag = cli.get_string("daemon-socket");
   const bool daemon_mode = hosts > 0;
   const bool worker_mode = !daemon_mode && !socket_flag.empty();
-  if (hosts < 0) {
-    std::fprintf(stderr, "sweep_fleet: --hosts must be >= 0\n");
-    return 1;
-  }
+  if (hosts < 0) throw UsageError("--hosts must be >= 0");
   int fault_worker = -1;  // --worker-faults "i:spec": arm worker i only
   std::string fault_spec;
   if (!cli.get_string("worker-faults").empty()) {
     if (!daemon_mode) {
-      std::fprintf(stderr,
-                   "sweep_fleet: --worker-faults needs --hosts (it names a "
-                   "forked worker)\n");
-      return 1;
+      throw UsageError("--worker-faults needs --hosts (it names a forked "
+                       "worker)");
     }
     const std::string& wf = cli.get_string("worker-faults");
     const std::size_t colon = wf.find(':');
@@ -212,22 +209,23 @@ int main(int argc, char** argv) try {
       }
     }
     if (!ok) {
-      std::fprintf(stderr,
-                   "sweep_fleet: --worker-faults must be "
-                   "'<worker-index>:<fault-spec>' with the index below "
-                   "--hosts, got '%s'\n",
-                   wf.c_str());
-      return 1;
+      throw UsageError("--worker-faults must be '<worker-index>:<fault-spec>' "
+                       "with the index below --hosts, got '" + wf + "'");
     }
     fault_spec = wf.substr(colon + 1);
+    // Validated here: worker i would reject a malformed spec and exit
+    // before HELLO, silently running the fleet uninjected.
+    try {
+      (void)io::parse_fault_spec(fault_spec);
+    } catch (const std::invalid_argument& e) {
+      throw UsageError("--worker-faults '" + wf + "': " + e.what());
+    }
   }
 
-  const std::string store_dir = fb::resolve_store_dir(cli);
+  const std::string& store_dir = cli.get_string("store");
   if (store_dir.empty()) {
-    std::fprintf(stderr,
-                 "sweep_fleet: --store (or $FALVOLT_STORE) is required — "
-                 "the whole point of a fleet is the shared store\n");
-    return 1;
+    throw UsageError("--store is required — the whole point of a fleet is "
+                     "the shared store");
   }
 
   // Grid selection, registration order preserved for "all". An unknown
@@ -373,12 +371,16 @@ int main(int argc, char** argv) try {
     specs.push_back(std::move(spec));
   }
 
+  // Every usage error is behind us: start telemetry and fault injection
+  // before the first store I/O.
+  fb::ExecScope obs_scope(cli);
+
   // Shard-planning dry run: the full cross-bench cell listing, computed
   // with the same fingerprints the sweep would use. A pure dry run: it
   // computes nothing, writes nothing, and never creates the store.
   if (cli.get_bool("list-scenarios")) {
     std::unique_ptr<store::StoreApi> rs;
-    if (store::store_spec_exists(store_dir)) {
+    if (store::store_exists(store_dir)) {
       rs = store::open_store(store_dir,
                              fb::split_list(cli.get_string("substituters")),
                              /*create=*/false);
@@ -491,8 +493,7 @@ int main(int argc, char** argv) try {
     } else {
       // The pid-stamped marker lets a concurrent sweep_merge see a live
       // fleet mid-publish and refuse to emit half-baked tables.
-      store::InProgressGuard inprogress(
-          store::parse_store_spec(store_dir).path);
+      store::InProgressGuard inprogress(store_dir);
       daemon_socket_path =
           socket_flag.empty()
               ? "/tmp/falvolt-fleet-" + std::to_string(getpid()) + ".sock"
@@ -531,6 +532,16 @@ int main(int argc, char** argv) try {
       std::vector<pid_t> pids;
       std::vector<bool> reaped;
       for (int w = 0; w < hosts; ++w) {
+        // Fault injection is strictly per-worker: the fleet's own
+        // --faults is not re-executed, and --worker-faults "i:spec"
+        // reaches exactly worker i as its --faults. The argv is built
+        // before fork() so the child only execs.
+        std::vector<std::string> args = wargs;
+        if (w == fault_worker) args.push_back("--faults=" + fault_spec);
+        std::vector<char*> cargv;
+        cargv.reserve(args.size() + 1);
+        for (std::string& a : args) cargv.push_back(a.data());
+        cargv.push_back(nullptr);
         const pid_t pid = fork();
         if (pid < 0) {
           std::fprintf(stderr, "sweep_fleet: fork: %s\n",
@@ -540,15 +551,6 @@ int main(int argc, char** argv) try {
           return 1;
         }
         if (pid == 0) {
-          // Child. Fault injection is strictly per-worker: the fleet's
-          // own $FALVOLT_FAULTS must not arm every worker, and
-          // --worker-faults "i:spec" arms exactly worker i.
-          unsetenv("FALVOLT_FAULTS");
-          if (w == fault_worker) setenv("FALVOLT_FAULTS", fault_spec.c_str(), 1);
-          std::vector<char*> cargv;
-          cargv.reserve(wargs.size() + 1);
-          for (std::string& a : wargs) cargv.push_back(a.data());
-          cargv.push_back(nullptr);
           execv("/proc/self/exe", cargv.data());
           std::fprintf(stderr, "sweep_fleet: execv: %s\n",
                        std::strerror(errno));
@@ -656,22 +658,20 @@ int main(int argc, char** argv) try {
 
   // Figures: a table with no absent cells is the whole grid (for a
   // sharded fleet, the LAST shard just landed), so the grid renders its
-  // figure — ./<bench>.csv plus its report — and, for a writable store,
-  // the generic table under <store>/tables/. Earlier shards still see
-  // foreign cells absent and leave both to the finisher.
-  const store::StoreSpec store_spec = store::parse_store_spec(store_dir);
+  // figure — ./<bench>.csv plus its report — and the generic table
+  // under <store>/tables/. Earlier shards still see foreign cells absent
+  // and leave both to the finisher.
   std::size_t figures = 0;
   for (std::size_t g = 0; g < tables.size(); ++g) {
     if (!tables[g].complete() || tables[g].size() == 0) continue;
     const core::GridDef& def = *specs[g].def;
-    if (store_spec.scheme != "segment") {
-      const std::string table_dir = store_spec.path + "/tables";
-      const std::string path = table_dir + "/" + def.name + ".csv";
-      if (!io::env().mkdirs(table_dir) ||
-          !io::env().write_file(path, tables[g].to_csv())) {
-        std::fprintf(stderr, "sweep_fleet: cannot write %s\n", path.c_str());
-        return 1;
-      }
+    const std::string table_dir = store_dir + "/tables";
+    const std::string table_path = table_dir + "/" + def.name + ".csv";
+    if (!io::env().mkdirs(table_dir) ||
+        !io::env().write_file(table_path, tables[g].to_csv())) {
+      std::fprintf(stderr, "sweep_fleet: cannot write %s\n",
+                   table_path.c_str());
+      return 1;
     }
     // A plain CsvWriter, not io::env(): --faults exercises the store's
     // I/O and must never tear a figure. An unwritable CWD throws (exit

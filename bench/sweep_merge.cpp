@@ -57,13 +57,11 @@ using namespace falvolt;
 int main(int argc, char** argv) {
   common::CliFlags cli("sweep_merge");
   cli.add_string("into", "",
-                 "destination store spec: local:<dir>, segment:<dir> "
-                 "(read-only — table emission and --list only), or a "
-                 "bare directory path (created if missing)");
+                 "destination store directory (created if missing when "
+                 "--from is given)");
   cli.add_string("from", "",
-                 "comma list of shard store specs (same grammar as "
-                 "--into) to union into --into ('' = only emit tables "
-                 "from --into)");
+                 "comma list of shard store directories to union into "
+                 "--into ('' = only emit tables from --into)");
   cli.add_string("bench", "",
                  "bench whose grid to emit (selects the manifest; "
                  "required with --csv/--json unless --manifest is given)");
@@ -92,50 +90,28 @@ int main(int argc, char** argv) {
                "while no sweep is writing to the store");
   cli.add_string("faults", "",
                  "I/O fault-injection spec (see sweep_fleet --faults; '' "
-                 "= $FALVOLT_FAULTS, none = disabled) — faults merge/"
-                 "compact/prune store I/O the same way");
+                 "= disabled) — faults merge/compact/prune store I/O the "
+                 "same way");
   if (!cli.parse_or_exit(argc, argv)) return 0;
   bench::FaultScope fault_scope(cli.get_string("faults"));
 
-  if (cli.get_string("into").empty()) {
+  const std::string& into = cli.get_string("into");
+  if (into.empty()) {
     std::fprintf(stderr, "sweep_merge: --into is required\n%s",
                  cli.usage().c_str());
     return 1;
   }
   const std::vector<std::string> from_dirs =
       bench::split_list(cli.get_string("from"));
-  // Parse every spec up front: an unknown scheme or empty path exits 1
-  // with the supported list before anything is opened or created.
-  store::StoreSpec into_spec;
-  try {
-    into_spec = store::parse_store_spec(cli.get_string("into"));
-    for (const std::string& dir : from_dirs) {
-      (void)store::parse_store_spec(dir);
-    }
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "sweep_merge: %s\n", e.what());
-    return 1;
-  }
-  const bool into_writable = into_spec.scheme != "segment";
-  if (!into_writable &&
-      (!from_dirs.empty() || cli.get_bool("prune") ||
-       cli.get_bool("compact"))) {
-    std::fprintf(stderr,
-                 "sweep_merge: --into %s is a read-only segment: store — "
-                 "merge/--prune/--compact need a writable local:<dir> or "
-                 "bare-path destination\n",
-                 cli.get_string("into").c_str());
-    return 1;
-  }
   // Creating --into is right when shard stores are being merged INTO
   // it; with no --from, every operation (prune, compact, list, table
   // emission) reads an existing store — a typo'd path must fail, not
   // materialize an empty store and report a successful no-op.
-  if (from_dirs.empty() && !store::store_spec_exists(cli.get_string("into"))) {
+  if (from_dirs.empty() && !store::store_exists(into)) {
     std::fprintf(stderr,
                  "sweep_merge: --into %s: no result store there (and no "
                  "--from to merge into it)\n",
-                 cli.get_string("into").c_str());
+                 into.c_str());
     return 1;
   }
   // Every merge source must already BE a store with content: opening a
@@ -146,7 +122,7 @@ int main(int argc, char** argv) {
   // an empty destination husk that would satisfy the guard above next
   // time.
   for (const std::string& dir : from_dirs) {
-    if (!store::store_spec_exists(dir)) {
+    if (!store::store_exists(dir)) {
       std::fprintf(stderr, "sweep_merge: --from %s: no result store there\n",
                    dir.c_str());
       return 1;
@@ -167,10 +143,8 @@ int main(int argc, char** argv) {
   // (store::InProgressGuard) for exactly this check; dead markers from
   // SIGKILLed runs are reaped, only LIVE publishers block.
   {
-    std::vector<std::string> roots = {into_spec.path};
-    for (const std::string& dir : from_dirs) {
-      roots.push_back(store::parse_store_spec(dir).path);
-    }
+    std::vector<std::string> roots = {into};
+    roots.insert(roots.end(), from_dirs.begin(), from_dirs.end());
     bool busy = false;
     for (const std::string& root : roots) {
       for (const int pid : store::live_inprogress_pids(root)) {
@@ -185,12 +159,10 @@ int main(int argc, char** argv) {
     if (busy) return 1;
   }
   // The loose-objects handle (maintenance: prune/compact/list are
-  // physical-layout operations; read-only for a segment: destination)
-  // and the layered read chain over loose + segments (everything
-  // content-addressed goes through this).
-  store::LocalDirStore dst_local(into_spec.path, /*create=*/into_writable);
-  const auto dst = store::open_store(cli.get_string("into"), {},
-                                     /*create=*/into_writable);
+  // physical-layout operations) and the layered read chain over loose +
+  // segments (everything content-addressed goes through this).
+  store::LocalDirStore dst_local(into);
+  const auto dst = store::open_store(into);
 
   for (const std::string& dir : from_dirs) {
     const auto src = store::open_store(dir, {}, /*create=*/false);
@@ -315,8 +287,7 @@ int main(int argc, char** argv) {
   // layered read chain (a compacted store serves every cell from its
   // segments; a freshly written segment is NOT yet visible through a
   // chain opened earlier, so reopen after --compact).
-  const auto reader = store::open_store(cli.get_string("into"), {},
-                                        /*create=*/into_writable);
+  const auto reader = store::open_store(into);
   core::ResultTable table(manifest->entries.size());
   std::vector<std::string> missing;
   for (std::size_t i = 0; i < manifest->entries.size(); ++i) {

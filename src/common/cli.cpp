@@ -97,7 +97,7 @@ bool CliFlags::parse(int argc, const char* const* argv) {
     if (!has_value) {
       // A following token that is itself a flag means the value was
       // forgotten — consuming it would silently swallow that flag (e.g.
-      // `--sweep-json --fast` turning "--fast" into a file name).
+      // `--json --fast` turning "--fast" into a file name).
       if (i + 1 >= argc || std::string(argv[i + 1]).rfind("--", 0) == 0) {
         throw std::invalid_argument("flag --" + name + " expects a value");
       }

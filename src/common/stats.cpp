@@ -4,19 +4,6 @@
 
 namespace falvolt::common {
 
-Summary summarize(const std::vector<double>& samples) {
-  Summary s;
-  if (samples.empty()) return s;
-  RunningStats rs;
-  for (const double x : samples) rs.add(x);
-  s.count = rs.count();
-  s.mean = rs.mean();
-  s.stddev = rs.stddev();
-  s.min = rs.min();
-  s.max = rs.max();
-  return s;
-}
-
 void RunningStats::add(double x) {
   if (n_ == 0) {
     min_ = max_ = x;

@@ -1,27 +1,14 @@
 #pragma once
 // Small statistics helpers: experiments average accuracy over multiple
 // fault maps (the paper runs 8 iterations per point), so mean / stddev /
-// min / max over a vector of samples is the common reduction.
+// min / max over the samples is the common reduction.
 
 #include <cstddef>
-#include <vector>
 
 namespace falvolt::common {
 
-/// Summary statistics over a sample set.
-struct Summary {
-  std::size_t count = 0;
-  double mean = 0.0;
-  double stddev = 0.0;  // population standard deviation
-  double min = 0.0;
-  double max = 0.0;
-};
-
-/// Compute summary statistics; returns zeros for an empty input.
-Summary summarize(const std::vector<double>& samples);
-
-/// Streaming accumulator (Welford) for when samples are produced one at a
-/// time and storing them all is unnecessary.
+/// Streaming accumulator (Welford): mean / stddev / min / max of samples
+/// added one at a time; zeros before the first sample.
 class RunningStats {
  public:
   void add(double x);

@@ -17,13 +17,6 @@ void TextTable::row(std::vector<std::string> cells) {
   rows_.push_back(std::move(cells));
 }
 
-void TextTable::row_numeric(const std::vector<double>& cells, int decimals) {
-  std::vector<std::string> s;
-  s.reserve(cells.size());
-  for (const double v : cells) s.push_back(format(v, decimals));
-  row(std::move(s));
-}
-
 void TextTable::row_labeled(const std::string& label,
                             const std::vector<double>& cells, int decimals) {
   std::vector<std::string> s;
@@ -59,8 +52,6 @@ std::string TextTable::str() const {
   for (const auto& r : rows_) emit(r);
   return os.str();
 }
-
-void TextTable::print() const { std::fputs(str().c_str(), stdout); }
 
 std::string TextTable::format(double v, int decimals) {
   char buf[64];

@@ -14,18 +14,13 @@ class TextTable {
 
   void row(std::vector<std::string> cells);
 
-  /// Numeric convenience; values are formatted with `decimals` digits.
-  void row_numeric(const std::vector<double>& cells, int decimals = 2);
-
-  /// Mixed convenience: a leading label followed by numeric cells.
+  /// A leading label followed by numeric cells, each formatted with
+  /// `decimals` digits.
   void row_labeled(const std::string& label, const std::vector<double>& cells,
                    int decimals = 2);
 
   /// Render to a string (header, separator, rows).
   std::string str() const;
-
-  /// Render to stdout.
-  void print() const;
 
   static std::string format(double v, int decimals);
 

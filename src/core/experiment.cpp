@@ -229,7 +229,7 @@ Workload prepare_workload(DatasetKind kind, const WorkloadOptions& opts) {
   }
 
   bool loaded = false;
-  if (!cache_file.empty() && !opts.ignore_cache) {
+  if (!cache_file.empty()) {
     try {
       loaded = load_params(w.net, cache_file);
     } catch (const std::runtime_error&) {

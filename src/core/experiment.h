@@ -39,8 +39,6 @@ struct WorkloadOptions {
   /// defers to $FALVOLT_CACHE_DIR (else "falvolt_cache"); an explicit
   /// empty string disables caching entirely.
   std::string cache_dir = kDefaultCacheDir;
-  /// Retrain the baseline even if a cache entry exists.
-  bool ignore_cache = false;
   /// Worker threads for the compute backend (applied to the global pool
   /// before training): 0 keeps the current pool ($FALVOLT_THREADS or the
   /// hardware concurrency on first use).
@@ -49,8 +47,7 @@ struct WorkloadOptions {
   /// serially (GEMM-level parallelism stays fully available), N > 1 runs
   /// N scenarios at a time with their GEMMs inlined on the scenario
   /// worker (so scenario- and GEMM-level parallelism never oversubscribe
-  /// the machine), and 0 picks $FALVOLT_SWEEP_PARALLEL or the hardware
-  /// concurrency.
+  /// the machine), and 0 picks the hardware concurrency.
   int sweep_parallel = 1;
 };
 

@@ -2,13 +2,6 @@
 
 namespace falvolt::core {
 
-int MitigationResult::epochs_to_reach(double target) const {
-  for (std::size_t i = 0; i < curve.size(); ++i) {
-    if (curve[i].test_accuracy >= target) return static_cast<int>(i) + 1;
-  }
-  return -1;
-}
-
 double evaluate_with_faults(snn::Network& net, const data::Dataset& test,
                             const systolic::ArrayConfig& array,
                             const fault::FaultMap& map,

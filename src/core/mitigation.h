@@ -63,11 +63,6 @@ struct MitigationResult {
   /// Final V_th per hidden spiking layer.
   std::vector<VthEntry> vth_per_layer;
   double seconds = 0.0;
-
-  /// First epoch (1-based) whose test accuracy reaches `target`
-  /// (percent), or -1 if never reached. Used for the paper's "2x fewer
-  /// epochs" claim (Fig. 8).
-  int epochs_to_reach(double target) const;
 };
 
 /// Evaluate a network on a chip whose faulty PEs actively corrupt

@@ -14,7 +14,6 @@
 
 #include "common/bytes.h"
 #include "common/csv.h"
-#include "common/env.h"
 #include "common/json.h"
 #include "common/timer.h"
 #include "common/version.h"
@@ -545,19 +544,13 @@ class CostOrderedQueue final : public CellQueue {
 };
 
 // Scenario-level worker count for `n` cells to compute:
-// opts.sweep_parallel, with 0 meaning $FALVOLT_SWEEP_PARALLEL (else the
-// hardware concurrency), clamped to [1, min(n, kMaxThreads)].
+// opts.sweep_parallel, with 0 meaning the hardware concurrency, clamped
+// to [1, min(n, kMaxThreads)].
 int resolve_parallel(const WorkloadOptions& opts, std::size_t n) {
   int want = opts.sweep_parallel;
   if (want <= 0) {
-    const long long env = common::env_int_or("FALVOLT_SWEEP_PARALLEL", 0);
-    if (env > 0) {
-      want = static_cast<int>(
-          std::min<long long>(env, compute::ThreadPool::kMaxThreads));
-    } else {
-      const unsigned hw = std::thread::hardware_concurrency();
-      want = hw == 0 ? 1 : static_cast<int>(hw);
-    }
+    const unsigned hw = std::thread::hardware_concurrency();
+    want = hw == 0 ? 1 : static_cast<int>(hw);
   }
   want = std::min(want, compute::ThreadPool::kMaxThreads);
   if (n < static_cast<std::size_t>(want)) want = static_cast<int>(n);
@@ -644,17 +637,13 @@ SweepRunner::GridState SweepRunner::triage(
     }
     // The manifest lists the FULL grid (all shards) and is identical
     // across the shards of one grid; written before any compute so a
-    // killed sweep still leaves the merge/plan tooling its grid. A
-    // read-only store (segment:) can only replay, never publish —
-    // whether that suffices is decided after triage below.
-    if (st.rs->writable()) {
-      store::Manifest manifest;
-      manifest.bench = store.bench.empty() ? "sweep" : store.bench;
-      for (std::size_t i = 0; i < total; ++i) {
-        manifest.entries.emplace_back(st.fps[i], scenarios[i].key);
-      }
-      st.rs->put_manifest(manifest);
+    // killed sweep still leaves the merge/plan tooling its grid.
+    store::Manifest manifest;
+    manifest.bench = store.bench.empty() ? "sweep" : store.bench;
+    for (std::size_t i = 0; i < total; ++i) {
+      manifest.entries.emplace_back(st.fps[i], scenarios[i].key);
     }
+    st.rs->put_manifest(manifest);
   }
   // Cost-balanced shard ownership over the STATIC cost estimates (every
   // independently launched shard derives the identical partition).
@@ -716,13 +705,6 @@ SweepRunner::GridState SweepRunner::triage(
       ++st.pending;
     }
   }
-  if (use_store && !st.rs->writable() && st.pending > 0) {
-    throw std::runtime_error(
-        (st.label.empty() ? std::string("sweep") : st.label) + ": store '" +
-        store.dir + "' is read-only but " + std::to_string(st.pending) +
-        " owned cell(s) still need computing — publish to a writable "
-        "store (local:<dir> or a bare path) instead");
-  }
   if (use_store) {
     const std::string where = st.label.empty()
                                   ? "store " + store.dir
@@ -778,8 +760,8 @@ std::vector<ResultTable> SweepRunner::run() {
     st.table.threads_ = threads;
   }
 
-  // While this run still has cells to publish, mark every writable
-  // destination store in-progress (a pid-stamped marker under tmp/):
+  // While this run still has cells to publish, mark every destination
+  // store in-progress (a pid-stamped marker under tmp/):
   // sweep_merge refuses to emit a partial table from a store a live
   // fleet is still publishing into. RAII — markers vanish on every exit
   // path, and a SIGKILL leaves only a dead-pid marker later runs ignore.
@@ -787,8 +769,8 @@ std::vector<ResultTable> SweepRunner::run() {
   {
     std::set<std::string> marked;
     for (const GridState& st : gs) {
-      if (st.pending == 0 || !st.rs || !st.rs->writable()) continue;
-      const std::string root = store::parse_store_spec(st.grid->store.dir).path;
+      if (st.pending == 0 || !st.rs) continue;
+      const std::string& root = st.grid->store.dir;
       if (marked.insert(root).second) {
         inprogress.push_back(std::make_unique<store::InProgressGuard>(root));
       }

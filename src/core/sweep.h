@@ -160,11 +160,8 @@ bool decode_scenario_result(const std::string& bytes, ScenarioResult& out);
 
 /// How a sweep uses the persistent result store.
 struct SweepStoreOptions {
-  /// Store spec — "local:<dir>", "segment:<dir>", or a bare directory
-  /// path (see store::parse_store_spec); empty disables the store
-  /// entirely. A read-only spec (segment:) can only replay cells, never
-  /// publish: a sweep against one fails if any owned cell still needs
-  /// computing.
+  /// Store root directory (see store::open_store); empty disables the
+  /// store entirely.
   std::string dir;
   /// Grid owner — the bench name; part of every cell fingerprint.
   std::string bench;
@@ -418,8 +415,8 @@ struct SweepGrid {
 class SweepRunner {
  public:
   /// `opts.sweep_parallel` is the worker count across all grids: 0 means
-  /// $FALVOLT_SWEEP_PARALLEL, else the hardware concurrency; run()
-  /// clamps it to [1, min(cells to compute, kMaxThreads)].
+  /// the hardware concurrency; run() clamps it to [1, min(cells to
+  /// compute, kMaxThreads)].
   explicit SweepRunner(WorkloadOptions opts);
 
   /// Shared baseline context — build each grid's scenario function

@@ -21,7 +21,6 @@
 
 // Fixed-point arithmetic and stuck-at faults.
 #include "fixed/fixed_format.h"  // IWYU pragma: export
-#include "fixed/fixed_ops.h"     // IWYU pragma: export
 #include "fixed/stuck_bits.h"    // IWYU pragma: export
 
 // Tensors.
@@ -32,7 +31,6 @@
 
 // Datasets.
 #include "data/dataset.h"                // IWYU pragma: export
-#include "data/encoders.h"               // IWYU pragma: export
 #include "data/glyphs.h"                 // IWYU pragma: export
 #include "data/synthetic_dvs_gesture.h"  // IWYU pragma: export
 #include "data/synthetic_mnist.h"        // IWYU pragma: export
@@ -65,7 +63,6 @@
 // Fault machinery.
 #include "fault/fault_generator.h"  // IWYU pragma: export
 #include "fault/fault_map.h"        // IWYU pragma: export
-#include "fault/fault_map_io.h"     // IWYU pragma: export
 #include "fault/post_fab_test.h"    // IWYU pragma: export
 #include "fault/prune_mask.h"       // IWYU pragma: export
 

@@ -16,6 +16,9 @@ namespace falvolt::fleet {
 
 namespace {
 
+// poll() timeout: how long an idle daemon waits between liveness checks.
+constexpr int kPollMs = 200;
+
 obs::Counter& claims_counter() {
   static obs::Counter& c = obs::counter("fleet.daemon.claims");
   return c;
@@ -302,7 +305,7 @@ DaemonStats Daemon::serve(const std::function<int()>& live_workers) {
       fds.push_back(pollfd{c.fd, events, 0});
       owner.push_back(i);
     }
-    const int rc = ::poll(fds.data(), fds.size(), opts_.poll_ms);
+    const int rc = ::poll(fds.data(), fds.size(), kPollMs);
     if (rc < 0) {
       if (errno == EINTR) continue;
       throw std::runtime_error("fleet daemon: poll(): " +

@@ -47,8 +47,6 @@ struct DaemonCell {
 
 struct DaemonOptions {
   std::string socket_path;
-  /// Poll interval for liveness checks, milliseconds.
-  int poll_ms = 200;
 };
 
 struct DaemonStats {

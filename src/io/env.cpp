@@ -88,8 +88,6 @@ std::atomic<Env*> g_env{nullptr};
 
 }  // namespace
 
-Env& real_env() { return real_env_instance(); }
-
 Env& env() {
   Env* e = g_env.load(std::memory_order_acquire);
   return e ? *e : real_env_instance();

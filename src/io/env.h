@@ -71,11 +71,8 @@ class Env {
   virtual bool mkdirs(const std::string& path);
 };
 
-/// The passthrough environment (immortal).
-Env& real_env();
-
-/// The current environment — real_env() unless an injector is
-/// installed. One relaxed load; safe from any thread.
+/// The current environment — the passthrough Env (immortal) unless an
+/// injector is installed. One relaxed load; safe from any thread.
 Env& env();
 
 /// Install `e` as the process-wide environment (nullptr restores the

@@ -32,10 +32,10 @@
 // the per-run fault COUNT distribution is seed-stable but the
 // interleaving decides which op draws which number.
 //
-// Execution-only by construction: the spec is configured via --faults /
-// $FALVOLT_FAULTS, which is excluded from cell fingerprints like every
-// other execution knob — an injected run and a clean run address the
-// same cells, which is exactly what lets the resume harness diff them.
+// Execution-only by construction: the spec is configured via --faults,
+// which is excluded from cell fingerprints like every other execution
+// knob — an injected run and a clean run address the same cells, which
+// is exactly what lets the resume harness diff them.
 //
 // Activity is surfaced through obs/metrics (io.faults.injected,
 // io.faults.torn_writes, io.faults.bitflips, io.ptp.armed) and the

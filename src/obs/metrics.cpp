@@ -29,7 +29,6 @@ int thread_shard() {
 struct Registry {
   std::mutex mu;
   std::map<std::string, std::unique_ptr<Counter>> counters;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges;
 };
 
 Registry& registry() {
@@ -55,14 +54,6 @@ void Counter::reset() noexcept {
   for (Shard& s : shards_) s.v.store(0, std::memory_order_relaxed);
 }
 
-void Gauge::set(std::uint64_t v) noexcept {
-  v_.store(v, std::memory_order_relaxed);
-}
-
-std::uint64_t Gauge::value() const noexcept {
-  return v_.load(std::memory_order_relaxed);
-}
-
 Counter& counter(const std::string& name) {
   Registry& r = registry();
   std::lock_guard<std::mutex> lock(r.mu);
@@ -71,34 +62,13 @@ Counter& counter(const std::string& name) {
   return *slot;
 }
 
-Gauge& gauge(const std::string& name) {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  std::unique_ptr<Gauge>& slot = r.gauges[name];
-  if (!slot) slot.reset(new Gauge());
-  return *slot;
-}
-
 std::vector<MetricSample> snapshot_metrics() {
   Registry& r = registry();
   std::lock_guard<std::mutex> lock(r.mu);
   std::vector<MetricSample> out;
-  out.reserve(r.counters.size() + r.gauges.size());
-  // std::map iterates name-sorted; counters and gauges share one
-  // namespace, so merge the two sorted streams.
-  auto ci = r.counters.begin();
-  auto gi = r.gauges.begin();
-  while (ci != r.counters.end() || gi != r.gauges.end()) {
-    const bool take_counter =
-        gi == r.gauges.end() ||
-        (ci != r.counters.end() && ci->first <= gi->first);
-    if (take_counter) {
-      out.push_back(MetricSample{ci->first, ci->second->value()});
-      ++ci;
-    } else {
-      out.push_back(MetricSample{gi->first, gi->second->value()});
-      ++gi;
-    }
+  out.reserve(r.counters.size());
+  for (const auto& [name, c] : r.counters) {  // std::map: name-sorted
+    out.push_back(MetricSample{name, c->value()});
   }
   return out;
 }
@@ -109,10 +79,6 @@ void reset_metrics() {
   for (auto& [name, c] : r.counters) {
     (void)name;
     c->reset();
-  }
-  for (auto& [name, g] : r.gauges) {
-    (void)name;
-    g->set(0);
   }
 }
 

@@ -1,6 +1,6 @@
 #pragma once
-// obs::metrics — process-wide named counters, gauges, and scoped timers
-// for the sweep engine, the store stack, and the compute kernels.
+// obs::metrics — process-wide named counters and scoped timers for the
+// sweep engine, the store stack, and the compute kernels.
 //
 // Design constraints, in order:
 //
@@ -68,27 +68,11 @@ class Counter {
   Shard shards_[kShards];
 };
 
-/// Last-write-wins level (queue depth, worker count). set() is a
-/// relaxed store; value() a relaxed load.
-class Gauge {
- public:
-  void set(std::uint64_t v) noexcept;
-  std::uint64_t value() const noexcept;
-
- private:
-  friend Gauge& gauge(const std::string& name);
-  Gauge() = default;
-  Gauge(const Gauge&) = delete;
-  Gauge& operator=(const Gauge&) = delete;
-  std::atomic<std::uint64_t> v_{0};
-};
-
-/// The registry: one Counter/Gauge per name, created on first use and
+/// The registry: one Counter per name, created on first use and
 /// immortal thereafter. Lookup takes a mutex — cache the reference at
 /// hot call sites:
 ///   static obs::Counter& hits = obs::counter("store.local.hit");
 Counter& counter(const std::string& name);
-Gauge& gauge(const std::string& name);
 
 /// RAII timer accumulating elapsed wall time into "<name>.ns" and an
 /// invocation count into "<name>.count". Construct with pre-resolved
@@ -109,18 +93,17 @@ class ScopedTimer {
   common::Timer timer_;
 };
 
-/// One merged sample: counters report their shard sum, gauges their
-/// last set value.
+/// One merged sample: a counter's shard sum.
 struct MetricSample {
   std::string name;
   std::uint64_t value = 0;
 };
 
-/// Every registered counter and gauge, merged and sorted by name
-/// (stable across runs — map-ordered, so diffs line up).
+/// Every registered counter, merged and sorted by name (stable across
+/// runs — map-ordered, so diffs line up).
 std::vector<MetricSample> snapshot_metrics();
 
-/// Zero every counter and gauge (tests / explicit per-run scoping).
+/// Zero every counter (tests / explicit per-run scoping).
 void reset_metrics();
 
 /// Encode samples as one JSON object, `indent` spaces deep:

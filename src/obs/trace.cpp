@@ -11,7 +11,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "common/env.h"
 #include "common/json.h"
 
 namespace falvolt::obs {
@@ -81,7 +80,7 @@ void trace_start(const std::string& path) {
     throw std::logic_error("obs: trace already recording to " + s.path);
   }
   // Open-and-truncate now: an unwritable --trace path must fail before
-  // the sweep, exactly like an unwritable --sweep-json.
+  // the sweep, exactly like an unwritable --json.
   std::ofstream probe(path, std::ios::trunc);
   if (!probe) {
     throw std::runtime_error("obs: cannot open trace path " + path);
@@ -143,12 +142,6 @@ std::size_t trace_stop() {
   s.events.clear();
   s.thread_names.clear();
   return n;
-}
-
-std::string resolve_trace_path(const std::string& flag_value) {
-  if (flag_value == "none") return "";
-  if (!flag_value.empty()) return flag_value;
-  return common::env_or("FALVOLT_TRACE", "");
 }
 
 TraceSpan::TraceSpan(const char* category, std::string name)

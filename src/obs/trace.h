@@ -4,12 +4,11 @@
 //
 // Tracing is off by default and costs one relaxed atomic load per
 // TraceSpan construction while off. When enabled (trace_start, driven
-// by --trace <file> or $FALVOLT_TRACE), spans record complete ("ph":
-// "X") events — name, category, microsecond start/duration, a stable
-// small per-thread track id, and optional key/value args — into a
-// process-global buffer; trace_stop() writes the JSON file in one
-// pass, including "M" thread_name metadata events so Perfetto labels
-// the tracks.
+// by --trace <file>), spans record complete ("ph": "X") events — name,
+// category, microsecond start/duration, a stable small per-thread track
+// id, and optional key/value args — into a process-global buffer;
+// trace_stop() writes the JSON file in one pass, including "M"
+// thread_name metadata events so Perfetto labels the tracks.
 //
 // Granularity contract: spans are COARSE — a sweep cell, a baseline
 // train, a store read/write. Never wrap a per-row or per-chunk kernel
@@ -37,10 +36,6 @@ void trace_start(const std::string& path);
 /// Write the buffered events as Chrome trace JSON and stop recording.
 /// No-op when not recording. Returns the number of events written.
 std::size_t trace_stop();
-
-/// Resolve the trace destination for a driver: `flag_value` ("none"
-/// disables, non-empty wins), else $FALVOLT_TRACE, else "" (disabled).
-std::string resolve_trace_path(const std::string& flag_value);
 
 /// Stable small id of the calling thread's trace track (assigned on
 /// first use, in thread-creation order; the main thread is usually 0).

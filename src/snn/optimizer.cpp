@@ -5,28 +5,6 @@
 
 namespace falvolt::snn {
 
-Sgd::Sgd(double lr, double momentum) : lr_(lr), momentum_(momentum) {
-  if (lr <= 0.0) throw std::invalid_argument("Sgd: lr must be > 0");
-  if (momentum < 0.0 || momentum >= 1.0) {
-    throw std::invalid_argument("Sgd: momentum must be in [0, 1)");
-  }
-}
-
-void Sgd::step(const std::vector<Param*>& params) {
-  for (Param* p : params) {
-    if (!p->trainable) continue;
-    auto [it, inserted] = velocity_.try_emplace(p, p->value.shape());
-    tensor::Tensor& v = it->second;
-    if (!inserted && v.shape() != p->value.shape()) {
-      throw std::logic_error("Sgd: parameter shape changed");
-    }
-    for (std::size_t i = 0; i < p->value.size(); ++i) {
-      v[i] = static_cast<float>(momentum_ * v[i] + p->grad[i]);
-      p->value[i] -= static_cast<float>(lr_ * v[i]);
-    }
-  }
-}
-
 Adam::Adam(double lr, double beta1, double beta2, double eps)
     : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {
   if (lr <= 0.0) throw std::invalid_argument("Adam: lr must be > 0");

@@ -1,7 +1,7 @@
 #pragma once
-// Gradient-descent optimizers over Param sets. State (momentum / moment
-// estimates) is keyed by parameter identity, so the same optimizer object
-// must be used with the same network throughout a training run.
+// Gradient-descent optimizers over Param sets. State (moment estimates)
+// is keyed by parameter identity, so the same optimizer object must be
+// used with the same network throughout a training run.
 
 #include <memory>
 #include <unordered_map>
@@ -19,20 +19,6 @@ class Optimizer {
   virtual void step(const std::vector<Param*>& params) = 0;
   virtual double lr() const = 0;
   virtual void set_lr(double lr) = 0;
-};
-
-/// SGD with classical momentum.
-class Sgd final : public Optimizer {
- public:
-  explicit Sgd(double lr, double momentum = 0.9);
-  void step(const std::vector<Param*>& params) override;
-  double lr() const override { return lr_; }
-  void set_lr(double lr) override { lr_ = lr; }
-
- private:
-  double lr_;
-  double momentum_;
-  std::unordered_map<Param*, tensor::Tensor> velocity_;
 };
 
 /// Adam (Kingma & Ba) with bias correction.

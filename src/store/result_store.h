@@ -76,7 +76,6 @@ class LocalDirStore : public StoreApi {
   std::string object_path(const std::string& fingerprint) const;
 
   std::string describe() const override;
-  bool writable() const override { return writable_; }
   bool contains(const std::string& fingerprint) const override;
   void put(const std::string& fingerprint,
            const std::string& payload) override;

@@ -86,7 +86,6 @@ class SegmentStore : public StoreApi {
   explicit SegmentStore(std::string root);
 
   std::string describe() const override;
-  bool writable() const override { return false; }
   bool contains(const std::string& fingerprint) const override;
   std::optional<std::string> get(
       const std::string& fingerprint) const override;

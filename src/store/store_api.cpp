@@ -1,14 +1,10 @@
 #include "store/store_api.h"
 
 #include <algorithm>
-#include <cctype>
-#include <filesystem>
 #include <stdexcept>
 
 #include "store/result_store.h"
 #include "store/segment.h"
-
-namespace fs = std::filesystem;
 
 namespace falvolt::store {
 
@@ -39,8 +35,6 @@ std::string LayeredStore::describe() const {
   out += "]";
   return out;
 }
-
-bool LayeredStore::writable() const { return layers_.front()->writable(); }
 
 bool LayeredStore::contains(const std::string& fingerprint) const {
   for (const auto& layer : layers_) {
@@ -118,83 +112,22 @@ MergeStats merge_records(StoreApi& dst, const StoreApi& src) {
   return stats;
 }
 
-StoreSpec parse_store_spec(const std::string& spec) {
-  // A scheme is a leading [A-Za-z][A-Za-z0-9+.-]* followed by ':'.
-  // Absolute paths ('/'), relative paths with separators before any
-  // colon, and anything starting with a digit or dot all fall through
-  // to "bare path" — only something that LOOKS like a scheme is judged
-  // against the supported list.
-  std::size_t colon = std::string::npos;
-  for (std::size_t i = 0; i < spec.size(); ++i) {
-    const unsigned char c = static_cast<unsigned char>(spec[i]);
-    if (c == ':' && i > 0) {
-      colon = i;
-      break;
-    }
-    const bool alpha = std::isalpha(c) != 0;
-    const bool tail =
-        alpha || std::isdigit(c) != 0 || c == '+' || c == '.' || c == '-';
-    if (i == 0 ? !alpha : !tail) break;
-  }
-  if (colon == std::string::npos) return StoreSpec{"", spec};
-  std::string scheme = spec.substr(0, colon);
-  for (char& c : scheme) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  if (scheme != "local" && scheme != "segment") {
-    throw std::invalid_argument(
-        "unknown store scheme '" + scheme + ":' in '" + spec +
-        "' — supported: local:<dir>, segment:<dir>, or a bare path");
-  }
-  const std::string path = spec.substr(colon + 1);
-  if (path.empty()) {
-    throw std::invalid_argument("store spec '" + spec +
-                                "' has an empty path — supported: "
-                                "local:<dir>, segment:<dir>, or a bare path");
-  }
-  return StoreSpec{std::move(scheme), path};
-}
-
-bool store_spec_exists(const std::string& spec) {
-  const StoreSpec s = parse_store_spec(spec);
-  if (s.scheme == "segment") {
-    std::error_code ec;
-    return fs::is_directory(fs::path(s.path) / "segments", ec);
-  }
-  return store_exists(s.path);
-}
-
 std::unique_ptr<LayeredStore> open_store(
     const std::string& dir, const std::vector<std::string>& substituters,
     bool create) {
-  const StoreSpec root = parse_store_spec(dir);
   std::vector<std::unique_ptr<StoreApi>> layers;
-  if (root.scheme == "segment") {
-    if (!store_spec_exists(dir)) {
-      throw std::invalid_argument("open_store: '" + dir +
-                                  "' is not a segment store (no segments/ "
-                                  "directory)");
-    }
-    layers.push_back(std::make_unique<SegmentStore>(root.path));
-  } else {
-    layers.push_back(std::make_unique<LocalDirStore>(root.path, create));
-    layers.push_back(std::make_unique<SegmentStore>(root.path));
-  }
-  const std::size_t substituter_start = layers.size();
+  layers.push_back(std::make_unique<LocalDirStore>(dir, create));
+  layers.push_back(std::make_unique<SegmentStore>(dir));
   for (const std::string& sub : substituters) {
-    const StoreSpec s = parse_store_spec(sub);
-    if (!store_spec_exists(sub)) {
+    if (!store_exists(sub)) {
       throw std::invalid_argument("open_store: substituter '" + sub +
                                   "' is not a store (no objects/ or "
                                   "segments/ directory)");
     }
-    if (s.scheme != "segment") {
-      layers.push_back(
-          std::make_unique<LocalDirStore>(s.path, /*create=*/false));
-    }
-    layers.push_back(std::make_unique<SegmentStore>(s.path));
+    layers.push_back(std::make_unique<LocalDirStore>(sub, /*create=*/false));
+    layers.push_back(std::make_unique<SegmentStore>(sub));
   }
-  return std::make_unique<LayeredStore>(std::move(layers), substituter_start);
+  return std::make_unique<LayeredStore>(std::move(layers));
 }
 
 }  // namespace falvolt::store

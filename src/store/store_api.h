@@ -41,10 +41,6 @@ class StoreApi {
   /// Human-readable identity for logs and errors, e.g. "dir:/x/store".
   virtual std::string describe() const = 0;
 
-  /// False for read-only backends (segments, substituters); their
-  /// put()/put_manifest() throw std::logic_error.
-  virtual bool writable() const = 0;
-
   /// True when a record file/entry exists under `fingerprint`
   /// (unvalidated — a corrupt record still "exists" until GC'd).
   virtual bool contains(const std::string& fingerprint) const = 0;
@@ -56,7 +52,8 @@ class StoreApi {
       const std::string& fingerprint) const = 0;
 
   /// Store `payload` under `fingerprint` (atomic + durable; an existing
-  /// record is replaced). Throws on I/O errors and on read-only stores.
+  /// record is replaced). Throws on I/O errors, and std::logic_error on
+  /// read-only backends (segments, substituter layers).
   virtual void put(const std::string& fingerprint,
                    const std::string& payload) = 0;
 
@@ -64,8 +61,7 @@ class StoreApi {
   /// unvalidated), sorted and deduplicated.
   virtual std::vector<std::string> fingerprints() const = 0;
 
-  /// Publish a grid manifest (atomic + durable). Throws on read-only
-  /// stores.
+  /// Publish a grid manifest (atomic + durable). Throws like put().
   virtual void put_manifest(const Manifest& m) = 0;
 
   /// Every readable manifest, optionally filtered to one bench.
@@ -82,13 +78,12 @@ class LayeredStore : public StoreApi {
   /// `layers` must be non-empty; layers[0] is the write target.
   /// `substituter_start` is the index of the first layer that belongs
   /// to a substituter rather than the local root (hits from there feed
-  /// the store.substituter.hit counter); open_store computes it from
-  /// how many layers the root's scheme contributes.
+  /// the store.substituter.hit counter); open_store's root contributes
+  /// two layers, loose objects and segments.
   explicit LayeredStore(std::vector<std::unique_ptr<StoreApi>> layers,
                         std::size_t substituter_start = 2);
 
   std::string describe() const override;
-  bool writable() const override;
   bool contains(const std::string& fingerprint) const override;
   std::optional<std::string> get(
       const std::string& fingerprint) const override;
@@ -131,47 +126,14 @@ struct MergeStats {
 /// addressing both sides agree, so skip-if-present is harmless.
 MergeStats merge_records(StoreApi& dst, const StoreApi& src);
 
-/// A parsed store spec. Everywhere a store is named on a command line
-/// (`--store`, `--substituters`, sweep_merge's `--into`/`--from`) the
-/// same URI-style grammar applies:
-///
-///   local:<dir>    the standard local chain: writable loose objects
-///                  over the directory's indexed segments
-///   segment:<dir>  ONLY the directory's segment files, read-only —
-///                  a fully-compacted archive served as-is
-///   <dir>          bare path (no scheme), same as local:<dir>
-///
-/// A future remote backend is one new scheme (e.g. https:) here plus
-/// one StoreApi class — no consumer changes.
-struct StoreSpec {
-  std::string scheme;  ///< "local", "segment", or "" for a bare path
-  std::string path;    ///< filesystem root the scheme applies to
-};
-
-/// Parse a store spec. A leading `[A-Za-z][A-Za-z0-9+.-]*:` is a
-/// scheme (so absolute and relative paths can never be mistaken for
-/// one); anything else is a bare path. Throws std::invalid_argument
-/// naming the supported forms on an unknown scheme or an empty path —
-/// CLI drivers print the message and exit 1.
-StoreSpec parse_store_spec(const std::string& spec);
-
-/// Spec-aware existence probe: does `spec` already hold a store of its
-/// scheme's shape? (`segment:` needs a segments/ directory; `local:` /
-/// bare accept loose objects or segments-only roots.) Read-side callers
-/// check this before opening so a typo'd path is an error, not a
-/// silently-materialized empty store.
-bool store_spec_exists(const std::string& spec);
-
-/// Open the store named by spec `dir` with a read-only chain per
-/// substituter spec layered behind it. For `local:`/bare specs the
-/// root's loose objects (writable, front) sit over its indexed
-/// segments and creating the directories is the default (it is a
-/// sweep's destination); with create=false nothing is materialized and
-/// the root opens read-only. `segment:` roots contribute only their
-/// (read-only) segment layer. Substituter roots are never created and
-/// must already hold a store (throws std::invalid_argument otherwise —
-/// a typo'd substituter must not silently read as "everything
-/// misses").
+/// Open the store rooted at directory `dir` — its loose objects
+/// (front, the write target) over its indexed segments — with a
+/// read-only chain per substituter directory layered behind it.
+/// Creating the root's directories is the default (it is a sweep's
+/// destination); with create=false nothing is materialized and the root
+/// opens read-only. Substituter roots are never created and must
+/// already hold a store (throws std::invalid_argument otherwise — a
+/// typo'd substituter must not silently read as "everything misses").
 std::unique_ptr<LayeredStore> open_store(
     const std::string& dir,
     const std::vector<std::string>& substituters = {}, bool create = true);

@@ -51,8 +51,6 @@ SystolicGemmEngine::SystolicGemmEngine(const ArrayConfig& cfg,
   force_scalar_ = common::env_int_or("FALVOLT_FORCE_SCALAR", 0) != 0;
 }
 
-void SystolicGemmEngine::clear_plans() { plans_.clear(); }
-
 const SystolicGemmEngine::LayerPlan& SystolicGemmEngine::plan_for(
     const std::string& tag, const float* w, int k, int n) {
   const std::uint64_t hash =

@@ -59,12 +59,6 @@ class SystolicGemmEngine final : public snn::GemmEngine {
   void run(const float* a, const float* w, float* c, int m, int k, int n,
            const std::string& layer_tag) override;
 
-  /// Drop cached per-layer quantized weights. Plans are also invalidated
-  /// automatically when the weight *content* changes (the cache keys on a
-  /// checksum, not just the buffer address), so this is an optimization
-  /// for bulk weight swaps, not a correctness requirement.
-  void clear_plans();
-
   const ArrayConfig& config() const { return cfg_; }
   FaultHandling handling() const { return handling_; }
 

@@ -69,17 +69,6 @@ RecordingEngine probe_network(snn::Network& net,
 
 }  // namespace
 
-std::vector<double> measure_spike_densities(snn::Network& net,
-                                            const data::Dataset& dataset,
-                                            int samples) {
-  const RecordingEngine engine = probe_network(net, dataset, samples);
-  std::vector<double> out;
-  for (const auto& [tag, r] : engine.ordered()) {
-    out.push_back(r.total > 0.0 ? r.nonzero / r.total : 0.0);
-  }
-  return out;
-}
-
 NetworkCostReport estimate_network_cost(snn::Network& net,
                                         const ArrayConfig& array,
                                         const data::Dataset& dataset,

@@ -51,12 +51,4 @@ NetworkCostReport estimate_network_cost(snn::Network& net,
                                         double spike_density = 0.05,
                                         const CostModelConfig& cfg = {});
 
-/// Measure the actual mean spike density entering each matmul layer by
-/// running `samples` inputs through the network in eval mode. Returns one
-/// density per matmul layer, in network order (the encoder conv sees the
-/// analog input; its density is the fraction of nonzero pixels).
-std::vector<double> measure_spike_densities(snn::Network& net,
-                                            const data::Dataset& dataset,
-                                            int samples = 8);
-
 }  // namespace falvolt::systolic

@@ -18,6 +18,10 @@ function(expect_exit_2 program)
   if(NOT err MATCHES "^${name}: [^\n]+ \\(see --help\\)\n$")
     message(FATAL_ERROR "${name} ${args}: want one error line, got:\n${err}")
   endif()
+  if(EXISTS ${STORE})
+    message(FATAL_ERROR "${name} ${args}: a rejected command line created "
+                        "the store ${STORE}")
+  endif()
   string(STRIP "${err}" line)
   message(STATUS "${name} ${args} -> ${line}")
   set(last_error "${line}" PARENT_SCOPE)
@@ -36,9 +40,19 @@ expect_exit_2(${SWEEP_FLEET} --store ${STORE} --grids no_such_grid)
 if(NOT last_error MATCHES "registered: ")
   message(FATAL_ERROR "unknown grid must list the registered ones")
 endif()
-if(EXISTS ${STORE})
-  message(FATAL_ERROR "a rejected command line created the store ${STORE}")
+# Fleet layout flags. Worker i would reject a malformed spec only after
+# forking, so the fleet validates it up front. --list-scenarios keeps a
+# regression cheap: a command line that slipped through would list the
+# grid and exit 0 instead of sweeping it.
+expect_exit_2(${SWEEP_FLEET} --store ${STORE} --list-scenarios --hosts 2
+              --worker-faults 1:mode=independent)
+if(NOT last_error MATCHES "requires p=")
+  message(FATAL_ERROR "a malformed --worker-faults spec must say why")
 endif()
+expect_exit_2(${SWEEP_FLEET} --store ${STORE} --list-scenarios --hosts -1)
+expect_exit_2(${SWEEP_FLEET} --store ${STORE} --list-scenarios
+              --worker-faults 0:mode=runlength,runlen=1,kill=1)
+expect_exit_2(${SWEEP_FLEET} --list-scenarios)
 expect_exit_2(${SWEEP_MERGE} --bogus)
 
 # Bench flags are set with --set, so --help lists every grid's own.

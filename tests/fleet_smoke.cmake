@@ -10,12 +10,21 @@
 #      is observation only);
 #   3. a warm re-run computes nothing and rewrites identical CSVs;
 #   4. --hosts 2 --resume false recomputes every cell once, on the
-#      workers; the daemon's in-process pass only replays them.
+#      workers; the daemon's in-process pass only replays them;
+#   5. a damaged record in the second store lists as the one MISS and
+#      is the one cell the next run recomputes;
+#   6. the fig5b grid alone, run as two shards into separate stores,
+#      writes no figure; sweep_merge unions the shards into the table
+#      the cold store holds, and warm runs over the merged store, the
+#      compacted store, and a fresh store substituting from the cold one
+#      compute nothing and write the cold figure. Missing merge sources
+#      and substituters fail.
 #
 # Run from a scratch working directory with $FALVOLT_CACHE_DIR set (the
 # baseline cache is kept across runs; stores and outputs are not):
 #
-#   cmake -DSWEEP_FLEET=<path to sweep_fleet> -P fleet_smoke.cmake
+#   cmake -DSWEEP_FLEET=<path to sweep_fleet> \
+#         -DSWEEP_MERGE=<path to sweep_merge> -P fleet_smoke.cmake
 
 set(FLAGS --fast --datasets mnist --repeats 1
     --grids fig5b_fault_count,chip_salvage_triage
@@ -23,15 +32,50 @@ set(FLAGS --fast --datasets mnist --repeats 1
 set(FIGURES fig5b_fault_count chip_salvage_triage)
 set(root ${CMAKE_CURRENT_BINARY_DIR})
 
-# Runs sweep_fleet ${FLAGS} ${ARGN} in ${root}/<dir>; any failure is fatal.
-function(fleet dir)
-  execute_process(COMMAND ${SWEEP_FLEET} ${FLAGS} ${ARGN}
+# Runs the command ${ARGN} in ${root}/<dir>; any failure is fatal. Its
+# standard output lands in ${run_out}.
+function(run dir)
+  execute_process(COMMAND ${ARGN}
                   WORKING_DIRECTORY ${root}/${dir}
                   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
   if(NOT rc EQUAL 0)
     list(JOIN ARGN " " args)
-    message(FATAL_ERROR "sweep_fleet ${args} (in ${dir}): exit ${rc}\n"
-                        "${out}\n${err}")
+    message(FATAL_ERROR "${args} (in ${dir}): exit ${rc}\n${out}\n${err}")
+  endif()
+  set(run_out "${out}" PARENT_SCOPE)
+endfunction()
+
+# Runs the command ${ARGN} in ${root}/<dir>; it must fail.
+function(expect_failure dir)
+  execute_process(COMMAND ${ARGN}
+                  WORKING_DIRECTORY ${root}/${dir}
+                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+  if(rc EQUAL 0)
+    list(JOIN ARGN " " args)
+    message(FATAL_ERROR "${args} (in ${dir}): exit 0, want a failure")
+  endif()
+endfunction()
+
+# Runs sweep_fleet ${FLAGS} ${ARGN} in ${root}/<dir>.
+function(fleet dir)
+  run(${dir} ${SWEEP_FLEET} ${FLAGS} ${ARGN})
+  set(run_out "${run_out}" PARENT_SCOPE)
+endfunction()
+
+# The fleet summary <json> reports exactly <n> computed cells.
+function(expect_computed json n)
+  file(READ ${json} body)
+  string(FIND "${body}" "\"cells_computed\": ${n}," at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "${json}: want ${n} computed cell(s):\n${body}")
+  endif()
+endfunction()
+
+# No loose record is left under <store>/objects.
+function(expect_no_records store)
+  file(GLOB_RECURSE recs ${store}/objects/*.rec)
+  if(recs)
+    message(FATAL_ERROR "${store} holds loose records: ${recs}")
   endif()
 endfunction()
 
@@ -50,7 +94,7 @@ function(expect_cold_figures dir)
   endforeach()
 endfunction()
 
-foreach(dir cold scalar hosts ref)
+foreach(dir cold scalar hosts ref shard)
   file(REMOVE_RECURSE ${root}/${dir})
   file(MAKE_DIRECTORY ${root}/${dir})
 endforeach()
@@ -98,11 +142,7 @@ foreach(bench ${FIGURES})
   file(RENAME ${root}/cold/${bench}.csv ${root}/ref/${bench}.csv)
 endforeach()
 fleet(cold --store S --json warm.json)
-file(READ ${root}/cold/warm.json warm)
-string(FIND "${warm}" "\"cells_computed\": 0," at)
-if(at EQUAL -1)
-  message(FATAL_ERROR "the warm re-run computed cells:\n${warm}")
-endif()
+expect_computed(${root}/cold/warm.json 0)
 foreach(bench ${FIGURES})
   expect_same_file(${root}/ref/${bench}.csv ${root}/cold/${bench}.csv)
 endforeach()
@@ -131,5 +171,65 @@ if(NOT computed EQUAL cells)
                       "${computed}, want every cell (${cells})")
 endif()
 expect_cold_figures(hosts)
-message(STATUS "fleet_smoke: ${cells} cells; cold, forced-scalar, warm "
-               "and --hosts 2 figures identical")
+
+# 5. A damaged record reads as a miss: --list-scenarios shows it as the
+#    one MISS, and the next run recomputes exactly that cell. Damages
+#    the forced-scalar store, which no later leg reads.
+file(GLOB_RECURSE recs ${root}/scalar/S/objects/*.rec)
+list(GET recs 0 rec)
+file(WRITE ${rec} "torn")
+fleet(scalar --store S --list-scenarios)
+string(REGEX MATCHALL " MISS " misses "${run_out}")
+list(LENGTH misses n_miss)
+if(NOT n_miss EQUAL 1)
+  message(FATAL_ERROR "a damaged record must list as the one MISS, got "
+                      "${n_miss}:\n${run_out}")
+endif()
+fleet(scalar --store S --json damaged.json)
+expect_computed(${root}/scalar/damaged.json 1)
+expect_cold_figures(scalar)
+
+# 6. Sharded fig5b runs, merged, compacted and substituted. The cold
+#    store is the unsharded reference (a fig5b cell has the same
+#    fingerprint whichever grids run beside it). fig5b alone: a
+#    one-die chip_salvage grid would complete inside shard 0.
+set(FLAGS --fast --datasets mnist --repeats 1 --grids fig5b_fault_count
+    --set fig5b_fault_count.eval-samples=24)
+set(cold_store ${root}/cold/S)
+fleet(shard --store A --shard 0/2)
+fleet(shard --store B --shard 1/2)
+if(EXISTS ${root}/shard/fig5b_fault_count.csv)
+  message(FATAL_ERROR "a shard that leaves cells to another wrote a figure")
+endif()
+run(shard ${SWEEP_MERGE} --into M --from A,B --bench fig5b_fault_count
+    --csv merged.csv)
+run(shard ${SWEEP_MERGE} --into ${cold_store} --bench fig5b_fault_count
+    --csv unsharded.csv)
+expect_same_file(${root}/shard/unsharded.csv ${root}/shard/merged.csv)
+expect_failure(shard ${SWEEP_MERGE} --into M --from no_such_store)
+
+fleet(shard --store M --json merged.json)
+expect_computed(${root}/shard/merged.json 0)
+expect_same_file(${root}/ref/fig5b_fault_count.csv
+                 ${root}/shard/fig5b_fault_count.csv)
+
+run(shard ${SWEEP_MERGE} --into M --compact)
+expect_no_records(${root}/shard/M)
+file(REMOVE ${root}/shard/fig5b_fault_count.csv)
+fleet(shard --store M --json compacted.json)
+expect_computed(${root}/shard/compacted.json 0)
+expect_same_file(${root}/ref/fig5b_fault_count.csv
+                 ${root}/shard/fig5b_fault_count.csv)
+
+file(REMOVE ${root}/shard/fig5b_fault_count.csv)
+fleet(shard --store SUB --substituters ${cold_store} --json sub.json)
+expect_computed(${root}/shard/sub.json 0)
+expect_no_records(${root}/shard/SUB)
+expect_same_file(${root}/ref/fig5b_fault_count.csv
+                 ${root}/shard/fig5b_fault_count.csv)
+expect_failure(shard ${SWEEP_FLEET} ${FLAGS} --store SUB2
+               --substituters no_such_store)
+
+message(STATUS "fleet_smoke: ${cells} cells; cold, forced-scalar, warm, "
+               "--hosts 2, damaged-record, sharded-merge, compacted and "
+               "substituted figures identical")

@@ -96,13 +96,6 @@ TEST(TextTable, AlignsColumns) {
   (void)header_len;
 }
 
-TEST(TextTable, RowNumericFormatting) {
-  TextTable t({"x", "y"});
-  t.row_numeric({1.23456, 2.0}, 2);
-  EXPECT_NE(t.str().find("1.23"), std::string::npos);
-  EXPECT_NE(t.str().find("2.00"), std::string::npos);
-}
-
 TEST(TextTable, RowLabeled) {
   TextTable t({"method", "a", "b"});
   t.row_labeled("FalVolt", {98.7, 99.0}, 1);

@@ -4,8 +4,6 @@
 
 #include <cmath>
 
-#include "fixed/fixed_ops.h"
-
 namespace falvolt::fx {
 namespace {
 
@@ -93,25 +91,6 @@ TEST(FixedFormat, ThirtyTwoBitFormat) {
 
 TEST(FixedFormat, ToStringNamesFormat) {
   EXPECT_EQ(FixedFormat::q8_8().to_string(), "Q7.8 (16-bit)");
-}
-
-TEST(FixedOps, BufferRoundTrip) {
-  const FixedFormat f = FixedFormat::q8_8();
-  const float data[] = {0.0f, 1.0f, -1.0f, 0.5f, 3.25f, -100.0f};
-  const auto raw = quantize_buffer(data, 6, f);
-  float back[6];
-  dequantize_buffer(raw.data(), 6, f, back);
-  for (int i = 0; i < 6; ++i) {
-    EXPECT_NEAR(back[i], data[i], f.resolution());
-  }
-}
-
-TEST(FixedOps, MaxQuantizationErrorHalfLsb) {
-  const FixedFormat f = FixedFormat::q8_8();
-  std::vector<float> data;
-  for (int i = 0; i < 1000; ++i) data.push_back(0.001f * i - 0.5f);
-  EXPECT_LE(max_quantization_error(data.data(), data.size(), f),
-            f.resolution() / 2 + 1e-9);
 }
 
 // Parameterized sweep: round-trip property holds for every format width.

@@ -1,8 +1,8 @@
 // The fleet scheduler daemon and its wire protocol: cost-balanced
 // shard partitioning, frame codec round-trips, the daemon's claim /
-// re-queue / shutdown state machine against real socket clients, the
-// URI-style store spec grammar, and the in-progress markers that keep
-// sweep_merge honest while a fleet is mid-publish.
+// re-queue / shutdown state machine against real socket clients, and
+// the in-progress markers that keep sweep_merge honest while a fleet is
+// mid-publish.
 
 #include <gtest/gtest.h>
 
@@ -25,7 +25,6 @@
 #include "fleet/protocol.h"
 #include "fleet/worker.h"
 #include "store/result_store.h"
-#include "store/store_api.h"
 
 namespace fs = std::filesystem;
 
@@ -209,7 +208,7 @@ class FleetDaemonTest : public ::testing::Test {
 };
 
 TEST_F(FleetDaemonTest, ServesCostOrderedAndRequeuesDeadWorkersClaim) {
-  fleet::Daemon daemon(fleet::DaemonOptions{sock_, 20}, four_cells());
+  fleet::Daemon daemon(fleet::DaemonOptions{sock_}, four_cells());
   daemon.bind_and_listen();
   ServeOutcome out;
   std::thread server = serve(daemon, out);
@@ -263,7 +262,7 @@ TEST_F(FleetDaemonTest, ServesCostOrderedAndRequeuesDeadWorkersClaim) {
 }
 
 TEST_F(FleetDaemonTest, RejectsProtocolVersionMismatchAtHello) {
-  fleet::Daemon daemon(fleet::DaemonOptions{sock_, 20}, four_cells());
+  fleet::Daemon daemon(fleet::DaemonOptions{sock_}, four_cells());
   daemon.bind_and_listen();
   ServeOutcome out;
   std::thread server = serve(daemon, out);
@@ -296,7 +295,7 @@ TEST_F(FleetDaemonTest, RejectsProtocolVersionMismatchAtHello) {
 }
 
 TEST_F(FleetDaemonTest, WorkerErrorFailsTheFleet) {
-  fleet::Daemon daemon(fleet::DaemonOptions{sock_, 20}, four_cells());
+  fleet::Daemon daemon(fleet::DaemonOptions{sock_}, four_cells());
   daemon.bind_and_listen();
   ServeOutcome out;
   std::thread server = serve(daemon, out);
@@ -362,7 +361,7 @@ TEST_F(FleetDaemonTest, SocketFedRunnerMatchesInProcessByteForByte) {
         st.bench, s.key, core::fingerprint_cell(st, wopts, s),
         core::scenario_cost_estimate(s)});
   }
-  fleet::Daemon daemon(fleet::DaemonOptions{sock_, 20}, cells);
+  fleet::Daemon daemon(fleet::DaemonOptions{sock_}, cells);
   daemon.bind_and_listen();
   ServeOutcome out;
   std::thread server = serve(daemon, out);
@@ -395,36 +394,6 @@ TEST_F(FleetDaemonTest, SocketFedRunnerMatchesInProcessByteForByte) {
   EXPECT_EQ(computed.load(), 10);
   EXPECT_EQ(warmed[0].cached_cells(), 5u);
   EXPECT_EQ(warmed[0].to_csv(), ref_tables[0].to_csv());
-}
-
-// ------------------------------------------------ store specs
-
-TEST(StoreSpec, ParsesSchemesAndBarePaths) {
-  store::StoreSpec spec = store::parse_store_spec("local:/a/b");
-  EXPECT_EQ(spec.scheme, "local");
-  EXPECT_EQ(spec.path, "/a/b");
-  EXPECT_EQ(store::parse_store_spec("LOCAL:x").scheme, "local");
-  EXPECT_EQ(store::parse_store_spec("segment:seg_dir").scheme, "segment");
-  spec = store::parse_store_spec("/abs/path");
-  EXPECT_EQ(spec.scheme, "");
-  EXPECT_EQ(spec.path, "/abs/path");
-  // A separator before any colon means "bare path", not a scheme.
-  spec = store::parse_store_spec("rel/dir:with_colon");
-  EXPECT_EQ(spec.scheme, "");
-  EXPECT_EQ(spec.path, "rel/dir:with_colon");
-}
-
-TEST(StoreSpec, RejectsUnknownSchemesNamingTheSupportedOnes) {
-  try {
-    store::parse_store_spec("s3:bucket");
-    FAIL() << "unknown scheme accepted";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("s3"), std::string::npos) << what;
-    EXPECT_NE(what.find("local:"), std::string::npos) << what;
-    EXPECT_NE(what.find("segment:"), std::string::npos) << what;
-  }
-  EXPECT_THROW(store::parse_store_spec("local:"), std::invalid_argument);
 }
 
 // ------------------------------------------------ in-progress markers

@@ -60,35 +60,6 @@ Param make_param(float value, float grad) {
   return p;
 }
 
-TEST(Sgd, BasicStep) {
-  Sgd opt(0.1, 0.0);
-  Param p = make_param(1.0f, 2.0f);
-  opt.step({&p});
-  EXPECT_FLOAT_EQ(p.value[0], 0.8f);
-}
-
-TEST(Sgd, MomentumAccumulates) {
-  Sgd opt(0.1, 0.5);
-  Param p = make_param(0.0f, 1.0f);
-  opt.step({&p});  // v=1, x=-0.1
-  EXPECT_FLOAT_EQ(p.value[0], -0.1f);
-  opt.step({&p});  // v=1.5, x=-0.25
-  EXPECT_FLOAT_EQ(p.value[0], -0.25f);
-}
-
-TEST(Sgd, SkipsNonTrainable) {
-  Sgd opt(0.1);
-  Param p = make_param(1.0f, 5.0f);
-  p.trainable = false;
-  opt.step({&p});
-  EXPECT_FLOAT_EQ(p.value[0], 1.0f);
-}
-
-TEST(Sgd, InvalidHyperparamsThrow) {
-  EXPECT_THROW(Sgd(0.0), std::invalid_argument);
-  EXPECT_THROW(Sgd(0.1, 1.0), std::invalid_argument);
-}
-
 TEST(Adam, FirstStepIsLrSizedSignedStep) {
   Adam opt(0.01);
   Param p = make_param(1.0f, 0.5f);

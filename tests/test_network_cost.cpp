@@ -68,19 +68,6 @@ TEST(NetworkCost, TotalsAreLayerSums) {
               r.total_latency_us * r.time_steps, 1e-9);
 }
 
-TEST(NetworkCost, MeasuredDensitiesAreSane) {
-  Fixture f;
-  const auto densities = measure_spike_densities(f.net, f.split.test, 4);
-  ASSERT_EQ(densities.size(), 5u);
-  for (const double d : densities) {
-    EXPECT_GE(d, 0.0);
-    EXPECT_LE(d, 1.0);
-  }
-  // The encoder conv sees the analog glyph input: sparse but nonzero.
-  EXPECT_GT(densities[0], 0.0);
-  EXPECT_LT(densities[0], 0.6);
-}
-
 TEST(NetworkCost, ZeroDensityRequestsMeasurement) {
   Fixture f;
   ArrayConfig array;

@@ -163,20 +163,5 @@ TEST(Retrain, NetworkLeftInInferenceState) {
   }
 }
 
-TEST(MitigationResult, EpochsToReach) {
-  MitigationResult r;
-  snn::EpochStats e;
-  e.test_accuracy = 50.0;
-  r.curve.push_back(e);
-  e.test_accuracy = 80.0;
-  r.curve.push_back(e);
-  e.test_accuracy = 95.0;
-  r.curve.push_back(e);
-  EXPECT_EQ(r.epochs_to_reach(75.0), 2);
-  EXPECT_EQ(r.epochs_to_reach(95.0), 3);
-  EXPECT_EQ(r.epochs_to_reach(99.0), -1);
-  EXPECT_EQ(r.epochs_to_reach(10.0), 1);
-}
-
 }  // namespace
 }  // namespace falvolt::core

@@ -71,7 +71,6 @@ TEST_F(SegmentTest, RoundTripThroughSegmentStore) {
 
   const SegmentStore seg(root_);
   EXPECT_EQ(seg.segment_count(), 1u);
-  EXPECT_FALSE(seg.writable());
   EXPECT_EQ(seg.fingerprints().size(), recs.size());
   for (const auto& [fp, payload] : recs) {
     EXPECT_TRUE(seg.contains(fp));

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/rng.h"
@@ -9,28 +10,20 @@
 namespace falvolt::common {
 namespace {
 
-TEST(Summarize, EmptyIsZeros) {
-  const Summary s = summarize({});
-  EXPECT_EQ(s.count, 0u);
-  EXPECT_EQ(s.mean, 0.0);
-  EXPECT_EQ(s.stddev, 0.0);
+TEST(RunningStats, EmptyIsZeros) {
+  const RunningStats rs;
+  EXPECT_EQ(rs.count(), 0u);
+  EXPECT_EQ(rs.mean(), 0.0);
+  EXPECT_EQ(rs.stddev(), 0.0);
 }
 
-TEST(Summarize, SingleValue) {
-  const Summary s = summarize({4.0});
-  EXPECT_EQ(s.count, 1u);
-  EXPECT_DOUBLE_EQ(s.mean, 4.0);
-  EXPECT_DOUBLE_EQ(s.stddev, 0.0);
-  EXPECT_DOUBLE_EQ(s.min, 4.0);
-  EXPECT_DOUBLE_EQ(s.max, 4.0);
-}
-
-TEST(Summarize, KnownValues) {
-  const Summary s = summarize({2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0});
-  EXPECT_DOUBLE_EQ(s.mean, 5.0);
-  EXPECT_DOUBLE_EQ(s.stddev, 2.0);  // classic population-stddev example
-  EXPECT_DOUBLE_EQ(s.min, 2.0);
-  EXPECT_DOUBLE_EQ(s.max, 9.0);
+TEST(RunningStats, KnownValues) {
+  RunningStats rs;
+  for (const double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) rs.add(x);
+  EXPECT_DOUBLE_EQ(rs.mean(), 5.0);
+  EXPECT_DOUBLE_EQ(rs.stddev(), 2.0);  // classic population-stddev example
+  EXPECT_DOUBLE_EQ(rs.min(), 2.0);
+  EXPECT_DOUBLE_EQ(rs.max(), 9.0);
 }
 
 TEST(RunningStats, MatchesBatchComputation) {
@@ -42,11 +35,16 @@ TEST(RunningStats, MatchesBatchComputation) {
     xs.push_back(x);
     rs.add(x);
   }
-  const Summary s = summarize(xs);
-  EXPECT_NEAR(rs.mean(), s.mean, 1e-9);
-  EXPECT_NEAR(rs.stddev(), s.stddev, 1e-9);
-  EXPECT_DOUBLE_EQ(rs.min(), s.min);
-  EXPECT_DOUBLE_EQ(rs.max(), s.max);
+  double mean = 0.0;
+  for (const double x : xs) mean += x;
+  mean /= static_cast<double>(xs.size());
+  double var = 0.0;
+  for (const double x : xs) var += (x - mean) * (x - mean);
+  var /= static_cast<double>(xs.size());
+  EXPECT_NEAR(rs.mean(), mean, 1e-9);
+  EXPECT_NEAR(rs.variance(), var, 1e-9);
+  EXPECT_DOUBLE_EQ(rs.min(), *std::min_element(xs.begin(), xs.end()));
+  EXPECT_DOUBLE_EQ(rs.max(), *std::max_element(xs.begin(), xs.end()));
   EXPECT_EQ(rs.count(), 1000u);
 }
 
