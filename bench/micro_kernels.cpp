@@ -26,6 +26,7 @@
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -405,26 +406,34 @@ std::string run_faulty_gemm_sweep() {
     // process-wide kernel.faulty_gemm.* counters around a single untimed
     // run (this engine is the only one running), so the JSON carries
     // deterministic per-run() numbers (the timed loops above run an
-    // unknown number of iterations). Sanity invariant: vector + scalar +
-    // fallback columns plus reference_rows * n covers every output
-    // element exactly once.
+    // unknown number of iterations).
     engine.set_force_scalar(false);
     const auto path_count = [](const char* path) -> unsigned long long {
       return obs::counter(std::string("kernel.faulty_gemm.") + path).value();
     };
     const unsigned long long vector0 = path_count("vector_cols");
-    const unsigned long long scalar0 = path_count("scalar_cols");
     const unsigned long long fallback0 = path_count("fallback_cols");
+    const unsigned long long zero0 = path_count("zero_rows");
     const unsigned long long reference0 = path_count("reference_rows");
     const std::uint64_t steps_before = engine.accumulate_steps();
     engine.run(a.data(), w.data(), c.data(), m, k, n, "L");
     const unsigned long long vector_cols = path_count("vector_cols") - vector0;
-    const unsigned long long scalar_cols = path_count("scalar_cols") - scalar0;
     const unsigned long long fallback_cols =
         path_count("fallback_cols") - fallback0;
+    const unsigned long long zero_rows = path_count("zero_rows") - zero0;
     const unsigned long long reference_rows =
         path_count("reference_rows") - reference0;
     const unsigned long long steps = engine.accumulate_steps() - steps_before;
+    // Every output element is counted by exactly one path.
+    const unsigned long long covered =
+        vector_cols + fallback_cols +
+        static_cast<unsigned long long>(n) * (zero_rows + reference_rows);
+    if (covered != static_cast<unsigned long long>(m) * n) {
+      throw std::runtime_error(
+          "faulty_gemm path counters cover " + std::to_string(covered) +
+          " of " + std::to_string(static_cast<long long>(m) * n) +
+          " output elements");
+    }
     const double items = static_cast<double>(m) * k * n;
     char row[768];
     std::snprintf(
@@ -433,11 +442,11 @@ std::string run_faulty_gemm_sweep() {
         "\"m\": %d, \"k\": %d, \"n\": %d, \"scalar_ms\": %.4f, "
         "\"vector_ms\": %.4f, \"speedup\": %.2f, "
         "\"vector_mitems_per_s\": %.1f, \"vector_cols\": %llu, "
-        "\"scalar_cols\": %llu, \"fallback_cols\": %llu, "
+        "\"fallback_cols\": %llu, \"zero_rows\": %llu, "
         "\"reference_rows\": %llu, \"accumulate_steps\": %llu}%s\n",
         cs.mode, cs.array, cs.faults, m, k, n, scalar_ms, vector_ms,
         scalar_ms / vector_ms, items / (vector_ms * 1e3), vector_cols,
-        scalar_cols, fallback_cols, reference_rows, steps,
+        fallback_cols, zero_rows, reference_rows, steps,
         idx + 1 == cases.size() ? "" : ",");
     json += row;
     std::printf(
@@ -500,7 +509,7 @@ bool write_text_file(const std::string& path, const std::string& text,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   // Peel off our flags; everything else goes to google-benchmark.
   std::string out_dir = "bench_out";
   std::string json_name = "micro_kernels.json";
@@ -545,4 +554,7 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "micro_kernels: %s\n", e.what());
+  return 1;
 }

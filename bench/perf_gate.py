@@ -103,7 +103,8 @@ def warn_abs(label, base, cur, tolerance, warnings):
 def fleet_metric_warnings(base_m, cur_m, tolerance, warnings):
     """Warn-only comparison of two fleet metrics blocks: the store hit
     rate (cells replayed instead of recomputed) and the faulty-GEMM
-    vector-path share (columns taking the 8-wide fast path). Both are
+    vector-path share (columns of nonzero rows that take the plain-add
+    path rather than the exact 8-lane walk). Both are
     ratios of counters from the same run, so they are machine-portable —
     but a fleet's hit rate legitimately changes with the store's warmth,
     hence warn-only, never gated. Returns True if anything printed."""
@@ -116,8 +117,7 @@ def fleet_metric_warnings(base_m, cur_m, tolerance, warnings):
 
     def vector_share(m):
         vec = m.get("kernel.faulty_gemm.vector_cols", 0)
-        total = (vec + m.get("kernel.faulty_gemm.scalar_cols", 0) +
-                 m.get("kernel.faulty_gemm.fallback_cols", 0))
+        total = vec + m.get("kernel.faulty_gemm.fallback_cols", 0)
         return vec / total if total else None
 
     printed = False

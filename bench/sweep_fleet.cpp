@@ -136,19 +136,17 @@ std::vector<int> shard_owners(const FleetGridSpec& spec) {
 // Print one grid's rows of the --list-scenarios listing ("bench:key"),
 // numbered from `start_index`; returns the index after the last row.
 // A cell is a HIT exactly when the sweep would replay it (lookup_cell),
-// so a damaged record lists as MISS. `rs` is null when the store does
-// not exist yet (every cell then lists as MISS).
+// so a damaged record lists as MISS.
 std::size_t list_scenario_rows(const FleetGridSpec& spec,
                                const core::WorkloadOptions& opts,
-                               const store::StoreApi* rs,
+                               const store::StoreApi& rs,
                                std::size_t start_index) {
   const std::vector<int> owners = shard_owners(spec);
   for (std::size_t i = 0; i < spec.scenarios.size(); ++i) {
     const std::string fp =
         core::fingerprint_cell(spec.store, opts, spec.scenarios[i]);
     const char* status =
-        rs && core::lookup_cell(*rs, fp, spec.scenarios[i].key) ? "HIT"
-                                                                 : "MISS";
+        core::lookup_cell(rs, fp, spec.scenarios[i].key) ? "HIT" : "MISS";
     std::printf("%-5zu %-6d %-6s %-16s %s:%s\n", start_index + i, owners[i],
                 status, fp.substr(0, 16).c_str(), spec.def->name.c_str(),
                 spec.scenarios[i].key.c_str());
@@ -371,20 +369,30 @@ int main(int argc, char** argv) try {
     specs.push_back(std::move(spec));
   }
 
+  // A typo'd substituter would read as "every cell misses": reject it
+  // here, before anything creates the store.
+  const std::vector<std::string> substituters =
+      fb::split_list(cli.get_string("substituters"));
+  for (const std::string& sub : substituters) {
+    if (!store::store_exists(sub)) {
+      throw UsageError("--substituters names '" + sub +
+                       "', which is not a store (no objects/ or segments/ "
+                       "directory)");
+    }
+  }
+
   // Every usage error is behind us: start telemetry and fault injection
   // before the first store I/O.
   fb::ExecScope obs_scope(cli);
 
   // Shard-planning dry run: the full cross-bench cell listing, computed
   // with the same fingerprints the sweep would use. A pure dry run: it
-  // computes nothing, writes nothing, and never creates the store.
+  // computes nothing, writes nothing, and never creates the store; a
+  // root that does not exist yet reads as empty while its substituters
+  // still answer, exactly as in the sweep.
   if (cli.get_bool("list-scenarios")) {
-    std::unique_ptr<store::StoreApi> rs;
-    if (store::store_exists(store_dir)) {
-      rs = store::open_store(store_dir,
-                             fb::split_list(cli.get_string("substituters")),
-                             /*create=*/false);
-    }
+    const std::unique_ptr<store::StoreApi> rs =
+        store::open_store(store_dir, substituters, /*create=*/false);
     std::size_t total = 0;
     for (const FleetGridSpec& spec : specs) total += spec.scenarios.size();
     std::printf("# %zu grid(s), %zu cell(s), store %s\n", specs.size(),
@@ -393,7 +401,7 @@ int main(int argc, char** argv) try {
                 "fingerprint", "bench:key");
     std::size_t index = 0;
     for (const FleetGridSpec& spec : specs) {
-      index = list_scenario_rows(spec, fleet_opts, rs.get(), index);
+      index = list_scenario_rows(spec, fleet_opts, *rs, index);
     }
     return 0;
   }
@@ -461,9 +469,8 @@ int main(int argc, char** argv) try {
   if (daemon_mode) {
     std::vector<fleet::DaemonCell> cells;
     {
-      const std::unique_ptr<store::StoreApi> rs = store::open_store(
-          store_dir, fb::split_list(cli.get_string("substituters")),
-          /*create=*/true);
+      const std::unique_ptr<store::StoreApi> rs =
+          store::open_store(store_dir, substituters, /*create=*/true);
       for (const FleetGridSpec& spec : specs) {
         const std::vector<int> owners = shard_owners(spec);
         for (std::size_t i = 0; i < spec.scenarios.size(); ++i) {

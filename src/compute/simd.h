@@ -1,12 +1,13 @@
 #pragma once
 // Minimal SIMD helpers for the integer and float hot paths.
 //
-// The faulty-GEMM engine's proven-saturation-free fast path accumulates
-// plain int32 weights across groups of adjacent output columns; with AVX2
-// one 256-bit register holds the 8 column accumulators, so each spiking
-// input row position is a single load+add. The scalar fallback keeps the
-// exact same 8-lane shape (and therefore the same add order per lane), so
-// results are bit-identical whether or not AVX2 is compiled in.
+// The faulty-GEMM engine works on groups of 8 adjacent output columns:
+// with AVX2 one 256-bit register holds the 8 int32 column accumulators,
+// so each nonzero input position is a single load+add (plus a clamp and,
+// at a fault event, an AND/OR mask in the engine's exact walk). The
+// scalar fallback of the plain-add path keeps the exact same 8-lane
+// shape (and therefore the same add order per lane), so results are
+// bit-identical whether or not AVX2 is compiled in.
 //
 // The float helpers below serve hand-vectorized GEMM kernels that must
 // reproduce the scalar loops of gemm_kernels.cpp bit for bit. Those loops
@@ -92,6 +93,34 @@ inline F32x8 madd_f32x8(F32x8 a, F32x8 b, F32x8 c) {
 /// builds partition columns identically.
 inline constexpr int kI32Lanes = 8;
 
+#if defined(__AVX2__)
+/// Eight int32 lanes in one AVX register (AVX2 builds only: without it
+/// the faulty-GEMM engine walks its groups in 64-bit scalar arithmetic).
+/// Adds and multiplies wrap; callers keep them in range.
+using I32x8 = __m256i;
+inline I32x8 load_i32x8(const std::int32_t* p) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+}
+inline void store_i32x8(std::int32_t* p, I32x8 v) {
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+}
+inline I32x8 splat_i32x8(std::int32_t v) { return _mm256_set1_epi32(v); }
+inline I32x8 add_i32x8(I32x8 a, I32x8 b) { return _mm256_add_epi32(a, b); }
+inline I32x8 mul_i32x8(I32x8 a, I32x8 b) { return _mm256_mullo_epi32(a, b); }
+inline I32x8 min_i32x8(I32x8 a, I32x8 b) { return _mm256_min_epi32(a, b); }
+inline I32x8 max_i32x8(I32x8 a, I32x8 b) { return _mm256_max_epi32(a, b); }
+inline I32x8 and_i32x8(I32x8 a, I32x8 b) { return _mm256_and_si256(a, b); }
+inline I32x8 or_i32x8(I32x8 a, I32x8 b) { return _mm256_or_si256(a, b); }
+/// Lane-wise shift left by `s` in [0, 31].
+inline I32x8 sll_i32x8(I32x8 a, int s) {
+  return _mm256_sll_epi32(a, _mm_cvtsi32_si128(s));
+}
+/// Lane-wise arithmetic shift right by `s` in [0, 31].
+inline I32x8 sra_i32x8(I32x8 a, int s) {
+  return _mm256_sra_epi32(a, _mm_cvtsi32_si128(s));
+}
+#endif
+
 /// Name of the compiled SIMD backend (perf-trajectory metadata).
 inline const char* simd_backend() {
 #if defined(__AVX2__)
@@ -99,6 +128,42 @@ inline const char* simd_backend() {
 #else
   return "scalar";
 #endif
+}
+
+/// Writes the positions of row[0..k)'s nonzero entries (`!= 0.0f`: NaN
+/// counts, -0.0f does not) to out[0..count), ascending, and returns
+/// count; `out` needs room for k. `binary` tells whether every nonzero
+/// entry is exactly 1.0f. Eight entries per compare with AVX2, so an
+/// all-zero stretch costs one test per 8.
+inline int nonzero_positions(const float* row, int k, int* out,
+                             bool& binary) {
+  int count = 0;
+  int kk = 0;
+  unsigned other = 0;  // nonzero entries that are not 1.0f
+#if defined(__AVX2__)
+  const __m256 zero = _mm256_setzero_ps();
+  const __m256 one = _mm256_set1_ps(1.0f);
+  for (; kk + 8 <= k; kk += 8) {
+    const __m256 v = _mm256_loadu_ps(row + kk);
+    const __m256 nonzero = _mm256_cmp_ps(v, zero, _CMP_NEQ_UQ);
+    unsigned mask = static_cast<unsigned>(_mm256_movemask_ps(nonzero));
+    if (mask == 0) continue;
+    other |= static_cast<unsigned>(_mm256_movemask_ps(
+        _mm256_and_ps(nonzero, _mm256_cmp_ps(v, one, _CMP_NEQ_UQ))));
+    do {
+      out[count++] = kk + __builtin_ctz(mask);
+      mask &= mask - 1;
+    } while (mask != 0);
+  }
+#endif
+  for (; kk < k; ++kk) {
+    const float av = row[kk];
+    out[count] = kk;
+    count += av != 0.0f;
+    other |= av != 0.0f && av != 1.0f;
+  }
+  binary = other == 0;
+  return count;
 }
 
 /// out[0..7] = sum over t of base[idx[t] * stride + lane], with plain

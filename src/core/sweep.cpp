@@ -30,13 +30,6 @@ namespace falvolt::core {
 
 namespace {
 
-// splitmix64 finalizer — turns the raw key hash into a well-mixed seed.
-std::uint64_t mix64(std::uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 using common::json_escape;
 
 std::string json_number(double v) {
@@ -256,21 +249,6 @@ double scenario_cost_estimate(const Scenario& s) {
     return kRetrainCostPerEpoch * static_cast<double>(std::max(1, s.epochs));
   }
   return 1.0;
-}
-
-std::uint64_t scenario_seed(const Scenario& s) {
-  // FNV-1a over the key, then fold in the explicit fault seed so two
-  // scenarios differing only in fault_seed get distinct streams too.
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const unsigned char c : s.key) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return mix64(h + 0x9e3779b97f4a7c15ULL * (s.fault_seed + 1));
-}
-
-common::Rng scenario_rng(const Scenario& s) {
-  return common::Rng(scenario_seed(s));
 }
 
 // ------------------------------------------------------------ ResultTable

@@ -14,9 +14,8 @@
 //    however many grids need it; every scenario then works on an
 //    independent clone restored from the immutable parameter snapshot.
 //  - All randomness inside a scenario is seeded from the scenario itself
-//    (its explicit `fault_seed`, or a stream derived from its `key` via
-//    scenario_rng), never from shared mutable state, so results do not
-//    depend on execution order or worker count.
+//    (its explicit `fault_seed`), never from shared mutable state, so
+//    results do not depend on execution order or worker count.
 //  - Scenario- and GEMM-level parallelism compose without oversubscribing
 //    the machine: when scenarios run on pool workers, nested GEMM
 //    parallel_for calls degrade to inline execution (see ThreadPool), so
@@ -106,14 +105,6 @@ struct WorkerStats {
   std::size_t cells = 0;
   double busy_seconds = 0.0;
 };
-
-/// Deterministic seed derived from the scenario key and fault_seed
-/// (FNV-1a over the key, splitmix64-finalized). Independent of scenario
-/// order, worker count, and every other scenario in the grid.
-std::uint64_t scenario_seed(const Scenario& s);
-
-/// Fresh RNG stream for a scenario, seeded with scenario_seed().
-common::Rng scenario_rng(const Scenario& s);
 
 /// Where, when, and by which build a cell was computed. Stamped by
 /// SweepRunner when the scenario function returns, stored in the

@@ -73,15 +73,6 @@ std::vector<MetricSample> snapshot_metrics() {
   return out;
 }
 
-void reset_metrics() {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  for (auto& [name, c] : r.counters) {
-    (void)name;
-    c->reset();
-  }
-}
-
 std::string encode_metrics_json(const std::vector<MetricSample>& samples,
                                 int indent) {
   const std::string pad(static_cast<std::size_t>(indent), ' ');

@@ -22,9 +22,7 @@
 //     emit, so every consumer reads one schema.
 //
 // Counters are process-cumulative: a driver that wants per-run numbers
-// snapshots before and after (the sweep engine reports deltas this way
-// is unnecessary — benches are one run per process; reset_metrics()
-// exists for tests).
+// snapshots before and after.
 
 #include <atomic>
 #include <cstdint>
@@ -102,9 +100,6 @@ struct MetricSample {
 /// Every registered counter, merged and sorted by name (stable across
 /// runs — map-ordered, so diffs line up).
 std::vector<MetricSample> snapshot_metrics();
-
-/// Zero every counter (tests / explicit per-run scoping).
-void reset_metrics();
 
 /// Encode samples as one JSON object, `indent` spaces deep:
 ///   {

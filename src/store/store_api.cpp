@@ -115,15 +115,19 @@ MergeStats merge_records(StoreApi& dst, const StoreApi& src) {
 std::unique_ptr<LayeredStore> open_store(
     const std::string& dir, const std::vector<std::string>& substituters,
     bool create) {
-  std::vector<std::unique_ptr<StoreApi>> layers;
-  layers.push_back(std::make_unique<LocalDirStore>(dir, create));
-  layers.push_back(std::make_unique<SegmentStore>(dir));
+  // Validate every substituter before the root's layer may create it: a
+  // rejected call leaves no empty store behind.
   for (const std::string& sub : substituters) {
     if (!store_exists(sub)) {
       throw std::invalid_argument("open_store: substituter '" + sub +
                                   "' is not a store (no objects/ or "
                                   "segments/ directory)");
     }
+  }
+  std::vector<std::unique_ptr<StoreApi>> layers;
+  layers.push_back(std::make_unique<LocalDirStore>(dir, create));
+  layers.push_back(std::make_unique<SegmentStore>(dir));
+  for (const std::string& sub : substituters) {
     layers.push_back(std::make_unique<LocalDirStore>(sub, /*create=*/false));
     layers.push_back(std::make_unique<SegmentStore>(sub));
   }

@@ -132,8 +132,9 @@ MergeStats merge_records(StoreApi& dst, const StoreApi& src);
 /// Creating the root's directories is the default (it is a sweep's
 /// destination); with create=false nothing is materialized and the root
 /// opens read-only. Substituter roots are never created and must
-/// already hold a store (throws std::invalid_argument otherwise — a
-/// typo'd substituter must not silently read as "everything misses").
+/// already hold a store (throws std::invalid_argument otherwise, before
+/// the root is touched — a typo'd substituter must not silently read as
+/// "everything misses", nor leave an empty root behind).
 std::unique_ptr<LayeredStore> open_store(
     const std::string& dir,
     const std::vector<std::string>& substituters = {}, bool create = true);

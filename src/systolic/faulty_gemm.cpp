@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <map>
 #include <stdexcept>
 
 #include "common/env.h"
@@ -38,12 +40,149 @@ std::uint64_t hash_weights(const float* w, std::size_t count) {
   return h;
 }
 
+// One row's nonzero entries: positions ascending (nz[0..count)) and,
+// for a row with real-valued entries, each entry quantized and flagged
+// when it is exactly 1.0f (a binary spike adds the plain weight, as in
+// the reference: quantize(1.0f) saturates in formats with no integer
+// bits).
+struct RowScan {
+  std::vector<int> nz;
+  int count = 0;
+  std::vector<std::int32_t> qa;
+  std::vector<std::uint8_t> one;
+};
+
+#if defined(__AVX2__)
+// The fixed-point operations of the walk on eight int32 lanes of one AVX
+// register (compute::I32x8). Exact when every intermediate fits int32: a
+// clamped add of two raw values needs formats of at most 31 bits, the
+// rounded product (a * b + half) >> frac of at most 16.
+class NarrowLanes {
+ public:
+  using V = compute::I32x8;
+
+  static bool exact(const fx::FixedFormat& fmt, bool multiplies) {
+    return fmt.total_bits() <= (multiplies ? 16 : 31);
+  }
+
+  explicit NarrowLanes(const fx::FixedFormat& fmt)
+      : lo_(compute::splat_i32x8(fmt.min_raw())),
+        hi_(compute::splat_i32x8(fmt.max_raw())),
+        half_(compute::splat_i32x8(
+            fmt.frac_bits() > 0 ? std::int32_t{1} << (fmt.frac_bits() - 1)
+                                : 0)),
+        frac_(fmt.frac_bits()),
+        ext_(32 - fmt.total_bits()) {}
+
+  V zero() const { return compute::splat_i32x8(0); }
+  V load(const std::int32_t* p) const { return compute::load_i32x8(p); }
+  void store(std::int32_t* p, V v) const { compute::store_i32x8(p, v); }
+  // FixedFormat::add per lane.
+  V add(V acc, V w) const { return clamp(compute::add_i32x8(acc, w)); }
+  // FixedFormat::mul(w, q) per lane.
+  V mul(V w, std::int32_t q) const {
+    const V prod = compute::mul_i32x8(w, compute::splat_i32x8(q));
+    return clamp(compute::sra_i32x8(compute::add_i32x8(prod, half_), frac_));
+  }
+  // StuckBits::apply per lane: force the masked bits, then sign-extend
+  // the format's word.
+  V corrupt(V acc, const std::int32_t* and_mask,
+            const std::int32_t* or_mask) const {
+    const V bits = compute::or_i32x8(
+        compute::and_i32x8(acc, compute::load_i32x8(and_mask)),
+        compute::load_i32x8(or_mask));
+    return compute::sra_i32x8(compute::sll_i32x8(bits, ext_), ext_);
+  }
+
+ private:
+  V clamp(V v) const {
+    return compute::min_i32x8(compute::max_i32x8(v, lo_), hi_);
+  }
+
+  V lo_, hi_, half_;
+  int frac_, ext_;
+};
+#endif
+
+// The same operations one lane at a time in FixedFormat's 64-bit
+// arithmetic: exact for every format, and the only lanes of a build
+// without AVX2.
+class WideLanes {
+ public:
+  struct V {
+    std::int32_t v[compute::kI32Lanes];
+  };
+
+  explicit WideLanes(const fx::FixedFormat& fmt) : fmt_(fmt) {}
+
+  V zero() const { return V{}; }
+  V load(const std::int32_t* p) const {
+    V r{};
+    std::memcpy(r.v, p, sizeof(r.v));
+    return r;
+  }
+  void store(std::int32_t* p, V v) const { std::memcpy(p, v.v, sizeof(v.v)); }
+  V add(V acc, V w) const {
+    for (int l = 0; l < compute::kI32Lanes; ++l) {
+      acc.v[l] = fmt_.add(acc.v[l], w.v[l]);
+    }
+    return acc;
+  }
+  V mul(V w, std::int32_t q) const {
+    for (int l = 0; l < compute::kI32Lanes; ++l) w.v[l] = fmt_.mul(w.v[l], q);
+    return w;
+  }
+  V corrupt(V acc, const std::int32_t* and_mask,
+            const std::int32_t* or_mask) const {
+    for (int l = 0; l < compute::kI32Lanes; ++l) {
+      acc.v[l] = fmt_.sign_extend(
+          static_cast<std::uint32_t>((acc.v[l] & and_mask[l]) | or_mask[l]));
+    }
+    return acc;
+  }
+
+ private:
+  const fx::FixedFormat& fmt_;
+};
+
+// One column group's traversal of one row: in every lane the operation
+// sequence of reference_row. The row's nonzero positions merge with the
+// group's events; each nonzero adds (clamped) its weight, or with
+// kReal its weight times the quantized entry unless the entry is
+// exactly 1.0f; at an event position the add comes first, then the
+// corruption. Events past the last nonzero (padding rows, later K
+// tiles) still apply.
+template <bool kReal, class Lanes, class Event>
+void walk_group(const Lanes& lanes, const std::int32_t* w, int stride,
+                const RowScan& row, const std::vector<Event>& events,
+                std::int32_t* out) {
+  typename Lanes::V acc = lanes.zero();
+  int t = 0;
+  const auto add_through = [&](int last) {
+    for (; t < row.count && row.nz[t] <= last; ++t) {
+      typename Lanes::V contrib =
+          lanes.load(w + static_cast<std::ptrdiff_t>(row.nz[t]) * stride);
+      if constexpr (kReal) {
+        if (!row.one[t]) contrib = lanes.mul(contrib, row.qa[t]);
+      }
+      acc = lanes.add(acc, contrib);
+    }
+  };
+  for (const Event& ev : events) {
+    add_through(ev.pos);
+    acc = lanes.corrupt(acc, ev.and_mask, ev.or_mask);
+  }
+  add_through(std::numeric_limits<int>::max());
+  lanes.store(out, acc);
+}
+
 }  // namespace
 
 SystolicGemmEngine::SystolicGemmEngine(const ArrayConfig& cfg,
                                        const fault::FaultMap* map,
                                        FaultHandling handling)
     : cfg_(cfg), map_(map), handling_(handling) {
+  static_assert(kLanes == compute::kI32Lanes);
   if (map_ && (map_->rows() != cfg.rows || map_->cols() != cfg.cols)) {
     throw std::invalid_argument(
         "SystolicGemmEngine: fault map does not match array dimensions");
@@ -60,22 +199,27 @@ const SystolicGemmEngine::LayerPlan& SystolicGemmEngine::plan_for(
       it->second.k == k && it->second.n == n) {
     return it->second;
   }
+  const fx::FixedFormat& fmt = cfg_.format;
   LayerPlan plan;
   plan.k = k;
   plan.n = n;
+  plan.n8 = (n + kLanes - 1) / kLanes * kLanes;
   plan.padded_k = padded_k(k, cfg_);
   plan.weight_ptr = w;
   plan.weight_hash = hash;
-  plan.qweights.resize(static_cast<std::size_t>(k) * n);
+  plan.qweights.assign(static_cast<std::size_t>(k) * plan.n8, 0);
+  std::vector<std::int64_t> col_abs_sum(static_cast<std::size_t>(plan.n8), 0);
   for (int kk = 0; kk < k; ++kk) {
     for (int j = 0; j < n; ++j) {
       const bool bypassed =
           handling_ == FaultHandling::kBypass && map_ &&
           map_->is_faulty(kk % cfg_.rows, j % cfg_.cols);
-      plan.qweights[static_cast<std::size_t>(kk) * n + j] =
+      const std::int32_t q =
           bypassed ? 0
-                   : cfg_.format.quantize(
-                         w[static_cast<std::size_t>(kk) * n + j]);
+                   : fmt.quantize(w[static_cast<std::size_t>(kk) * n + j]);
+      plan.qweights[static_cast<std::size_t>(kk) * plan.n8 + j] = q;
+      col_abs_sum[static_cast<std::size_t>(j)] +=
+          std::abs(static_cast<std::int64_t>(q));
     }
   }
   // One event schedule per physical PE column: output columns folding
@@ -93,29 +237,37 @@ const SystolicGemmEngine::LayerPlan& SystolicGemmEngine::plan_for(
       }
     }
   }
-  // Fast-path metadata: a packed column-contiguous weight copy and the
-  // per-column |qweight| prefix sums backing the overflow headroom proof.
-  plan.qweights_cols.resize(static_cast<std::size_t>(n) * k);
-  plan.col_abs_prefix.resize(static_cast<std::size_t>(n) * (k + 1));
-  plan.col_fast.assign(static_cast<std::size_t>(n), 0);
-  for (int j = 0; j < n; ++j) {
-    std::int32_t* col = plan.qweights_cols.data() +
-                        static_cast<std::size_t>(j) * k;
-    std::int64_t* prefix = plan.col_abs_prefix.data() +
-                           static_cast<std::size_t>(j) * (k + 1);
-    prefix[0] = 0;
-    for (int kk = 0; kk < k; ++kk) {
-      const std::int32_t q =
-          plan.qweights[static_cast<std::size_t>(kk) * n + j];
-      col[kk] = q;
-      prefix[kk + 1] = prefix[kk] + std::abs(static_cast<std::int64_t>(q));
+  // Per column group: the lanes' schedules merged by position, and the
+  // headroom proof for the plain-add path.
+  const int groups = plan.n8 / kLanes;
+  plan.group_events.assign(static_cast<std::size_t>(groups), {});
+  plan.group_fast.assign(static_cast<std::size_t>(groups), 0);
+  for (int g = 0; g < groups; ++g) {
+    std::map<int, GroupEvent> merged;
+    std::int64_t max_abs_sum = 0;
+    for (int lane = 0; lane < kLanes; ++lane) {
+      const int j = g * kLanes + lane;
+      max_abs_sum =
+          std::max(max_abs_sum, col_abs_sum[static_cast<std::size_t>(j)]);
+      if (j >= n) continue;
+      for (const FaultEvent& ev :
+           plan.pe_column_events[static_cast<std::size_t>(j % cfg_.cols)]) {
+        GroupEvent& ge = merged[ev.pos];
+        ge.pos = ev.pos;
+        ge.and_mask[lane] = static_cast<std::int32_t>(~ev.bits.sa0_mask);
+        ge.or_mask[lane] =
+            static_cast<std::int32_t>(ev.bits.sa1_mask & fmt.to_bits(-1));
+      }
     }
-    const bool no_events =
-        plan.pe_column_events[static_cast<std::size_t>(j % cfg_.cols)]
-            .empty();
-    plan.col_fast[static_cast<std::size_t>(j)] =
-        no_events && cfg_.format.saturation_free(prefix[k]) ? 1 : 0;
+    auto& events = plan.group_events[static_cast<std::size_t>(g)];
+    for (const auto& [pos, ge] : merged) events.push_back(ge);
+    plan.group_fast[static_cast<std::size_t>(g)] =
+        events.empty() && fmt.saturation_free(max_abs_sum) ? 1 : 0;
   }
+  const std::vector<float> zeros(static_cast<std::size_t>(k), 0.0f);
+  plan.zero_row.resize(static_cast<std::size_t>(n));
+  std::uint64_t no_steps = 0;
+  reference_row(plan, zeros.data(), plan.zero_row.data(), n, no_steps);
   auto [ins, _] = plans_.insert_or_assign(tag, std::move(plan));
   return ins->second;
 }
@@ -138,7 +290,7 @@ void SystolicGemmEngine::reference_row(const LayerPlan& plan,
         const float av = arow[kk];
         if (av == 0.0f) continue;
         std::int32_t contrib =
-            plan.qweights[static_cast<std::size_t>(kk) * plan.n + j];
+            plan.qweights[static_cast<std::size_t>(kk) * plan.n8 + j];
         if (av != 1.0f) {
           // Real-valued activation (spike-encoder input): fixed multiply.
           contrib = fmt.mul(contrib, fmt.quantize(av));
@@ -166,132 +318,88 @@ void SystolicGemmEngine::reference_row(const LayerPlan& plan,
   }
 }
 
-void SystolicGemmEngine::exact_binary_column(
-    const LayerPlan& plan, const std::vector<int>& nz, int j, float* crow,
-    std::uint64_t& local_steps) const {
-  const fx::FixedFormat& fmt = cfg_.format;
-  const std::vector<FaultEvent>& events =
-      plan.pe_column_events[static_cast<std::size_t>(j % cfg_.cols)];
-  const std::int32_t* col =
-      plan.qweights_cols.data() + static_cast<std::size_t>(j) * plan.k;
-  const std::int64_t* prefix =
-      plan.col_abs_prefix.data() +
-      static_cast<std::size_t>(j) * (plan.k + 1);
-  std::int32_t acc = 0;
-
-  // Segment walk identical to the reference, but each segment whose
-  // headroom proof holds at runtime (incoming |acc| + segment |qweight|
-  // sum within the raw bounds) uses plain adds — bit-identical because no
-  // step can saturate.
-  const auto accumulate_segment = [&](int lo, int hi) {
-    const int stop = std::min(hi, plan.k);  // padding rows hold w == 0
-    if (lo >= stop) return;
-    auto it = std::lower_bound(nz.begin(), nz.end(), lo);
-    const std::int64_t headroom = prefix[stop] - prefix[lo];
-    if (fmt.saturation_free(std::abs(static_cast<std::int64_t>(acc)) +
-                            headroom)) {
-      for (; it != nz.end() && *it < stop; ++it) {
-        acc += col[*it];
-        ++local_steps;
-      }
-    } else {
-      for (; it != nz.end() && *it < stop; ++it) {
-        acc = fmt.add(acc, col[*it]);
-        ++local_steps;
-      }
-    }
-  };
-
-  if (events.empty()) {
-    accumulate_segment(0, plan.padded_k);
-  } else {
-    int cursor = 0;
-    for (const FaultEvent& ev : events) {
-      accumulate_segment(cursor, ev.pos);
-      accumulate_segment(ev.pos, ev.pos + 1);
-      acc = ev.bits.apply(acc, fmt);
-      cursor = ev.pos + 1;
-    }
-    accumulate_segment(cursor, plan.padded_k);
-  }
-  crow[j] = static_cast<float>(fmt.dequantize(acc));
-}
-
 void SystolicGemmEngine::run_rows(const LayerPlan& plan, const float* a,
                                   float* c, int i0, int i1, int n) {
   const fx::FixedFormat& fmt = cfg_.format;
+#if defined(__AVX2__)
+  const NarrowLanes narrow(fmt);
+#endif
+  const WideLanes wide(fmt);
   std::uint64_t local_steps = 0;
   // Path-taken telemetry, accumulated locally like local_steps so the
   // hot loops pay plain increments and each worker publishes once.
-  std::uint64_t local_vector = 0, local_scalar = 0, local_fallback = 0,
+  std::uint64_t local_vector = 0, local_fallback = 0, local_zero = 0,
                 local_reference = 0;
-  std::vector<int> nz;  // nonzero positions of the current row
-  nz.reserve(static_cast<std::size_t>(plan.k));
+  RowScan row;
+  row.nz.resize(static_cast<std::size_t>(plan.k));
+  row.qa.resize(static_cast<std::size_t>(plan.k));
+  row.one.resize(static_cast<std::size_t>(plan.k));
 
   for (int i = i0; i < i1; ++i) {
     const float* arow = a + static_cast<std::size_t>(i) * plan.k;
     float* crow = c + static_cast<std::size_t>(i) * n;
 
-    // One pass over the row: collect nonzero positions and detect
-    // whether every nonzero activation is a binary spike (exactly 1.0f).
-    // The nz list is then shared by every output column of this row.
-    nz.clear();
-    bool binary = true;
-    for (int kk = 0; kk < plan.k; ++kk) {
-      const float av = arow[kk];
-      if (av == 0.0f) continue;
-      if (av != 1.0f) binary = false;
-      nz.push_back(kk);
-    }
-
-    if (force_scalar_ || !binary) {
-      // Real-valued activations need the per-step fixed multiply; the
-      // reference loop handles them (and is the byte-for-byte oracle the
-      // FALVOLT_FORCE_SCALAR knob pins every row to).
+    if (force_scalar_) {
+      // The byte-for-byte oracle the FALVOLT_FORCE_SCALAR knob pins
+      // every row to.
       reference_row(plan, arow, crow, n, local_steps);
       ++local_reference;
       continue;
     }
 
-    const int count = static_cast<int>(nz.size());
-    int j = 0;
-    for (; j + compute::kI32Lanes <= n; j += compute::kI32Lanes) {
-      bool group_fast = true;
-      for (int lane = 0; lane < compute::kI32Lanes; ++lane) {
-        group_fast = group_fast &&
-                     plan.col_fast[static_cast<std::size_t>(j + lane)];
-      }
-      if (group_fast) {
-        // 8 adjacent fault-free, headroom-proven columns: one vector
-        // accumulator, one load+add per nonzero input position.
-        std::int32_t accs[compute::kI32Lanes];
-        compute::accumulate_rows_i32x8(plan.qweights.data() + j, n,
-                                       nz.data(), count, accs);
-        for (int lane = 0; lane < compute::kI32Lanes; ++lane) {
-          crow[j + lane] = static_cast<float>(fmt.dequantize(accs[lane]));
-        }
-        local_steps +=
-            static_cast<std::uint64_t>(compute::kI32Lanes) * count;
-        local_vector += static_cast<std::uint64_t>(compute::kI32Lanes);
-        continue;
-      }
-      for (int lane = 0; lane < compute::kI32Lanes; ++lane) {
-        exact_binary_column(plan, nz, j + lane, crow, local_steps);
-        ++local_fallback;
+    // One pass over the row: the nonzero positions, shared by every
+    // column group, and whether every nonzero is a binary spike.
+    bool binary = true;
+    row.count =
+        compute::nonzero_positions(arow, plan.k, row.nz.data(), binary);
+    const int count = row.count;
+    if (count == 0) {
+      std::copy(plan.zero_row.begin(), plan.zero_row.end(), crow);
+      ++local_zero;
+      continue;
+    }
+    if (!binary) {
+      // Quantize each real-valued entry once for the whole row.
+      for (int t = 0; t < count; ++t) {
+        const float av = arow[row.nz[static_cast<std::size_t>(t)]];
+        row.one[static_cast<std::size_t>(t)] = av == 1.0f;
+        row.qa[static_cast<std::size_t>(t)] = fmt.quantize(av);
       }
     }
-    for (; j < n; ++j) {
-      if (plan.col_fast[static_cast<std::size_t>(j)]) {
-        const std::int32_t* col = plan.qweights_cols.data() +
-                                  static_cast<std::size_t>(j) * plan.k;
-        std::int32_t acc = 0;
-        for (int t = 0; t < count; ++t) acc += col[nz[static_cast<std::size_t>(t)]];
-        crow[j] = static_cast<float>(fmt.dequantize(acc));
-        local_steps += static_cast<std::uint64_t>(count);
-        ++local_scalar;
+    local_steps += static_cast<std::uint64_t>(count) * n;
+
+    for (int j = 0; j < n; j += kLanes) {
+      const std::size_t g = static_cast<std::size_t>(j / kLanes);
+      const int width = std::min(kLanes, n - j);  // the last group pads
+      const std::int32_t* w = plan.qweights.data() + j;
+      std::int32_t accs[kLanes] = {};
+      if (binary && plan.group_fast[g]) {
+        // No events, no saturation: one load+add per nonzero position.
+        compute::accumulate_rows_i32x8(w, plan.n8, row.nz.data(), count,
+                                       accs);
+        local_vector += static_cast<std::uint64_t>(width);
       } else {
-        exact_binary_column(plan, nz, j, crow, local_steps);
-        ++local_fallback;
+        const auto walk = [&](const auto& lanes) {
+          const auto& events = plan.group_events[g];
+          if (binary) {
+            walk_group<false>(lanes, w, plan.n8, row, events, accs);
+          } else {
+            walk_group<true>(lanes, w, plan.n8, row, events, accs);
+          }
+        };
+#if defined(__AVX2__)
+        if (NarrowLanes::exact(fmt, !binary)) {
+          walk(narrow);
+        } else {
+          walk(wide);
+        }
+#else
+        walk(wide);
+#endif
+        local_fallback += static_cast<std::uint64_t>(width);
+      }
+      for (int lane = 0; lane < width; ++lane) {
+        crow[j + lane] = static_cast<float>(fmt.dequantize(accs[lane]));
       }
     }
   }
@@ -300,22 +408,23 @@ void SystolicGemmEngine::run_rows(const LayerPlan& plan, const float* a,
   // telemetry; the paths are bit-identical by contract), as process-wide
   // obs counters so the path mix shows up in --metrics-json without
   // threading engine pointers up through the sweep layers:
-  //   vector_cols     columns done 8-wide by accumulate_rows_i32x8
-  //   scalar_cols     fast-path remainder columns (plain scalar adds)
-  //   fallback_cols   exact_binary_column (runtime headroom checks)
-  //   reference_rows  whole rows through the serial reference loop
-  // Column counts cover binary-spike rows only; a reference row counts
-  // once however many columns it holds.
+  //   vector_cols     columns of binary rows done by plain int32 adds
+  //   fallback_cols   columns through the exact 8-lane walk
+  //   zero_rows       all-zero rows served from the plan
+  //   reference_rows  forced-scalar rows through the serial reference
+  // Every run covers each output element once:
+  //   vector_cols + fallback_cols + n * (zero_rows + reference_rows)
+  //     == m * n.
   static obs::Counter& g_vector = obs::counter("kernel.faulty_gemm.vector_cols");
-  static obs::Counter& g_scalar = obs::counter("kernel.faulty_gemm.scalar_cols");
   static obs::Counter& g_fallback =
       obs::counter("kernel.faulty_gemm.fallback_cols");
+  static obs::Counter& g_zero = obs::counter("kernel.faulty_gemm.zero_rows");
   static obs::Counter& g_reference =
       obs::counter("kernel.faulty_gemm.reference_rows");
   static obs::Counter& g_steps = obs::counter("kernel.faulty_gemm.steps");
   if (local_vector) g_vector.add(local_vector);
-  if (local_scalar) g_scalar.add(local_scalar);
   if (local_fallback) g_fallback.add(local_fallback);
+  if (local_zero) g_zero.add(local_zero);
   if (local_reference) g_reference.add(local_reference);
   if (local_steps) g_steps.add(local_steps);
 }

@@ -10,24 +10,34 @@
 // including corruption by idle padding rows and saturation per step — and
 // is tested bit-identical against the register-level cycle simulator.
 //
-// The per-layer plan quantizes the weights and precomputes the fault-event
-// schedule once per physical PE column (output columns folding onto the
-// same PE column share it). Output rows are independent, so `run` splits
-// them across the compute thread pool; each row is evaluated exactly as in
-// a serial run, keeping the result bit-identical for any thread count.
+// The per-layer plan quantizes the weights once, zero-padded to a whole
+// number of 8-column groups, and precomputes the fault-event schedule
+// once per physical PE column (output columns folding onto the same PE
+// column share it). Output rows are independent, so `run` splits them
+// across the compute thread pool; each row is evaluated exactly as in a
+// serial run, keeping the result bit-identical for any thread count.
 //
-// Hot path: the serial reference walks every (row, column, position) with
-// a saturating add per step. The plan additionally carries a packed
-// column-contiguous copy of the quantized weights and per-column prefix
-// sums of |qweight| — an *overflow headroom proof*. When a traversal
-// segment provably cannot saturate (sum of absolute contributions, plus
-// the magnitude of the incoming partial sum, stays within the format's
-// raw bounds), the saturating add chain is replaced by plain int32 adds,
-// vectorized across groups of 8 output columns (compute/simd.h; AVX2 with
-// a bit-identical scalar fallback). Segments that might saturate, rows
-// with real-valued (non-binary-spike) activations, and builds with
-// FALVOLT_FORCE_SCALAR=1 take the exact serial reference loop, so the
-// fast path is always byte-for-byte checkable against it.
+// Hot path: the serial reference walks every (row, column, position)
+// with a saturating add per step. The fast path scans each row once and
+// then serves it 8 output columns at a time:
+//   - an all-zero row copies the plan's zero-row output (the fault
+//     events applied to an empty partial sum, computed at plan time by
+//     the reference itself);
+//   - a binary-spike row on a group with no fault events whose |qweight|
+//     column sums fit the format's raw bounds (the overflow headroom
+//     proof) takes plain int32 adds;
+//   - every other row and group takes the exact 8-lane walk: the row's
+//     nonzero positions merged with the group's fault events, a clamped
+//     add at each nonzero, the stuck-bit AND/OR masks at each event
+//     (identity on lanes without one). Real-valued (non-binary) entries
+//     are quantized once per row and multiplied in the lanes.
+// With AVX2 the lanes are int32 (compute/simd.h) when that is exact for
+// the format — at most 31 bits for adds, at most 16 when real-valued
+// entries multiply. Other formats, and every format in a build without
+// AVX2, walk one lane at a time in FixedFormat's 64-bit arithmetic.
+// FALVOLT_FORCE_SCALAR=1
+// sends every row through the serial reference, so the fast path is
+// always byte-for-byte checkable against it.
 //
 // Fault handling modes:
 //   kCorrupt — stuck bits corrupt the psum (the unmitigated chip);
@@ -67,8 +77,9 @@ class SystolicGemmEngine final : public snn::GemmEngine {
   void set_threads(int threads) { threads_ = threads; }
   int threads() const { return threads_; }
 
-  /// Force the exact serial reference loop, disabling the vectorized
-  /// saturation-free fast path (tests diff the two byte-for-byte).
+  /// Force the exact serial reference loop for every row, disabling the
+  /// zero-row, vector and 8-lane paths (tests diff the two
+  /// byte-for-byte).
   /// Defaults to the FALVOLT_FORCE_SCALAR environment variable.
   void set_force_scalar(bool force) { force_scalar_ = force; }
   bool force_scalar() const { return force_scalar_; }
@@ -80,30 +91,41 @@ class SystolicGemmEngine final : public snn::GemmEngine {
   }
 
  private:
+  static constexpr int kLanes = 8;  // one column group
+
   struct FaultEvent {
     int pos = 0;  // traversal position in [0, padded_k)
     fx::StuckBits bits;
   };
+  // One position of a column group's merged event schedule: lane l
+  // corrupts its partial sum to sign_extend((acc & and_mask[l]) |
+  // or_mask[l]). Lanes without an event here keep the identity masks
+  // (-1, 0), exact because every partial sum is a canonical raw value.
+  struct GroupEvent {
+    int pos = 0;
+    std::int32_t and_mask[kLanes] = {-1, -1, -1, -1, -1, -1, -1, -1};
+    std::int32_t or_mask[kLanes] = {};
+  };
   struct LayerPlan {
-    std::vector<std::int32_t> qweights;  // [k x n], bypassed weights zeroed
-    // Packed column-contiguous copy of qweights ([n x k], column j at
-    // offset j*k): the per-column scalar fast path walks one column
-    // sequentially instead of striding by n.
-    std::vector<std::int32_t> qweights_cols;
-    // Overflow-headroom proof: per column j, prefix sums of |qweight|
-    // down the column ([n x (k+1)], prefix[j*(k+1) + t] = sum of the
-    // first t entries). A traversal segment [lo, hi) of column j sums to
-    // at most prefix[hi'] - prefix[lo] in magnitude (hi' = min(hi, k)).
-    std::vector<std::int64_t> col_abs_prefix;
-    // Per output column: 1 when the whole column is fast-path eligible —
-    // no fault events on its PE column and the full-column headroom fits
-    // the format's raw bounds.
-    std::vector<std::uint8_t> col_fast;
+    // Quantized weights, [k x n8] with n8 = n rounded up to a multiple
+    // of 8; padding columns and bypassed weights hold 0. Column group g
+    // is the 8 adjacent columns at offset 8g.
+    std::vector<std::int32_t> qweights;
     // Fault-event schedule per *physical* PE column; output column j uses
     // entry j mod cols. Sized min(n, cols) — the PE columns actually hit.
     std::vector<std::vector<FaultEvent>> pe_column_events;
+    // Per column group: its lanes' PE-column schedules merged, sorted by
+    // position.
+    std::vector<std::vector<GroupEvent>> group_events;
+    // Per column group: 1 when no lane has a fault event and every
+    // lane's sum of |qweight| fits the format's raw bounds, so a binary
+    // row's partial sums cannot saturate and plain int32 adds are exact.
+    std::vector<std::uint8_t> group_fast;
+    // The output row of an all-zero input row (fault events only).
+    std::vector<float> zero_row;
     int k = 0;
     int n = 0;
+    int n8 = 0;
     int padded_k = 0;
     const float* weight_ptr = nullptr;   // last seen buffer (diagnostic)
     std::uint64_t weight_hash = 0;       // content identity of the weights
@@ -117,12 +139,6 @@ class SystolicGemmEngine final : public snn::GemmEngine {
   /// per-step saturating accumulate + fault events, any activation kind.
   void reference_row(const LayerPlan& plan, const float* arow, float* crow,
                      int n, std::uint64_t& local_steps) const;
-  /// One column of a binary-spike row via the event/segment walk, with
-  /// per-segment runtime headroom checks. `nz` holds the row's nonzero
-  /// positions (all exactly 1.0f), sorted ascending.
-  void exact_binary_column(const LayerPlan& plan, const std::vector<int>& nz,
-                           int j, float* crow,
-                           std::uint64_t& local_steps) const;
 
   ArrayConfig cfg_;
   const fault::FaultMap* map_;

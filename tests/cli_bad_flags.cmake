@@ -53,6 +53,12 @@ expect_exit_2(${SWEEP_FLEET} --store ${STORE} --list-scenarios --hosts -1)
 expect_exit_2(${SWEEP_FLEET} --store ${STORE} --list-scenarios
               --worker-faults 0:mode=runlength,runlen=1,kill=1)
 expect_exit_2(${SWEEP_FLEET} --list-scenarios)
+# A substituter that is not a store is a usage error, caught before the
+# fleet creates its own store.
+expect_exit_2(${SWEEP_FLEET} --store ${STORE} --substituters ${STORE}_nope)
+if(NOT last_error MATCHES "is not a store")
+  message(FATAL_ERROR "a missing substituter must say why")
+endif()
 expect_exit_2(${SWEEP_MERGE} --bogus)
 
 # Bench flags are set with --set, so --help lists every grid's own.

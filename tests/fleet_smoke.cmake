@@ -17,8 +17,9 @@
 #      writes no figure; sweep_merge unions the shards into the table
 #      the cold store holds, and warm runs over the merged store, the
 #      compacted store, and a fresh store substituting from the cold one
-#      compute nothing and write the cold figure. Missing merge sources
-#      and substituters fail.
+#      compute nothing and write the cold figure (the fresh store's
+#      --list-scenarios, run before it exists, already lists no MISS).
+#      Missing merge sources and substituters fail.
 #
 # Run from a scratch working directory with $FALVOLT_CACHE_DIR set (the
 # baseline cache is kept across runs; stores and outputs are not):
@@ -222,6 +223,12 @@ expect_same_file(${root}/ref/fig5b_fault_count.csv
                  ${root}/shard/fig5b_fault_count.csv)
 
 file(REMOVE ${root}/shard/fig5b_fault_count.csv)
+fleet(shard --store SUB --substituters ${cold_store} --list-scenarios)
+string(REGEX MATCHALL " MISS " misses "${run_out}")
+if(misses OR EXISTS ${root}/shard/SUB)
+  message(FATAL_ERROR "listing a fresh store over a complete substituter "
+                      "must show no MISS and create nothing:\n${run_out}")
+endif()
 fleet(shard --store SUB --substituters ${cold_store} --json sub.json)
 expect_computed(${root}/shard/sub.json 0)
 expect_no_records(${root}/shard/SUB)

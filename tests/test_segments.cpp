@@ -299,6 +299,8 @@ TEST_F(SegmentTest, SubstituterHitVersusLocalMissPrecedence) {
 
 TEST_F(SegmentTest, OpenStoreRejectsMissingSubstituter) {
   EXPECT_THROW(open_store(root_, {root_ + "_typo"}), std::invalid_argument);
+  // The substituters are checked before the root layer may create it.
+  EXPECT_FALSE(fs::exists(root_));
 }
 
 TEST_F(SegmentTest, GcKeepsLiveSegmentsDeletesDeadOnesAndCountsDeadBytes) {

@@ -22,26 +22,6 @@
 namespace falvolt::core {
 namespace {
 
-TEST(Sweep, ScenarioSeedIsKeyedAndDeterministic) {
-  Scenario a;
-  a.key = "MNIST/rate=30/vth=0.45";
-  a.fault_seed = 4030;
-  EXPECT_EQ(scenario_seed(a), scenario_seed(a));
-
-  Scenario b = a;
-  b.key = "MNIST/rate=30/vth=0.50";
-  EXPECT_NE(scenario_seed(a), scenario_seed(b));
-
-  Scenario c = a;
-  c.fault_seed = 4060;
-  EXPECT_NE(scenario_seed(a), scenario_seed(c));
-
-  // Matching streams, independent state.
-  common::Rng r1 = scenario_rng(a);
-  common::Rng r2 = scenario_rng(a);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(r1.next_u64(), r2.next_u64());
-}
-
 TEST(Sweep, ResultTableAggregatesInScenarioOrder) {
   ResultTable table(3);
   for (const std::size_t i : {2u, 0u, 1u}) {  // out-of-order puts
