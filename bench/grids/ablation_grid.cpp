@@ -1,5 +1,5 @@
-// Ablation grid — FalVolt design-choice ablations (DESIGN.md §5), all
-// on the MNIST workload at 30% faulty PEs:
+// Ablation grid — four FalVolt design-choice ablations, all on the
+// MNIST workload at 30% faulty PEs:
 //   A1  per-layer learnable V_th (FalVolt)  vs  one global learnable V_th
 //       vs  frozen V_th (FaPIT)
 //   A2  re-zeroing pruned weights every epoch (Algorithm 1 line 13)

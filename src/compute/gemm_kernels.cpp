@@ -431,53 +431,6 @@ void gemm_at_b_tiled(const float* a, const float* b, float* c, int k, int m,
   }
 }
 
-void gemm_a_bt_k8(const float* at, int lda, const float* bt, int ldb,
-                  float* c, int m, int n) {
-  // gemm_a_bt_blocked's schedule at k = 8: partial q (0..3) is
-  // a[q]*b[q] + 0, then + a[q+4]*b[q+4]; the row result is
-  // 0 + ((s0 + s1) + (s2 + s3)), the zeroed output plus the partials.
-  const std::size_t ld = static_cast<std::size_t>(lda);
-  const std::size_t ldb8 = static_cast<std::size_t>(ldb);
-  const F32x8 zero = splat_f32x8(0.0f);
-  for (int i = 0; i < m; ++i) {
-    const float* ai = at + i;
-    const F32x8 a0 = splat_f32x8(ai[0]);
-    const F32x8 a1 = splat_f32x8(ai[ld]);
-    const F32x8 a2 = splat_f32x8(ai[2 * ld]);
-    const F32x8 a3 = splat_f32x8(ai[3 * ld]);
-    const F32x8 a4 = splat_f32x8(ai[4 * ld]);
-    const F32x8 a5 = splat_f32x8(ai[5 * ld]);
-    const F32x8 a6 = splat_f32x8(ai[6 * ld]);
-    const F32x8 a7 = splat_f32x8(ai[7 * ld]);
-    float* crow = c + static_cast<std::size_t>(i) * n;
-    int j = 0;
-    for (; j + 8 <= n; j += 8) {
-      const float* bj = bt + j;
-      F32x8 s0 = madd_f32x8(a0, load_f32x8(bj), zero);
-      F32x8 s1 = madd_f32x8(a1, load_f32x8(bj + ldb8), zero);
-      F32x8 s2 = madd_f32x8(a2, load_f32x8(bj + 2 * ldb8), zero);
-      F32x8 s3 = madd_f32x8(a3, load_f32x8(bj + 3 * ldb8), zero);
-      s0 = madd_f32x8(a4, load_f32x8(bj + 4 * ldb8), s0);
-      s1 = madd_f32x8(a5, load_f32x8(bj + 5 * ldb8), s1);
-      s2 = madd_f32x8(a6, load_f32x8(bj + 6 * ldb8), s2);
-      s3 = madd_f32x8(a7, load_f32x8(bj + 7 * ldb8), s3);
-      store_f32x8(crow + j, add_f32x8(zero, add_f32x8(add_f32x8(s0, s1),
-                                                      add_f32x8(s2, s3))));
-    }
-    for (; j < n; ++j) {
-      const float* bj = bt + j;
-      float s[4] = {};
-      for (int q = 0; q < 4; ++q) {
-        s[q] = madd(ai[q * ld], bj[q * ldb8], 0.0f);
-      }
-      for (int q = 0; q < 4; ++q) {
-        s[q] = madd(ai[(q + 4) * ld], bj[(q + 4) * ldb8], s[q]);
-      }
-      crow[j] = 0.0f + ((s[0] + s[1]) + (s[2] + s[3]));
-    }
-  }
-}
-
 void gemm_auto(const float* a, const float* b, float* c, int m, int k,
                int n, bool accumulate) {
   const long long flops =

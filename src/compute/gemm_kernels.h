@@ -8,9 +8,9 @@
 //   *_blocked  — cache-blocked: B packed into column panels, register
 //                tiling over an MR x NR micro-tile, K sliced into panels
 //                of kKc that fit L1/L2.
-//   gemm_at_b_tiled, gemm_a_bt_k8
-//              — register-tiled kernels for the conv backward pass that
-//                reproduce a reference tier's bits faster.
+//   gemm_at_b_tiled
+//              — a register-tiled kernel for the conv weight gradient that
+//                reproduces the naive tier's bits faster.
 //   gemm_auto* — dispatch: picks a tier by problem shape (and, where the
 //                tiers sum in different orders, by input density), and
 //                splits output rows across the global thread pool when the
@@ -27,12 +27,17 @@
 //     sums K panels as separate partials and agrees only to tolerance.
 //   - gemm_at_b_tiled equals gemm_at_b_naive bit for bit (same chain,
 //     starting from C), while gemm_at_b_blocked sums in panels.
-//   - gemm_a_bt_k8 equals gemm_a_bt_blocked bit for bit at k = 8.
 //
-// The two shape-specific kernels pin every multiply-add with
-// compute/simd.h's madd(), which rounds as the compiler's contraction of
-// the other tiers' `c += a * b` does: fused in optimised FMA builds,
-// product then add elsewhere.
+// gemm_at_b_tiled pins every multiply-add with compute/simd.h's madd(),
+// which rounds as the compiler's contraction of the other tiers'
+// `c += a * b` does: fused in optimised FMA builds, product then add
+// elsewhere.
+//
+// Conv2d's float path reproduces two of these tiers' per-element
+// schedules without calling them (tensor/im2col.h): its direct forward
+// kernel is gemm_blocked's chain for K <= kKc, and its fused input
+// gradient at Cout = 8 is gemm_a_bt_blocked's four-partial schedule
+// followed by col2im's add order.
 //
 // tensor::gemm / gemm_at_b / gemm_a_bt are thin wrappers over the auto
 // dispatchers; call the explicit tiers directly only in benches, tests
@@ -88,14 +93,6 @@ void gemm_a_bt_blocked(const float* a, const float* b, float* c, int m,
 /// naive kernel it splits across the pool by output tiles.
 void gemm_at_b_tiled(const float* a, const float* b, float* c, int k, int m,
                      int n, bool accumulate = false, int threads = 1);
-
-/// C[m x n] = A * B^T for k = 8, overwriting C with exactly what
-/// gemm_a_bt_blocked(accumulate=false) computes, but vectorized across
-/// the n output columns. Both operands come transposed: A as 8 rows of
-/// stride `lda` (row q holds A[0..m)[q]), B as 8 rows of stride `ldb` (row
-/// q holds B[0..n)[q]); C has row stride n.
-void gemm_a_bt_k8(const float* at, int lda, const float* bt, int ldb,
-                  float* c, int m, int n);
 
 // --------------------------------------------------------------- dispatch
 

@@ -9,12 +9,13 @@
 // shape (and therefore the same add order per lane), so results are
 // bit-identical whether or not AVX2 is compiled in.
 //
-// The float helpers below serve hand-vectorized GEMM kernels that must
-// reproduce the scalar loops of gemm_kernels.cpp bit for bit. Those loops
-// accumulate with `c += a * b`, which GCC (at -O2 and above) and Clang
-// contract into one fused multiply-add when the target has FMA; GCC at
-// -O0 rounds the product first. madd() and madd_f32x8() pin that same
-// choice, so a kernel built from them matches the loops in every build.
+// The float helpers below serve hand-vectorized kernels (GEMM tiers,
+// direct convolution, PLIF) that must reproduce scalar loops bit for
+// bit. Those loops accumulate with `c += a * b`, which GCC (at -O2 and
+// above) and Clang contract into one fused multiply-add when the target
+// has FMA; GCC at -O0 rounds the product first. madd() and madd_f32x8()
+// pin that same choice, so a kernel built from them matches the loops in
+// every build.
 // Writing the expression out is not enough: in `a * b + c * d` the
 // compiler may fuse either product. (GCC at -O1/-Og does not contract
 // either; the CMake build types use -O0, -O2, -O3 or -Os.)
@@ -45,14 +46,31 @@ inline float madd(float a, float b, float c) {
 #endif
 }
 
+/// The double twin of madd(), for `double` accumulations.
+inline double madd(double a, double b, double c) {
+#if FALVOLT_FUSED_MADD
+  return __builtin_fma(a, b, c);
+#else
+  return a * b + c;
+#endif
+}
+
 /// Eight float lanes: one AVX register, or a plain array in the portable
-/// build (same lanes, same per-lane operations).
+/// build (same lanes, same per-lane operations). M32x8 is a lane mask
+/// from a compare, consumed by select_f32x8.
 #if defined(__AVX2__)
 using F32x8 = __m256;
+using M32x8 = __m256;
 inline F32x8 load_f32x8(const float* p) { return _mm256_loadu_ps(p); }
 inline void store_f32x8(float* p, F32x8 v) { _mm256_storeu_ps(p, v); }
 inline F32x8 splat_f32x8(float v) { return _mm256_set1_ps(v); }
 inline F32x8 add_f32x8(F32x8 a, F32x8 b) { return _mm256_add_ps(a, b); }
+inline F32x8 sub_f32x8(F32x8 a, F32x8 b) { return _mm256_sub_ps(a, b); }
+inline F32x8 mul_f32x8(F32x8 a, F32x8 b) { return _mm256_mul_ps(a, b); }
+/// Lane-wise |a| (clears the sign bit, as std::fabs does).
+inline F32x8 abs_f32x8(F32x8 a) {
+  return _mm256_andnot_ps(_mm256_set1_ps(-0.0f), a);
+}
 /// Lane-wise madd(a, b, c).
 inline F32x8 madd_f32x8(F32x8 a, F32x8 b, F32x8 c) {
 #if FALVOLT_FUSED_MADD
@@ -61,9 +79,20 @@ inline F32x8 madd_f32x8(F32x8 a, F32x8 b, F32x8 c) {
   return _mm256_add_ps(_mm256_mul_ps(a, b), c);
 #endif
 }
+/// Lanes where a > b (false where either is NaN, as the scalar `>`).
+inline M32x8 gt_f32x8(F32x8 a, F32x8 b) {
+  return _mm256_cmp_ps(a, b, _CMP_GT_OQ);
+}
+/// Per lane: `mask ? a : b`.
+inline F32x8 select_f32x8(M32x8 mask, F32x8 a, F32x8 b) {
+  return _mm256_blendv_ps(b, a, mask);
+}
 #else
 struct F32x8 {
   float v[8];
+};
+struct M32x8 {
+  bool v[8];
 };
 inline F32x8 load_f32x8(const float* p) {
   F32x8 r{};
@@ -82,9 +111,30 @@ inline F32x8 add_f32x8(F32x8 a, F32x8 b) {
   for (int l = 0; l < 8; ++l) a.v[l] += b.v[l];
   return a;
 }
+inline F32x8 sub_f32x8(F32x8 a, F32x8 b) {
+  for (int l = 0; l < 8; ++l) a.v[l] -= b.v[l];
+  return a;
+}
+inline F32x8 mul_f32x8(F32x8 a, F32x8 b) {
+  for (int l = 0; l < 8; ++l) a.v[l] *= b.v[l];
+  return a;
+}
+inline F32x8 abs_f32x8(F32x8 a) {
+  for (int l = 0; l < 8; ++l) a.v[l] = __builtin_fabsf(a.v[l]);
+  return a;
+}
 inline F32x8 madd_f32x8(F32x8 a, F32x8 b, F32x8 c) {
   for (int l = 0; l < 8; ++l) c.v[l] = madd(a.v[l], b.v[l], c.v[l]);
   return c;
+}
+inline M32x8 gt_f32x8(F32x8 a, F32x8 b) {
+  M32x8 r{};
+  for (int l = 0; l < 8; ++l) r.v[l] = a.v[l] > b.v[l];
+  return r;
+}
+inline F32x8 select_f32x8(M32x8 mask, F32x8 a, F32x8 b) {
+  for (int l = 0; l < 8; ++l) a.v[l] = mask.v[l] ? a.v[l] : b.v[l];
+  return a;
 }
 #endif
 

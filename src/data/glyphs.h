@@ -1,13 +1,14 @@
 #pragma once
 // Procedural digit glyphs.
 //
-// The environment has no network access, so the MNIST / N-MNIST / DVS
-// datasets the paper uses are substituted with procedurally generated
-// equivalents (see DESIGN.md §4). The base ingredient for the two
-// digit-style datasets is a set of ten 8x8 digit bitmaps rendered into a
-// target canvas with random shift, thickness, and pixel noise — enough
-// intra-class variation that the classification task is non-trivial but
-// learnable to ≈99% by the paper's scaled-down PLIF networks.
+// The MNIST / N-MNIST / DVS datasets the paper uses are substituted with
+// procedurally generated equivalents, so a study needs no dataset
+// download and every split is reproducible from its seed. The base
+// ingredient for the two digit-style datasets is a set of ten 8x8 digit
+// bitmaps rendered into a target canvas with random shift, thickness,
+// and pixel noise — enough intra-class variation that the classification
+// task is non-trivial but learnable to ≈99% by the paper's scaled-down
+// PLIF networks.
 
 #include <array>
 #include <cstdint>

@@ -1,8 +1,9 @@
 #pragma once
-// MNIST-like static digit dataset (see DESIGN.md §4 for the substitution
-// rationale). 10 classes, single channel, canvas default 16x16; the same
-// image is repeated for every time step and the network's spike-encoder
-// conv layer converts it to spikes (direct coding, as in the paper).
+// MNIST-like static digit dataset, generated from data/glyphs.h in
+// place of the real MNIST. 10 classes, single channel, canvas default
+// 16x16; the same image is repeated for every time step and the
+// network's spike-encoder conv layer converts it to spikes (direct
+// coding, as in the paper).
 
 #include "common/rng.h"
 #include "data/dataset.h"

@@ -65,8 +65,9 @@ class FixedFormat {
   }
 
   /// Saturating fixed-point multiply with round-to-nearest.
-  /// Used only for the real-valued spike-encoder inputs (see DESIGN.md);
-  /// binary-spike layers never multiply.
+  /// Used only for the real-valued inputs of the spike-encoder conv
+  /// (direct coding: it sees pixel intensities, not spikes); binary-spike
+  /// layers never multiply.
   std::int32_t mul(std::int32_t a, std::int32_t b) const;
 
   /// Overflow-headroom proof used by the faulty-GEMM fast path: a chain

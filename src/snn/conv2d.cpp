@@ -85,6 +85,20 @@ tensor::Tensor Conv2d::forward(const tensor::Tensor& x, int t, Mode mode) {
   const int k = geometry_.patch_size();
   const int m = out_channels_;
   batch_ = n;
+  tensor::Tensor out({n, m, geometry_.out_h(), geometry_.out_w()});
+  const float* bias = has_bias_ ? bias_.value.data() : nullptr;
+
+  // The float path up to one K panel: the direct kernel gives the blocked
+  // GEMM's bits with no im2col matrix (training still keeps one per step
+  // for the weight gradient).
+  if (engine_ == nullptr && k <= compute::kKc) {
+    float* cols = mode == Mode::kTrain
+                      ? cols_buffer(t, mode, n * p, k).data()
+                      : nullptr;
+    tensor::conv_forward(x.data(), n, geometry_, weight_.value.data(), m,
+                         bias, out.data(), cols);
+    return out;
+  }
 
   tensor::Tensor& cols = cols_buffer(t, mode, n * p, k);
   tensor::im2col(x.data(), n, geometry_, cols.data());
@@ -96,15 +110,13 @@ tensor::Tensor Conv2d::forward(const tensor::Tensor& x, int t, Mode mode) {
           Layer::name());
 
   // Repack pixel-major rows into [N, Cout, OH, OW] and add bias.
-  tensor::Tensor out({n, m, geometry_.out_h(), geometry_.out_w()});
   for (int s = 0; s < n; ++s) {
     for (int pix = 0; pix < p; ++pix) {
       const float* row =
           prod.data() + (static_cast<std::size_t>(s) * p + pix) * m;
       for (int c = 0; c < m; ++c) {
         out.data()[((static_cast<std::size_t>(s) * m + c) * p) + pix] =
-            row[c] + (has_bias_ ? bias_.value[static_cast<std::size_t>(c)]
-                                : 0.0f);
+            row[c] + (bias != nullptr ? bias[c] : 0.0f);
       }
     }
   }
@@ -151,38 +163,29 @@ tensor::Tensor Conv2d::backward(const tensor::Tensor& grad_out, int t) {
     }
   }
 
-  // Input gradient, one sample at a time: dCols_s[p x k] = G_s * W^T
-  // fills a cache-resident block that col2im consumes straight away. The
-  // tier is picked once for the whole [n*p x k] product, as
-  // tensor::gemm_a_bt would pick it, so every block keeps its bits; at
-  // Cout = 8 the blocked tier's schedule runs vectorized across k.
+  // Input gradient. When the whole [n*p x m] * W^T product would run on
+  // gemm_a_bt's blocked tier and Cout = 8, one fused kernel adds each
+  // tap's gradient plane straight into the sample (tensor/im2col.h).
+  // Otherwise each sample's dCols_s[p x k] = G_s * W^T fills a
+  // cache-resident block that col2im consumes straight away, on the tier
+  // tensor::gemm_a_bt would pick for the whole product, so every block
+  // keeps its bits.
   tensor::Tensor grad_in(
       {n, in_channels_, geometry_.in_h, geometry_.in_w});
+  const bool blocked = compute::gemm_a_bt_picks_blocked(n * p, m, k);
+  if (blocked && m == 8) {
+    tensor::conv_input_grad8(grad_out.data(), n, geometry_,
+                             weight_.value.data(), grad_in.data());
+    return grad_in;
+  }
   const std::size_t in_plane =
       static_cast<std::size_t>(in_channels_) * geometry_.in_h * geometry_.in_w;
   const std::size_t block_size = static_cast<std::size_t>(p) * k;
-  const bool blocked = compute::gemm_a_bt_picks_blocked(n * p, m, k);
-  const bool k8 = blocked && m == 8;
-  // The k = 8 kernel reads G straight from grad_out's channel planes and
-  // W^T [m x k] with rows contiguous along k.
-  std::vector<float> wt;
-  if (k8) {
-    wt.resize(static_cast<std::size_t>(m) * k);
-    for (int kk = 0; kk < k; ++kk) {
-      for (int c = 0; c < m; ++c) {
-        wt[static_cast<std::size_t>(c) * k + kk] =
-            weight_.value[static_cast<std::size_t>(kk) * m + c];
-      }
-    }
-  }
   const auto samples = [&](int s0, int s1) {
     const std::unique_ptr<float[]> block(new float[block_size]);
     for (int s = s0; s < s1; ++s) {
       const std::size_t g_offset = static_cast<std::size_t>(s) * p * m;
-      if (k8) {
-        compute::gemm_a_bt_k8(grad_out.data() + g_offset, p, wt.data(), k,
-                              block.get(), p, k);
-      } else if (blocked) {
+      if (blocked) {
         compute::gemm_a_bt_blocked(g.data() + g_offset, weight_.value.data(),
                                    block.get(), p, m, k);
       } else {

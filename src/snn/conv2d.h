@@ -4,6 +4,9 @@
 // The GEMM weight matrix is [K x M] with K = Cin*kh*kw and M = Cout; this
 // is exactly the matrix that gets laid onto the systolic array, so the
 // fault/prune machinery addresses conv weights through `MatmulLayer`.
+// With a GemmEngine set (the systolic engine) the forward pass runs
+// im2col + engine.run; without one, a direct kernel computes the same
+// bits (tensor::conv_forward).
 
 #include <vector>
 
@@ -52,8 +55,9 @@ class Conv2d final : public Layer, public MatmulLayer {
   bool geometry_bound_ = false;
   GemmEngine* engine_ = nullptr;  // non-owning; nullptr -> float engine
   // im2col matrices [N * out_pixels, K]: one per training time step (the
-  // first `steps_` are live) and one for eval. They outlive reset_state()
-  // so a same-shaped batch reuses them; im2col overwrites every element.
+  // first `steps_` are live), for the weight gradient, and one for an
+  // engine's eval forward. They outlive reset_state() so a same-shaped
+  // batch reuses them; im2col overwrites every element.
   std::vector<tensor::Tensor> cols_hist_;
   tensor::Tensor eval_cols_;
   int steps_ = 0;

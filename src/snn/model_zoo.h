@@ -1,6 +1,6 @@
 #pragma once
-// The paper's two network architectures, scaled for CPU simulation
-// (DESIGN.md §3).
+// The paper's two network architectures, scaled for CPU simulation: 8
+// conv channels and a 32-unit FC1 by default (ZooConfig).
 //
 // Digit classifier (MNIST / N-MNIST): spike-encoder {Conv + PLIF}, then
 // 2x {Conv + BN + PLIF + AvgPool}, then 2x {Dropout + FC + PLIF}. Hidden

@@ -4,10 +4,154 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "compute/simd.h"
+
 namespace falvolt::snn {
 
 namespace {
+
+using compute::F32x8;
+using compute::M32x8;
+
 float sigmoid(float x) { return 1.0f / (1.0f + std::exp(-x)); }
+
+// Both passes run eight neurons at a time; a short last block runs the
+// same lanes on zero-padded copies.
+constexpr std::size_t kLanes = 8;
+
+// One charge/fire/reset step of eight neurons: H = V + k (X - V), as the
+// scalar loop's contraction fma(k, X - V, V); S = [H > V_th]; V = H or 0.
+// `h` (the training cache) may be null.
+void forward8(const float* x, float* v, float* s, float* h, F32x8 k,
+              F32x8 vth) {
+  const F32x8 zero = compute::splat_f32x8(0.0f);
+  const F32x8 vv = compute::load_f32x8(v);
+  const F32x8 hv = compute::madd_f32x8(
+      k, compute::sub_f32x8(compute::load_f32x8(x), vv), vv);
+  const M32x8 fire = compute::gt_f32x8(hv, vth);
+  compute::store_f32x8(
+      s, compute::select_f32x8(fire, compute::splat_f32x8(1.0f), zero));
+  compute::store_f32x8(v, compute::select_f32x8(fire, zero, hv));
+  if (h != nullptr) compute::store_f32x8(h, hv);
+}
+
+// Surrogate::grad on eight lanes, with the same operations per lane. The
+// sigmoid (ablation only) calls the scalar function lane by lane.
+template <SurrogateKind Kind>
+F32x8 surrogate_grad8(F32x8 z, const Surrogate& sg) {
+  const F32x8 zero = compute::splat_f32x8(0.0f);
+  if constexpr (Kind == SurrogateKind::kTriangle) {
+    const F32x8 t = compute::sub_f32x8(compute::splat_f32x8(1.0f),
+                                       compute::abs_f32x8(z));
+    return compute::select_f32x8(
+        compute::gt_f32x8(t, zero),
+        compute::mul_f32x8(compute::splat_f32x8(sg.gamma), t), zero);
+  } else if constexpr (Kind == SurrogateKind::kRectangle) {
+    return compute::select_f32x8(
+        compute::gt_f32x8(compute::splat_f32x8(0.5f), compute::abs_f32x8(z)),
+        compute::splat_f32x8(sg.gamma), zero);
+  } else {
+    float lanes[kLanes];
+    compute::store_f32x8(lanes, z);
+    for (float& l : lanes) l = sg.grad(l);
+    return compute::load_f32x8(lanes);
+  }
+}
+
+// What one backward step needs besides the per-neuron arrays.
+struct BackwardStep {
+  const Surrogate* surrogate;
+  float k;
+  float inv_vth;   // 1 / V_th now
+  float vth;       // V_th step t fired at
+  float vth_prev;  // V_th step t - 1 fired at
+  bool has_prev;   // t > 0: V_{t-1} = H_{t-1} (1 - S_{t-1}); else 0
+  bool want_dvth;
+  bool want_dk;
+};
+
+// Backward through eight neurons of step t. The float math runs on the
+// lanes with the contractions GCC makes in the scalar loop:
+//   z  = fma(H, 1/V, -1)
+//   dH = fma(g * sg, 1/V, carry * (1 - S))
+// Each double sum whose parameter trains computes its terms for all
+// lanes, then takes the `lanes` live terms serially, in element order:
+//   dV = fma(double(g) * double(sg), double(-H / V / V), dV)
+//   dk = dk + double(dH) * double(H - V_{t-1}) / double(k)
+template <SurrogateKind Kind>
+void backward8(const float* h, const float* hp, const float* g, float* carry,
+               float* grad_in, std::size_t lanes, const BackwardStep& st,
+               double& dvth, double& dk) {
+  const F32x8 zero = compute::splat_f32x8(0.0f);
+  const F32x8 one = compute::splat_f32x8(1.0f);
+  const F32x8 inv_vth = compute::splat_f32x8(st.inv_vth);
+  const F32x8 hv = compute::load_f32x8(h);
+  const F32x8 gv = compute::load_f32x8(g);
+  const F32x8 z =
+      compute::madd_f32x8(hv, inv_vth, compute::splat_f32x8(-1.0f));
+  const F32x8 sg = surrogate_grad8<Kind>(z, *st.surrogate);
+  const F32x8 keep = compute::select_f32x8(
+      compute::gt_f32x8(hv, compute::splat_f32x8(st.vth)), zero, one);
+  const F32x8 dh = compute::madd_f32x8(
+      compute::mul_f32x8(gv, sg), inv_vth,
+      compute::mul_f32x8(compute::load_f32x8(carry), keep));
+  compute::store_f32x8(grad_in,
+                       compute::mul_f32x8(dh, compute::splat_f32x8(st.k)));
+  compute::store_f32x8(
+      carry, compute::mul_f32x8(dh, compute::splat_f32x8(1.0f - st.k)));
+  double dvth_a[kLanes] = {}, dvth_b[kLanes] = {}, dk_term[kLanes] = {};
+  if (st.want_dvth) {
+    float sgl[kLanes];
+    compute::store_f32x8(sgl, sg);
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      dvth_a[l] = static_cast<double>(g[l]) * sgl[l];
+      dvth_b[l] = static_cast<double>(-h[l] * st.inv_vth * st.inv_vth);
+    }
+  }
+  if (st.want_dk) {
+    F32x8 vprev = zero;
+    if (st.has_prev) {
+      const F32x8 hpv = compute::load_f32x8(hp);
+      vprev = compute::select_f32x8(
+          compute::gt_f32x8(hpv, compute::splat_f32x8(st.vth_prev)), zero,
+          hpv);
+    }
+    float dhl[kLanes], dl[kLanes];
+    compute::store_f32x8(dhl, dh);
+    compute::store_f32x8(dl, compute::sub_f32x8(hv, vprev));
+    const double k = st.k;
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      dk_term[l] = static_cast<double>(dhl[l]) * dl[l] / k;
+    }
+  }
+  for (std::size_t l = 0; l < lanes; ++l) {
+    if (st.want_dvth) dvth = compute::madd(dvth_a[l], dvth_b[l], dvth);
+    if (st.want_dk) dk += dk_term[l];
+  }
+}
+
+template <SurrogateKind Kind>
+void backward_step(const float* h, const float* hp, const float* g,
+                   float* carry, float* grad_in, std::size_t n,
+                   const BackwardStep& st, double& dvth, double& dk) {
+  std::size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    backward8<Kind>(h + i, st.has_prev ? hp + i : nullptr, g + i, carry + i,
+                    grad_in + i, kLanes, st, dvth, dk);
+  }
+  if (i == n) return;
+  const std::size_t r = n - i;
+  float hb[kLanes] = {}, hpb[kLanes] = {}, gb[kLanes] = {};
+  float cb[kLanes] = {}, gib[kLanes];
+  std::copy_n(h + i, r, hb);
+  if (st.has_prev) std::copy_n(hp + i, r, hpb);
+  std::copy_n(g + i, r, gb);
+  std::copy_n(carry + i, r, cb);
+  backward8<Kind>(hb, hpb, gb, cb, gib, r, st, dvth, dk);
+  std::copy_n(cb, r, carry + i);
+  std::copy_n(gib, r, grad_in + i);
+}
+
 }  // namespace
 
 Plif::Plif(std::string name, const PlifConfig& cfg)
@@ -36,11 +180,8 @@ void Plif::set_vth(float v) {
 void Plif::clamp_vth() { set_vth(vth_.value[0]); }
 
 void Plif::reset_state() {
-  v_ = tensor::Tensor();
-  carry_ = tensor::Tensor();
-  h_hist_.clear();
-  s_hist_.clear();
-  vprev_hist_.clear();
+  steps_ = 0;
+  carry_live_ = false;
   last_forward_t_ = -1;
 }
 
@@ -49,86 +190,104 @@ tensor::Tensor Plif::forward(const tensor::Tensor& x, int t, Mode mode) {
     throw std::logic_error("Plif::forward: time steps must be consecutive "
                            "(did you forget reset_state()?)");
   }
-  last_forward_t_ = t;
-  if (v_.empty()) {
-    v_ = tensor::Tensor(x.shape());
+  if (t == 0) {
+    if (v_.shape() != x.shape()) {
+      v_ = tensor::Tensor(x.shape());
+    } else {
+      v_.zero();
+    }
   } else if (v_.shape() != x.shape()) {
     throw std::invalid_argument("Plif::forward: input shape changed mid-sequence");
   }
+  last_forward_t_ = t;
 
-  const float kk = k();
   const float vth = vth_.value[0];
-  tensor::Tensor h(x.shape());
-  tensor::Tensor s(x.shape());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const float hi = v_[i] + kk * (x[i] - v_[i]);
-    h[i] = hi;
-    const bool fire = hi > vth;
-    s[i] = fire ? 1.0f : 0.0f;
-    v_[i] = fire ? 0.0f : hi;  // hard reset
-  }
+  float* h = nullptr;
   if (mode == Mode::kTrain) {
-    // vprev for step t is the membrane *before* this update; recover it
-    // lazily: store h and s, and V_{t-1} = previous stored post-reset V.
-    if (static_cast<int>(h_hist_.size()) != t) {
+    if (steps_ != t) {
       throw std::logic_error("Plif::forward: cache out of sync");
     }
-    vprev_hist_.push_back(t == 0 ? tensor::Tensor(x.shape()) :
-        [&] {
-          // Reconstruct V_{t-1} from the previous step's cache: it equals
-          // H_{t-1} where S_{t-1} == 0, else 0.
-          tensor::Tensor vp(x.shape());
-          const auto& hp = h_hist_.back();
-          const auto& sp = s_hist_.back();
-          for (std::size_t i = 0; i < vp.size(); ++i) {
-            vp[i] = sp[i] > 0.5f ? 0.0f : hp[i];
-          }
-          return vp;
-        }());
-    h_hist_.push_back(h);
-    s_hist_.push_back(s);
+    if (h_hist_.size() <= static_cast<std::size_t>(t)) {
+      h_hist_.emplace_back();
+      vth_hist_.push_back(0.0f);
+    }
+    tensor::Tensor& slot = h_hist_[static_cast<std::size_t>(t)];
+    if (slot.shape() != x.shape()) slot = tensor::Tensor(x.shape());
+    vth_hist_[static_cast<std::size_t>(t)] = vth;
+    h = slot.data();
+    ++steps_;
+  }
+
+  tensor::Tensor s(x.shape());
+  const F32x8 kv = compute::splat_f32x8(k());
+  const F32x8 vthv = compute::splat_f32x8(vth);
+  const std::size_t n = x.size();
+  std::size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    forward8(x.data() + i, v_.data() + i, s.data() + i,
+             h != nullptr ? h + i : nullptr, kv, vthv);
+  }
+  if (i < n) {
+    const std::size_t r = n - i;
+    float xb[kLanes] = {}, vb[kLanes] = {}, sb[kLanes], hb[kLanes];
+    std::copy_n(x.data() + i, r, xb);
+    std::copy_n(v_.data() + i, r, vb);
+    forward8(xb, vb, sb, hb, kv, vthv);
+    std::copy_n(vb, r, v_.data() + i);
+    std::copy_n(sb, r, s.data() + i);
+    if (h != nullptr) std::copy_n(hb, r, h + i);
   }
   return s;
 }
 
 tensor::Tensor Plif::backward(const tensor::Tensor& grad_out, int t) {
-  if (t < 0 || t >= static_cast<int>(h_hist_.size())) {
+  if (t < 0 || t >= steps_) {
     throw std::logic_error("Plif::backward: no cache for this time step");
   }
-  const auto& h = h_hist_[static_cast<std::size_t>(t)];
-  const auto& s = s_hist_[static_cast<std::size_t>(t)];
-  const auto& vprev = vprev_hist_[static_cast<std::size_t>(t)];
+  const auto ti = static_cast<std::size_t>(t);
+  const tensor::Tensor& h = h_hist_[ti];
   if (grad_out.shape() != h.shape()) {
     throw std::invalid_argument("Plif::backward: gradient shape mismatch");
   }
-  if (carry_.empty()) carry_ = tensor::Tensor(h.shape());
+  if (!carry_live_) {
+    if (carry_.shape() != h.shape()) {
+      carry_ = tensor::Tensor(h.shape());
+    } else {
+      carry_.zero();
+    }
+    carry_live_ = true;
+  }
 
-  const float kk = k();
-  const float vth = vth_.value[0];
-  const float inv_vth = 1.0f / vth;
+  BackwardStep st;
+  st.surrogate = &cfg_.surrogate;
+  st.k = k();
+  st.inv_vth = 1.0f / vth_.value[0];
+  st.vth = vth_hist_[ti];
+  st.vth_prev = t > 0 ? vth_hist_[ti - 1] : 0.0f;
+  st.has_prev = t > 0;
+  // A frozen parameter's sum would never be read.
+  st.want_dvth = vth_.trainable;
+  st.want_dk = w_tau_.trainable;
+  const float* hp = t > 0 ? h_hist_[ti - 1].data() : nullptr;
 
+  const auto step =
+      cfg_.surrogate.kind == SurrogateKind::kTriangle
+          ? backward_step<SurrogateKind::kTriangle>
+      : cfg_.surrogate.kind == SurrogateKind::kSigmoid
+          ? backward_step<SurrogateKind::kSigmoid>
+          : backward_step<SurrogateKind::kRectangle>;
   tensor::Tensor grad_in(h.shape());
   double dvth = 0.0;
   double dk = 0.0;
-  for (std::size_t i = 0; i < h.size(); ++i) {
-    const float z = h[i] * inv_vth - 1.0f;
-    const float sg = cfg_.surrogate.grad(z);
-    // dL/dH_t: spike branch + (detached-reset) membrane branch.
-    const float dh =
-        grad_out[i] * sg * inv_vth + carry_[i] * (1.0f - s[i]);
-    // Threshold-voltage gradient (paper Eq. 4): dz/dV = -H / V^2.
-    dvth += static_cast<double>(grad_out[i]) * sg *
-            (-h[i] * inv_vth * inv_vth);
-    // dH/dk = X_t - V_{t-1} = (H_t - V_{t-1}) / k.
-    dk += static_cast<double>(dh) * (h[i] - vprev[i]) / kk;
-    grad_in[i] = dh * kk;
-    carry_[i] = dh * (1.0f - kk);  // dL/dV_{t-1}
-  }
+  step(h.data(), hp, grad_out.data(), carry_.data(), grad_in.data(),
+       h.size(), st, dvth, dk);
   if (vth_.trainable) {
     vth_.grad[0] += static_cast<float>(dvth);
   }
   if (w_tau_.trainable) {
-    w_tau_.grad[0] += static_cast<float>(dk) * kk * (1.0f - kk);
+    // fma(float(dk) * k, 1 - k, grad), as GCC contracts the scalar form.
+    w_tau_.grad[0] = compute::madd(static_cast<float>(dk) * st.k,
+                                   1.0f - st.k, w_tau_.grad[0]);
   }
   return grad_in;
 }

@@ -12,7 +12,8 @@
 // Backward uses the paper's triangle surrogate (Eq. 2) for dS/dz, and —
 // when V_th is marked trainable (FalVolt retraining) — accumulates the
 // threshold-voltage gradient dz/dV_th = -H_t / V_th^2 (Eq. 4). The reset
-// branch is detached in backward (standard practice; see DESIGN.md).
+// branch is detached in backward: V_t = H_t (1 - S_t) passes gradient to
+// H_t only through (1 - S_t), never through S_t.
 
 #include <vector>
 
@@ -67,11 +68,16 @@ class Plif final : public Layer {
   PlifConfig cfg_;
   Param vth_;    // scalar [1]
   Param w_tau_;  // scalar [1]; k = sigmoid(w_tau)
-  tensor::Tensor v_;                    // membrane potential V_t
-  std::vector<tensor::Tensor> h_hist_;  // H_t per step (pre-reset)
-  std::vector<tensor::Tensor> s_hist_;  // S_t per step
-  std::vector<tensor::Tensor> vprev_hist_;  // V_{t-1} per step
+  tensor::Tensor v_;  // membrane potential V_t
+  // Training cache: H_t (pre-reset) and the V_th step t fired at, for the
+  // first `steps_` steps. Backward recomputes S_t = [H_t > V_th] and
+  // V_{t-1} = H_{t-1} (1 - S_{t-1}) from them. The buffers outlive
+  // reset_state() so a same-shaped batch reuses them.
+  std::vector<tensor::Tensor> h_hist_;
+  std::vector<float> vth_hist_;
+  int steps_ = 0;
   tensor::Tensor carry_;  // dL/dV_t flowing from step t+1 in backward
+  bool carry_live_ = false;  // set by the sequence's first backward step
   int last_forward_t_ = -1;
 };
 

@@ -3,17 +3,28 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
+#include "compute/simd.h"
 #include "compute/thread_pool.h"
 
 namespace falvolt::tensor {
 
 namespace {
 
+using compute::F32x8;
+
 // Samples split across the global pool in chunks of at least this many
 // im2col elements; smaller calls stay on the calling thread.
 constexpr std::size_t kGrainElements = std::size_t{1} << 16;
+
+// Pixels per vector in the direct kernels, and output channels per
+// accumulator group of the direct forward.
+constexpr int kLanes = 8;
+// Zeroed floats after a padded sample: the direct forward's last pixel
+// group of a row reads up to kLanes - 1 past the row's last window.
+constexpr std::size_t kPaddedSlack = kLanes;
 
 int padded_h(const ConvGeometry& g) { return g.in_h + 2 * g.pad; }
 int padded_w(const ConvGeometry& g) { return g.in_w + 2 * g.pad; }
@@ -89,6 +100,17 @@ void im2col_sample(const float* padded, const ConvGeometry& g,
   }
 }
 
+// im2col_sample with the model zoo's kernel width (3) fixed at compile
+// time.
+void expand_sample(const float* padded, const ConvGeometry& g,
+                   const std::vector<std::size_t>& rows, float* out) {
+  if (g.kernel_w == 3) {
+    im2col_sample<3>(padded, g, rows, out);
+  } else {
+    im2col_sample<0>(padded, g, rows, out);
+  }
+}
+
 // Adds one sample's im2col-shaped gradient into its padded copy, output
 // pixel by output pixel ((oy, ox) ascending), so every element receives
 // its terms in that order. Out-of-image taps land in the padding.
@@ -118,13 +140,190 @@ void for_sample_ranges(int n, const ConvGeometry& g, const Body& body) {
   const int grain = static_cast<int>(std::max<std::size_t>(
       1, kGrainElements / std::max<std::size_t>(per_sample, 1)));
   const auto run = [&](int s0, int s1) {
-    const std::unique_ptr<float[]> padded(new float[padded_size(g)]);
+    const std::unique_ptr<float[]> padded(
+        new float[padded_size(g) + kPaddedSlack]());
     body(s0, s1, padded.get());
   };
   if (n > grain && compute::global_threads() > 1) {
     compute::global_pool().parallel_for(0, n, grain, run);
   } else if (n > 0) {
     run(0, n);
+  }
+}
+
+// Offset of every im2col column (c, ky, kx) from a window's origin in
+// the padded buffer.
+std::vector<std::size_t> window_taps(const ConvGeometry& g) {
+  std::vector<std::size_t> taps;
+  taps.reserve(static_cast<std::size_t>(g.patch_size()));
+  for (const std::size_t row : window_rows(g)) {
+    for (int kx = 0; kx < g.kernel_w; ++kx) taps.push_back(row + kx);
+  }
+  return taps;
+}
+
+// Weights [k x cout] as ceil(cout / 8) panels of [k x 8]; the channels
+// missing from a partial last panel are zero.
+std::vector<float> weight_panels(const float* weight, int k, int cout) {
+  const int groups = (cout + kLanes - 1) / kLanes;
+  std::vector<float> panels(static_cast<std::size_t>(groups) * k * kLanes,
+                            0.0f);
+  for (int kk = 0; kk < k; ++kk) {
+    for (int c = 0; c < cout; ++c) {
+      panels[(static_cast<std::size_t>(c / kLanes) * k + kk) * kLanes +
+             c % kLanes] = weight[static_cast<std::size_t>(kk) * cout + c];
+    }
+  }
+  return panels;
+}
+
+// One sample of the direct forward from its padded copy (stride 1). Per
+// group of 8 output channels and 8 pixels of an output row, eight named
+// accumulators (one per channel) stay in registers over all k taps.
+void conv_forward_sample(const float* padded, const ConvGeometry& g,
+                         const std::vector<std::size_t>& taps,
+                         const float* panels, int cout, const float* bias,
+                         float* out) {
+  const int oh = g.out_h();
+  const int ow = g.out_w();
+  const std::size_t pw = static_cast<std::size_t>(padded_w(g));
+  const std::size_t p = static_cast<std::size_t>(oh) * ow;
+  const std::size_t k = taps.size();
+  const F32x8 zero = compute::splat_f32x8(0.0f);
+  for (int c0 = 0; c0 < cout; c0 += kLanes) {
+    const float* panel = panels + static_cast<std::size_t>(c0) * k;
+    const int channels = std::min(kLanes, cout - c0);
+    for (int oy = 0; oy < oh; ++oy) {
+      for (int ox = 0; ox < ow; ox += kLanes) {
+        const float* window = padded + oy * pw + ox;
+        F32x8 a0 = zero, a1 = zero, a2 = zero, a3 = zero;
+        F32x8 a4 = zero, a5 = zero, a6 = zero, a7 = zero;
+        for (std::size_t kk = 0; kk < k; ++kk) {
+          const F32x8 x = compute::load_f32x8(window + taps[kk]);
+          const float* w = panel + kk * kLanes;
+          a0 = compute::madd_f32x8(x, compute::splat_f32x8(w[0]), a0);
+          a1 = compute::madd_f32x8(x, compute::splat_f32x8(w[1]), a1);
+          a2 = compute::madd_f32x8(x, compute::splat_f32x8(w[2]), a2);
+          a3 = compute::madd_f32x8(x, compute::splat_f32x8(w[3]), a3);
+          a4 = compute::madd_f32x8(x, compute::splat_f32x8(w[4]), a4);
+          a5 = compute::madd_f32x8(x, compute::splat_f32x8(w[5]), a5);
+          a6 = compute::madd_f32x8(x, compute::splat_f32x8(w[6]), a6);
+          a7 = compute::madd_f32x8(x, compute::splat_f32x8(w[7]), a7);
+        }
+        const F32x8 acc[kLanes] = {a0, a1, a2, a3, a4, a5, a6, a7};
+        const int lanes = std::min(kLanes, ow - ox);
+        float* dst = out + static_cast<std::size_t>(c0) * p +
+                     static_cast<std::size_t>(oy) * ow + ox;
+        for (int c = 0; c < channels; ++c) {
+          const F32x8 v = compute::add_f32x8(
+              compute::add_f32x8(zero, acc[c]),
+              compute::splat_f32x8(bias != nullptr ? bias[c0 + c] : 0.0f));
+          float* row = dst + c * p;
+          if (lanes == kLanes) {
+            compute::store_f32x8(row, v);
+          } else {
+            float tail[kLanes];
+            compute::store_f32x8(tail, v);
+            std::copy_n(tail, lanes, row);
+          }
+        }
+      }
+    }
+  }
+}
+
+// dst[0..n) += src[0..n), element by element.
+void add_row(const float* src, float* dst, int n) {
+  int x = 0;
+  for (; x + kLanes <= n; x += kLanes) {
+    compute::store_f32x8(dst + x,
+                         compute::add_f32x8(compute::load_f32x8(dst + x),
+                                            compute::load_f32x8(src + x)));
+  }
+  for (; x < n; ++x) dst[x] += src[x];
+}
+
+// One sample of conv_input_grad8: `gout` holds the sample's 8 output
+// gradient planes, `plane` is scratch for one tap's gradient plane and
+// `padded` the sample's zero-bordered gradient. For tap j the plane is
+// gemm_a_bt_blocked's element at k = 8: partial q (0..3) is
+// madd(G[q], W[j][q], 0), then madd(G[q+4], W[j][q+4], partial); the
+// element is 0 + ((s0 + s1) + (s2 + s3)).
+void conv_input_grad8_sample(const float* gout, const ConvGeometry& g,
+                             const float* weight, float* plane,
+                             float* padded) {
+  const int oh = g.out_h();
+  const int ow = g.out_w();
+  const int p = oh * ow;
+  const std::size_t ph = static_cast<std::size_t>(padded_h(g));
+  const std::size_t pw = static_cast<std::size_t>(padded_w(g));
+  const F32x8 zero = compute::splat_f32x8(0.0f);
+  const float* g0 = gout;
+  const float* g1 = gout + p;
+  const float* g2 = gout + 2 * static_cast<std::size_t>(p);
+  const float* g3 = gout + 3 * static_cast<std::size_t>(p);
+  const float* g4 = gout + 4 * static_cast<std::size_t>(p);
+  const float* g5 = gout + 5 * static_cast<std::size_t>(p);
+  const float* g6 = gout + 6 * static_cast<std::size_t>(p);
+  const float* g7 = gout + 7 * static_cast<std::size_t>(p);
+  for (int c = 0; c < g.in_channels; ++c) {
+    // col2im adds pixel by pixel, (oy, ox) ascending, so an input element
+    // receives tap (ky, kx) from pixel (iy - ky, ix - kx): (ky, kx)
+    // descending. Adding whole tap planes in that order keeps it.
+    for (int ky = g.kernel_h - 1; ky >= 0; --ky) {
+      for (int kx = g.kernel_w - 1; kx >= 0; --kx) {
+        const float* w =
+            weight +
+            ((static_cast<std::size_t>(c) * g.kernel_h + ky) * g.kernel_w +
+             kx) * kLanes;
+        const F32x8 w0 = compute::splat_f32x8(w[0]);
+        const F32x8 w1 = compute::splat_f32x8(w[1]);
+        const F32x8 w2 = compute::splat_f32x8(w[2]);
+        const F32x8 w3 = compute::splat_f32x8(w[3]);
+        const F32x8 w4 = compute::splat_f32x8(w[4]);
+        const F32x8 w5 = compute::splat_f32x8(w[5]);
+        const F32x8 w6 = compute::splat_f32x8(w[6]);
+        const F32x8 w7 = compute::splat_f32x8(w[7]);
+        int pix = 0;
+        for (; pix + kLanes <= p; pix += kLanes) {
+          F32x8 s0 = compute::madd_f32x8(compute::load_f32x8(g0 + pix), w0,
+                                         zero);
+          F32x8 s1 = compute::madd_f32x8(compute::load_f32x8(g1 + pix), w1,
+                                         zero);
+          F32x8 s2 = compute::madd_f32x8(compute::load_f32x8(g2 + pix), w2,
+                                         zero);
+          F32x8 s3 = compute::madd_f32x8(compute::load_f32x8(g3 + pix), w3,
+                                         zero);
+          s0 = compute::madd_f32x8(compute::load_f32x8(g4 + pix), w4, s0);
+          s1 = compute::madd_f32x8(compute::load_f32x8(g5 + pix), w5, s1);
+          s2 = compute::madd_f32x8(compute::load_f32x8(g6 + pix), w6, s2);
+          s3 = compute::madd_f32x8(compute::load_f32x8(g7 + pix), w7, s3);
+          compute::store_f32x8(
+              plane + pix,
+              compute::add_f32x8(zero,
+                                 compute::add_f32x8(compute::add_f32x8(s0, s1),
+                                                    compute::add_f32x8(s2, s3))));
+        }
+        for (; pix < p; ++pix) {
+          float s[4];
+          for (int q = 0; q < 4; ++q) {
+            s[q] = compute::madd(gout[static_cast<std::size_t>(q) * p + pix],
+                                 w[q], 0.0f);
+          }
+          for (int q = 0; q < 4; ++q) {
+            s[q] = compute::madd(
+                gout[static_cast<std::size_t>(q + 4) * p + pix], w[q + 4],
+                s[q]);
+          }
+          plane[pix] = 0.0f + ((s[0] + s[1]) + (s[2] + s[3]));
+        }
+        float* dst = padded + (c * ph + ky) * pw + kx;
+        for (int oy = 0; oy < oh; ++oy) {
+          add_row(plane + static_cast<std::size_t>(oy) * ow, dst + oy * pw,
+                  ow);
+        }
+      }
+    }
   }
 }
 
@@ -139,12 +338,7 @@ void im2col(const float* input, int n, const ConvGeometry& g, float* out) {
   for_sample_ranges(n, g, [&](int s0, int s1, float* padded) {
     for (int s = s0; s < s1; ++s) {
       pad_sample(input + s * in_sample, g, padded);
-      float* sample_cols = out + s * out_sample;
-      if (g.kernel_w == 3) {  // the model zoo's kernels
-        im2col_sample<3>(padded, g, rows, sample_cols);
-      } else {
-        im2col_sample<0>(padded, g, rows, sample_cols);
-      }
+      expand_sample(padded, g, rows, out + s * out_sample);
     }
   });
 }
@@ -166,6 +360,55 @@ void col2im(const float* cols, int n, const ConvGeometry& g,
       } else {
         col2im_sample<0>(sample_cols, g, rows, padded);
       }
+      unpad_sample(padded, g, sample);
+    }
+  });
+}
+
+void conv_forward(const float* input, int n, const ConvGeometry& g,
+                  const float* weight, int cout, const float* bias,
+                  float* out, float* cols) {
+  if (g.stride != 1) {
+    throw std::invalid_argument("conv_forward: stride must be 1");
+  }
+  const std::size_t in_sample =
+      static_cast<std::size_t>(g.in_channels) * g.in_h * g.in_w;
+  const std::size_t out_sample =
+      static_cast<std::size_t>(cout) * g.out_pixels();
+  const std::size_t col_sample =
+      static_cast<std::size_t>(g.out_pixels()) * g.patch_size();
+  const std::vector<std::size_t> rows = window_rows(g);
+  const std::vector<std::size_t> taps = window_taps(g);
+  const std::vector<float> panels =
+      weight_panels(weight, g.patch_size(), cout);
+  for_sample_ranges(n, g, [&](int s0, int s1, float* padded) {
+    for (int s = s0; s < s1; ++s) {
+      pad_sample(input + s * in_sample, g, padded);
+      if (cols != nullptr) {
+        expand_sample(padded, g, rows, cols + s * col_sample);
+      }
+      conv_forward_sample(padded, g, taps, panels.data(), cout, bias,
+                          out + s * out_sample);
+    }
+  });
+}
+
+void conv_input_grad8(const float* grad_out, int n, const ConvGeometry& g,
+                      const float* weight, float* grad_input) {
+  if (g.stride != 1) {
+    throw std::invalid_argument("conv_input_grad8: stride must be 1");
+  }
+  const std::size_t in_sample =
+      static_cast<std::size_t>(g.in_channels) * g.in_h * g.in_w;
+  const std::size_t out_sample =
+      static_cast<std::size_t>(kLanes) * g.out_pixels();
+  for_sample_ranges(n, g, [&](int s0, int s1, float* padded) {
+    std::vector<float> plane(static_cast<std::size_t>(g.out_pixels()));
+    for (int s = s0; s < s1; ++s) {
+      float* sample = grad_input + s * in_sample;
+      pad_sample(sample, g, padded);
+      conv_input_grad8_sample(grad_out + s * out_sample, g, weight,
+                              plane.data(), padded);
       unpad_sample(padded, g, sample);
     }
   });

@@ -1,5 +1,6 @@
 #pragma once
-// im2col / col2im lowering for 2D convolution.
+// im2col / col2im lowering for 2D convolution, and the direct kernels
+// that compute the same bits without the lowered matrix.
 //
 // A convolution with Cin input channels, KhxKw kernel, stride S and padding
 // P over an HxW input becomes a GEMM whose A matrix has one row per output
@@ -43,5 +44,31 @@ void im2col(const float* input, int n, const ConvGeometry& g, float* out);
 /// ox), so the sums do not depend on the batch split.
 void col2im(const float* cols, int n, const ConvGeometry& g,
             float* grad_input);
+
+/// Direct stride-1 convolution of `n` (C,H,W) samples with the GEMM
+/// weights [patch_size x cout] into (cout, out_h, out_w) samples. Each
+/// output is (0 + acc) + bias[c] (+ 0 when `bias` is null), where acc is
+/// one madd chain over k ascending from 0: exactly what the blocked GEMM
+/// on the im2col matrix and the NCHW repack give for patch_size <=
+/// compute::kKc. Vectorized over 8 output pixels of a row with one
+/// accumulator per output channel. When `cols` is not null the samples'
+/// im2col rows are written there too, from the same padded copy. Samples
+/// split across the global pool as im2col splits them. Throws
+/// std::invalid_argument unless g.stride is 1, as does conv_input_grad8.
+void conv_forward(const float* input, int n, const ConvGeometry& g,
+                  const float* weight, int cout, const float* bias,
+                  float* out, float* cols);
+
+/// Input gradient of a stride-1 convolution with 8 output channels: adds
+/// into the (C,H,W) gradients exactly what col2im adds for the
+/// im2col-shaped gradient G W^T that compute::gemm_a_bt_blocked gives
+/// (G: the (8, out_h, out_w) output gradients as rows of 8, W: the
+/// [patch_size x 8] GEMM weights). Per sample and tap (c, ky, kx), in
+/// (ky, kx)-descending order, it computes the tap's gradient plane with
+/// that kernel's four-partial schedule, vectorized over pixels, and adds
+/// it shifted into the zero-bordered sample: every input element gets its
+/// terms in col2im's (oy, ox)-ascending order.
+void conv_input_grad8(const float* grad_out, int n, const ConvGeometry& g,
+                      const float* weight, float* grad_input);
 
 }  // namespace falvolt::tensor

@@ -273,29 +273,6 @@ TEST(CrossTier, TiledAtBEqualsNaive) {
   }
 }
 
-TEST(CrossTier, ABtK8EqualsBlocked) {
-  common::Rng rng(33);
-  for (const int m : {1, 7, 37, 256}) {
-    for (const int n : {1, 8, 9, 72, 75}) {
-      SCOPED_TRACE("m=" + std::to_string(m) + " n=" + std::to_string(n));
-      const tensor::Tensor a = random_tensor({m, 8}, rng);
-      const tensor::Tensor b = random_tensor({n, 8}, rng);
-      tensor::Tensor blocked({m, n});
-      gemm_a_bt_blocked(a.data(), b.data(), blocked.data(), m, 8, n);
-      // Column-major copies: at[q][i] = A[i][q], bt[q][j] = B[j][q].
-      tensor::Tensor at({8, m});
-      tensor::Tensor bt({8, n});
-      for (int q = 0; q < 8; ++q) {
-        for (int i = 0; i < m; ++i) at.at2(q, i) = a.at2(i, q);
-        for (int j = 0; j < n; ++j) bt.at2(q, j) = b.at2(j, q);
-      }
-      tensor::Tensor k8({m, n}, 7.0f);  // overwritten, not accumulated
-      gemm_a_bt_k8(at.data(), m, bt.data(), n, k8.data(), m, n);
-      expect_same_bits(k8, blocked);
-    }
-  }
-}
-
 // ------------------------------------------------ determinism regression
 //
 // The library's core reproducibility guarantee: for a fixed seed, the

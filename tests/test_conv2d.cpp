@@ -159,11 +159,12 @@ TEST(Conv2d, SpatialSizeChangeMidSequenceThrows) {
 
 // --------------------------------------------------------- bit identity
 //
-// Conv2d runs on copy-light batched im2col/col2im, the blocked forward
-// GEMM, a tiled weight-gradient kernel and a per-sample input gradient.
-// None of that may move a bit. The reference below is the plain
-// lowering: per-sample im2col/col2im loops with a bounds check per tap,
-// the zero-skip forward GEMM, and the backward tiers that
+// Conv2d runs on a direct forward kernel (im2col + the blocked GEMM when
+// an engine is set), copy-light batched im2col/col2im, a tiled
+// weight-gradient kernel and, at Cout = 8, a fused shifted-plane input
+// gradient. None of that may move a bit. The reference below is the
+// plain lowering: per-sample im2col/col2im loops with a bounds check per
+// tap, the zero-skip forward GEMM, and the backward tiers that
 // tensor::gemm_at_b / gemm_a_bt pick for the whole batch.
 namespace reference {
 
@@ -349,13 +350,17 @@ tensor::Tensor conv_input(tensor::Shape shape, bool binary,
 
 class ConvBitIdentity : public ::testing::TestWithParam<int> {};
 
+// Every shape runs train-mode forwards and backwards, an eval-mode
+// forward (the direct kernel with no im2col matrix), and the same
+// forwards on a twin layer whose float engine is set explicitly (im2col +
+// engine GEMM). The 3x3 and 6x6 planes are the gesture model's deepest.
 TEST_P(ConvBitIdentity, MatchesPlainLowering) {
   ThreadScope threads(GetParam());
   constexpr int kBatch = 8;
   constexpr int kSteps = 2;
-  const int sizes[][2] = {{4, 4}, {5, 7}, {16, 16}};
+  const int sizes[][2] = {{3, 3}, {4, 4}, {5, 7}, {6, 6}, {16, 16}};
   for (const int cin : {1, 2, 8}) {
-    for (const int cout : {1, 3, 4, 8}) {
+    for (const int cout : {1, 3, 4, 5, 8, 16}) {
       for (const int kernel : {1, 3}) {
         for (const int pad : {0, 1}) {
           for (const auto& hw : sizes) {
@@ -376,6 +381,11 @@ TEST_P(ConvBitIdentity, MatchesPlainLowering) {
                 b = static_cast<float>(rng.uniform(-0.5, 0.5));
               }
               conv.reset_state();
+              Conv2d lowered("c", cin, cout, kernel, pad, rng);
+              lowered.params()[0]->value = params[0]->value;
+              lowered.params()[1]->value = params[1]->value;
+              lowered.set_gemm_engine(&FloatGemmEngine::instance());
+              lowered.reset_state();
 
               reference::Conv cv;
               cv.g.in_channels = cin;
@@ -393,9 +403,14 @@ TEST_P(ConvBitIdentity, MatchesPlainLowering) {
                 const tensor::Tensor x = conv_input(
                     {kBatch, cin, hw[0], hw[1]}, binary, rng);
                 outs.push_back(conv.forward(x, t, Mode::kTrain));
-                expect_same_bits(outs.back(),
-                                 reference::forward(cv, x, cols[t]),
-                                 "output");
+                const tensor::Tensor want = reference::forward(cv, x, cols[t]);
+                expect_same_bits(outs.back(), want, "output");
+                expect_same_bits(conv.forward(x, t, Mode::kEval), want,
+                                 "eval output");
+                expect_same_bits(lowered.forward(x, t, Mode::kTrain), want,
+                                 "engine output");
+                expect_same_bits(lowered.forward(x, t, Mode::kEval), want,
+                                 "engine eval output");
               }
               tensor::Tensor weight_grad(params[0]->value.shape());
               tensor::Tensor bias_grad(params[1]->value.shape());

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "compute/simd.h"
 #include "test_util.h"
 
 namespace falvolt::snn {
@@ -110,7 +115,8 @@ TEST(Plif, InvalidConfigThrows) {
 // the layer output are 0 almost everywhere and O(1/eps) at spike flips —
 // they can never validate a *surrogate* gradient. Instead we validate the
 // layer against an independent hand-coded reference implementation of the
-// surrogate-BPTT recursion (DESIGN.md / paper Eqs. 2-4):
+// surrogate-BPTT recursion (paper Eqs. 2-4, with the reset branch
+// detached as plif.h describes):
 //   dL/dH_t   = y_t * sg(z_t)/V + carry_{t+1} * (1 - S_t)
 //   dL/dV    += y_t * sg(z_t) * (-H_t / V^2)
 //   dL/dx_t   = dL/dH_t * k
@@ -247,6 +253,160 @@ TEST(PlifGrad, VthGradientZeroWhenFrozen) {
   }
   analytic_grads(p, xs, ys);
   EXPECT_EQ(p.params()[0]->grad[0], 0.0f);
+}
+
+// ---- Bit identity with the scalar loops ----
+//
+// Plif runs its element-wise math eight lanes at a time, caches only H_t
+// and recomputes S_t and V_{t-1} in backward. None of that may move a
+// bit. ScalarPlif is the previous implementation's forward/backward loops,
+// which cached H_t, S_t and V_{t-1}. Each multiply-add that GCC 12
+// contracts in those loops (read from its disassembly) is pinned with
+// compute::madd, so the oracle rounds like the compiled loops in every
+// build:
+//   z  = fma(H, 1/V, -1)
+//   dH = fma(g * sg, 1/V, carry * (1 - S))
+//   dV = fma(double(g) * double(sg), double(-H / V / V), dV)
+//   dk = dk + double(dH) * double(H - V_{t-1}) / double(k)   (unfused)
+//   H  = fma(k, X - V, V)                                     (forward)
+class ScalarPlif {
+ public:
+  explicit ScalarPlif(const PlifConfig& cfg) : cfg_(cfg) {}
+
+  void reset_state() {
+    v_ = tensor::Tensor();
+    carry_ = tensor::Tensor();
+    h_hist_.clear();
+    s_hist_.clear();
+    vprev_hist_.clear();
+  }
+
+  tensor::Tensor forward(const tensor::Tensor& x, int t, float kk,
+                         float vth) {
+    if (v_.empty()) v_ = tensor::Tensor(x.shape());
+    tensor::Tensor h(x.shape());
+    tensor::Tensor s(x.shape());
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const float hi = compute::madd(kk, x[i] - v_[i], v_[i]);
+      h[i] = hi;
+      const bool fire = hi > vth;
+      s[i] = fire ? 1.0f : 0.0f;
+      v_[i] = fire ? 0.0f : hi;  // hard reset
+    }
+    vprev_hist_.push_back(t == 0 ? tensor::Tensor(x.shape()) : [&] {
+      tensor::Tensor vp(x.shape());
+      const auto& hp = h_hist_.back();
+      const auto& sp = s_hist_.back();
+      for (std::size_t i = 0; i < vp.size(); ++i) {
+        vp[i] = sp[i] > 0.5f ? 0.0f : hp[i];
+      }
+      return vp;
+    }());
+    h_hist_.push_back(h);
+    s_hist_.push_back(s);
+    return s;
+  }
+
+  tensor::Tensor backward(const tensor::Tensor& grad_out, int t, float kk,
+                          float vth) {
+    const auto& h = h_hist_[static_cast<std::size_t>(t)];
+    const auto& s = s_hist_[static_cast<std::size_t>(t)];
+    const auto& vprev = vprev_hist_[static_cast<std::size_t>(t)];
+    if (carry_.empty()) carry_ = tensor::Tensor(h.shape());
+    const float inv_vth = 1.0f / vth;
+    tensor::Tensor grad_in(h.shape());
+    double dvth = 0.0;
+    double dk = 0.0;
+    for (std::size_t i = 0; i < h.size(); ++i) {
+      const float z = compute::madd(h[i], inv_vth, -1.0f);
+      const float sg = cfg_.surrogate.grad(z);
+      const float dh = compute::madd(grad_out[i] * sg, inv_vth,
+                                     carry_[i] * (1.0f - s[i]));
+      dvth = compute::madd(static_cast<double>(grad_out[i]) * sg,
+                           static_cast<double>(-h[i] * inv_vth * inv_vth),
+                           dvth);
+      dk += static_cast<double>(dh) * (h[i] - vprev[i]) / kk;
+      grad_in[i] = dh * kk;
+      carry_[i] = dh * (1.0f - kk);
+    }
+    if (cfg_.train_vth) vth_grad += static_cast<float>(dvth);
+    if (cfg_.train_tau) {
+      w_tau_grad =
+          compute::madd(static_cast<float>(dk) * kk, 1.0f - kk, w_tau_grad);
+    }
+    return grad_in;
+  }
+
+  float vth_grad = 0.0f;
+  float w_tau_grad = 0.0f;
+
+ private:
+  PlifConfig cfg_;
+  tensor::Tensor v_;
+  std::vector<tensor::Tensor> h_hist_;
+  std::vector<tensor::Tensor> s_hist_;
+  std::vector<tensor::Tensor> vprev_hist_;
+  tensor::Tensor carry_;
+};
+
+void expect_same_bits(const void* got, const void* want, std::size_t bytes,
+                      const std::string& what) {
+  EXPECT_EQ(std::memcmp(got, want, bytes), 0) << what << " differs";
+}
+
+TEST(PlifBitIdentity, MatchesScalarLoops) {
+  constexpr int kSteps = 5;
+  const SurrogateKind kinds[] = {SurrogateKind::kTriangle,
+                                 SurrogateKind::kSigmoid,
+                                 SurrogateKind::kRectangle};
+  for (const SurrogateKind kind : kinds) {
+    for (const bool train_vth : {false, true}) {
+      for (const bool train_tau : {false, true}) {
+        for (const int n : {6, 8, 1037}) {
+          PlifConfig cfg;
+          cfg.surrogate = Surrogate{kind, 2.0f};
+          cfg.train_vth = train_vth;
+          cfg.train_tau = train_tau;
+          SCOPED_TRACE(cfg.surrogate.to_string() +
+                       (train_vth ? " train_vth" : "") +
+                       (train_tau ? " train_tau" : "") +
+                       " n=" + std::to_string(n));
+          Plif p("p", cfg);
+          ScalarPlif ref(cfg);
+          common::Rng rng(static_cast<std::uint64_t>(n) * 8 +
+                          static_cast<std::uint64_t>(kind) * 4 +
+                          train_vth * 2 + train_tau);
+          // Two batches; V_th moves between them, as an optimizer step
+          // moves it between FalVolt's retraining batches.
+          for (const float vth : {1.0f, 0.7f}) {
+            p.set_vth(vth);
+            p.reset_state();
+            ref.reset_state();
+            const float kk = p.k();
+            for (int t = 0; t < kSteps; ++t) {
+              const tensor::Tensor x = random_tensor({n}, rng, 0.0, 2.0);
+              const tensor::Tensor s = p.forward(x, t, Mode::kTrain);
+              const tensor::Tensor want = ref.forward(x, t, kk, p.vth());
+              expect_same_bits(s.data(), want.data(), sizeof(float) * n,
+                               "spikes at t=" + std::to_string(t));
+            }
+            for (int t = kSteps - 1; t >= 0; --t) {
+              const tensor::Tensor g = random_tensor({n}, rng, -1.0, 1.0);
+              const tensor::Tensor got = p.backward(g, t);
+              const tensor::Tensor want = ref.backward(g, t, kk, p.vth());
+              expect_same_bits(got.data(), want.data(), sizeof(float) * n,
+                               "input gradient at t=" + std::to_string(t));
+            }
+            expect_same_bits(&p.params()[0]->grad[0], &ref.vth_grad,
+                             sizeof(float), "V_th gradient");
+            expect_same_bits(&p.params()[1]->grad[0], &ref.w_tau_grad,
+                             sizeof(float), "w_tau gradient");
+          }
+          if (HasFailure()) return;
+        }
+      }
+    }
+  }
 }
 
 TEST(PlifGrad, BackwardWithoutCacheThrows) {
