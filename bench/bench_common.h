@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -225,28 +224,44 @@ inline std::vector<std::pair<std::string, std::string>> fingerprint_config(
   return out;
 }
 
-/// RAII fault injection: parses the --faults spec and arms
-/// io::FaultInjector for the process lifetime; on destruction disarms
-/// and prints the FaultTestReport-style summary line. A malformed spec
-/// exits 1 immediately — injection misconfiguration must never be
-/// discovered hours into a sweep (and a typo'd spec silently running
-/// clean would be worse). No-op when the spec is empty or "none".
+/// A command-line mistake. A driver reports it with usage_exit before
+/// any store I/O, so a bench flag set through --set, a malformed
+/// --faults spec and an unknown flag all fail the same way.
+struct UsageError : std::invalid_argument {
+  using std::invalid_argument::invalid_argument;
+};
+
+/// Prints `e` as "<program>: <error> (see --help)" and returns 2 — the
+/// CliFlags::parse_or_exit contract for every command-line mistake.
+inline int usage_exit(const char* program, const UsageError& e) {
+  std::fprintf(stderr, "%s: %s (see --help)\n", program, e.what());
+  return 2;
+}
+
+/// The process's --faults spec, parsed before any work: injection
+/// misconfiguration must never be discovered hours into a sweep (and a
+/// typo'd spec silently running clean would be worse), so a malformed
+/// spec is a UsageError.
+inline io::FaultSpec parse_faults_flag(const common::CliFlags& cli) {
+  try {
+    return io::parse_fault_spec(cli.get_string("faults"));
+  } catch (const std::invalid_argument& e) {
+    throw UsageError(e.what());
+  }
+}
+
+/// RAII fault injection: arms io::FaultInjector with the --faults spec
+/// (parse_faults_flag) for the process lifetime; on destruction disarms
+/// and prints the FaultTestReport-style summary line. No-op for a
+/// disabled spec.
 class FaultScope {
  public:
-  explicit FaultScope(const std::string& spec) {
-    if (spec.empty()) return;
-    io::FaultSpec parsed;
-    try {
-      parsed = io::parse_fault_spec(spec);
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      std::exit(1);
-    }
-    if (!parsed.enabled()) return;
-    io::arm_faults(parsed);
+  explicit FaultScope(const io::FaultSpec& spec) {
+    if (!spec.enabled()) return;
+    io::arm_faults(spec);
     armed_ = true;
     std::fprintf(stderr, "[faults] armed: %s\n",
-                 io::to_string(parsed).c_str());
+                 io::to_string(spec).c_str());
   }
   FaultScope(const FaultScope&) = delete;
   FaultScope& operator=(const FaultScope&) = delete;
@@ -274,8 +289,9 @@ class FaultScope {
 /// landing in the same --metrics-json dump.
 class ExecScope {
  public:
-  explicit ExecScope(const common::CliFlags& cli)
-      : faults_(cli.get_string("faults")),
+  /// `faults` is the driver's parse_faults_flag(cli).
+  ExecScope(const common::CliFlags& cli, const io::FaultSpec& faults)
+      : faults_(faults),
         metrics_path_(cli.get_string("metrics-json")) {
     const std::string& path = cli.get_string("trace");
     if (!path.empty()) {

@@ -57,12 +57,7 @@ using namespace falvolt;
 
 namespace {
 
-// A command-line mistake. main() prints one "sweep_fleet: <error> (see
-// --help)" line and exits 2 — the CliFlags::parse_or_exit contract — so
-// a bench flag set through --set fails exactly like a fleet flag.
-struct UsageError : std::invalid_argument {
-  using std::invalid_argument::invalid_argument;
-};
+using fb::UsageError;
 
 // Per-grid flag overrides from --set "bench.flag=value[,...]". Flags
 // the fleet itself manages (the shared store, shard spec, worker
@@ -219,6 +214,8 @@ int main(int argc, char** argv) try {
       throw UsageError("--worker-faults '" + wf + "': " + e.what());
     }
   }
+  // The process's own spec, armed by ExecScope below.
+  const io::FaultSpec faults = fb::parse_faults_flag(cli);
 
   const std::string& store_dir = cli.get_string("store");
   if (store_dir.empty()) {
@@ -383,7 +380,7 @@ int main(int argc, char** argv) try {
 
   // Every usage error is behind us: start telemetry and fault injection
   // before the first store I/O.
-  fb::ExecScope obs_scope(cli);
+  fb::ExecScope obs_scope(cli, faults);
 
   // Shard-planning dry run: the full cross-bench cell listing, computed
   // with the same fingerprints the sweep would use. A pure dry run: it
@@ -763,8 +760,7 @@ int main(int argc, char** argv) try {
   }
   return 0;
 } catch (const UsageError& e) {
-  std::fprintf(stderr, "sweep_fleet: %s (see --help)\n", e.what());
-  return 2;
+  return fb::usage_exit("sweep_fleet", e);
 } catch (const std::exception& e) {
   std::fprintf(stderr, "sweep_fleet: %s\n", e.what());
   return 1;

@@ -54,7 +54,7 @@
 
 using namespace falvolt;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   common::CliFlags cli("sweep_merge");
   cli.add_string("into", "",
                  "destination store directory (created if missing when "
@@ -93,14 +93,12 @@ int main(int argc, char** argv) {
                  "= disabled) — faults merge/compact/prune store I/O the "
                  "same way");
   if (!cli.parse_or_exit(argc, argv)) return 0;
-  bench::FaultScope fault_scope(cli.get_string("faults"));
 
+  // Command-line mistakes are usage errors, caught before any store I/O.
   const std::string& into = cli.get_string("into");
-  if (into.empty()) {
-    std::fprintf(stderr, "sweep_merge: --into is required\n%s",
-                 cli.usage().c_str());
-    return 1;
-  }
+  if (into.empty()) throw bench::UsageError("--into is required");
+  bench::FaultScope fault_scope(bench::parse_faults_flag(cli));
+
   const std::vector<std::string> from_dirs =
       bench::split_list(cli.get_string("from"));
   // Creating --into is right when shard stores are being merged INTO
@@ -328,4 +326,6 @@ int main(int argc, char** argv) {
                 manifest->bench.c_str(), json_path.c_str());
   }
   return 0;
+} catch (const bench::UsageError& e) {
+  return bench::usage_exit("sweep_merge", e);
 }

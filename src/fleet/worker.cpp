@@ -5,7 +5,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 
@@ -75,14 +74,7 @@ void SocketCellQueue::connect_and_hello() {
     throw std::runtime_error("fleet worker: cannot connect to daemon at '" +
                              socket_path_ + "': " + why);
   }
-  HelloFrame hello;
-  hello.worker = worker_name_;
-  // Test hook: lets the CI negative test present a wrong version and
-  // assert the daemon rejects it at HELLO.
-  if (const char* forced = std::getenv("FALVOLT_FLEET_PROTOCOL")) {
-    hello.version = static_cast<std::uint32_t>(std::atoi(forced));
-  }
-  send_bytes(encode_hello(hello));
+  send_bytes(encode_hello({kProtocolVersion, worker_name_}));
   const Frame reply = read_frame();
   if (reply.type == FrameType::kError) {
     std::string message;

@@ -46,11 +46,9 @@ class SocketCellQueue : public core::CellQueue {
   void register_cell(const std::string& bench, const std::string& key,
                      const std::string& fingerprint, int grid, int index);
 
-  /// Connect and complete the HELLO/WELCOME handshake. Throws on
-  /// connection failure, version rejection, or a malformed reply.
-  /// The protocol version sent is kProtocolVersion unless the
-  /// FALVOLT_FLEET_PROTOCOL environment variable overrides it (test
-  /// hook for the mismatch path).
+  /// Connect and complete the HELLO/WELCOME handshake at
+  /// kProtocolVersion. Throws on connection failure, version rejection,
+  /// or a malformed reply.
   void connect_and_hello();
 
   int worker_id() const { return worker_id_; }

@@ -13,8 +13,8 @@
 // filesystem. Installing an io::FaultInjector (fault_injector.h)
 // replaces it with an environment that injects torn writes, bit flips,
 // and PullThePlug process kills at exactly these boundaries, which is
-// how tests/test_fault_injection.cpp and the CI crash smoke prove the
-// guarantees instead of asserting them.
+// how tests/test_fault_injection.cpp and leg 7 of the fleet_smoke ctest
+// prove the guarantees instead of asserting them.
 //
 // Scope: Env covers file CONTENT operations — the ones whose partial or
 // reordered effects a crash can expose. Directory listing (enumerating

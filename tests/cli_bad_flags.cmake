@@ -27,6 +27,13 @@ function(expect_exit_2 program)
   set(last_error "${line}" PARENT_SCOPE)
 endfunction()
 
+# The last rejection said why: its error line matches <regex>.
+function(expect_error regex)
+  if(NOT last_error MATCHES "${regex}")
+    message(FATAL_ERROR "want an error matching '${regex}': ${last_error}")
+  endif()
+endfunction()
+
 file(REMOVE_RECURSE ${STORE})
 expect_exit_2(${SWEEP_FLEET} --store ${STORE} --bogus-flag)
 expect_exit_2(${SWEEP_FLEET} --store ${STORE} --repeats abc)
@@ -37,18 +44,21 @@ expect_exit_2(${SWEEP_FLEET} --store ${STORE}
               --set fig5b_fault_count.eval-samples=abc)
 expect_exit_2(${SWEEP_FLEET} --store ${STORE} --set nodot)
 expect_exit_2(${SWEEP_FLEET} --store ${STORE} --grids no_such_grid)
-if(NOT last_error MATCHES "registered: ")
-  message(FATAL_ERROR "unknown grid must list the registered ones")
-endif()
+expect_error("registered: ")
+# --set reaches only the selected grids and no fleet-managed flag.
+expect_exit_2(${SWEEP_FLEET} --store ${STORE} --list-scenarios
+              --set fig5b_fault_count.store=x)
+expect_error("fleet-managed flag --store")
+expect_exit_2(${SWEEP_FLEET} --store ${STORE} --list-scenarios
+              --grids fig5b_fault_count --set fig2_vth_sweep.epochs=1)
+expect_error("not among the selected grids")
 # Fleet layout flags. Worker i would reject a malformed spec only after
 # forking, so the fleet validates it up front. --list-scenarios keeps a
 # regression cheap: a command line that slipped through would list the
 # grid and exit 0 instead of sweeping it.
 expect_exit_2(${SWEEP_FLEET} --store ${STORE} --list-scenarios --hosts 2
               --worker-faults 1:mode=independent)
-if(NOT last_error MATCHES "requires p=")
-  message(FATAL_ERROR "a malformed --worker-faults spec must say why")
-endif()
+expect_error("requires p=")
 expect_exit_2(${SWEEP_FLEET} --store ${STORE} --list-scenarios --hosts -1)
 expect_exit_2(${SWEEP_FLEET} --store ${STORE} --list-scenarios
               --worker-faults 0:mode=runlength,runlen=1,kill=1)
@@ -56,9 +66,15 @@ expect_exit_2(${SWEEP_FLEET} --list-scenarios)
 # A substituter that is not a store is a usage error, caught before the
 # fleet creates its own store.
 expect_exit_2(${SWEEP_FLEET} --store ${STORE} --substituters ${STORE}_nope)
-if(NOT last_error MATCHES "is not a store")
-  message(FATAL_ERROR "a missing substituter must say why")
-endif()
+expect_error("is not a store")
+# A malformed --faults spec, in both drivers, and a store-less merge.
+expect_exit_2(${SWEEP_FLEET} --store ${STORE} --list-scenarios
+              --faults mode=independent)
+expect_error("requires p=")
+expect_exit_2(${SWEEP_MERGE} --into ${STORE} --faults mode=independent)
+expect_error("requires p=")
+expect_exit_2(${SWEEP_MERGE} --prune)
+expect_error("--into is required")
 expect_exit_2(${SWEEP_MERGE} --bogus)
 
 # Bench flags are set with --set, so --help lists every grid's own.

@@ -6,11 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -203,6 +204,26 @@ class FleetDaemonTest : public ::testing::Test {
     }
   }
 
+  // For tests that play one end of the wire by hand: sock_'s address,
+  // and the next whole frame on `fd` (none if the peer hangs up first).
+  sockaddr_un address() const {
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, sock_.c_str(), sizeof(addr.sun_path) - 1);
+    return addr;
+  }
+  static std::optional<fleet::Frame> read_frame(int fd) {
+    fleet::FrameBuffer in;
+    std::optional<fleet::Frame> frame;
+    char chunk[256];
+    ssize_t n = 0;
+    while (!(frame = in.next()) &&
+           (n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0) {
+      in.feed(chunk, static_cast<std::size_t>(n));
+    }
+    return frame;
+  }
+
   std::string dir_;
   std::string sock_;
 };
@@ -267,19 +288,22 @@ TEST_F(FleetDaemonTest, RejectsProtocolVersionMismatchAtHello) {
   ServeOutcome out;
   std::thread server = serve(daemon, out);
 
-  ::setenv("FALVOLT_FLEET_PROTOCOL", "99", 1);
-  fleet::SocketCellQueue stale(sock_, "stale");
-  register_all(stale);
-  try {
-    stale.connect_and_hello();
-    ::unsetenv("FALVOLT_FLEET_PROTOCOL");
-    FAIL() << "mismatched HELLO was accepted";
-  } catch (const std::exception& e) {
-    ::unsetenv("FALVOLT_FLEET_PROTOCOL");
-    EXPECT_NE(std::string(e.what()).find("protocol version mismatch"),
-              std::string::npos)
-        << e.what();
-  }
+  // A stale worker binary: a hand-built HELLO at a version no daemon
+  // speaks, answered by one ERROR frame before the daemon hangs up.
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  sockaddr_un addr = address();
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  const std::string hello = fleet::encode_hello({99, "stale"});
+  ASSERT_EQ(::send(fd, hello.data(), hello.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(hello.size()));
+  const std::optional<fleet::Frame> reply = read_frame(fd);
+  ::close(fd);
+  std::string message;
+  ASSERT_TRUE(reply && fleet::decode_error(*reply, message))
+      << "the daemon answered no ERROR frame";
+  EXPECT_NE(message.find("protocol version mismatch"), std::string::npos)
+      << message;
 
   // The fleet is not poisoned: a current-version worker still drains it.
   fleet::SocketCellQueue good(sock_, "good");
@@ -292,6 +316,41 @@ TEST_F(FleetDaemonTest, RejectsProtocolVersionMismatchAtHello) {
   EXPECT_EQ(out.error, "");
   EXPECT_EQ(out.stats.computed, 4);
   EXPECT_EQ(out.stats.workers_seen, 1);  // the rejected HELLO never joined
+}
+
+TEST_F(FleetDaemonTest, WorkerReportsRejectedHello) {
+  // The other end of a version mismatch: a daemon, played by hand, that
+  // reads the worker's HELLO and answers it with one ERROR frame.
+  const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  sockaddr_un addr = address();
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  fleet::HelloFrame hello{0, ""};
+  std::thread daemon([listener, &hello] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    if (const std::optional<fleet::Frame> frame = read_frame(fd)) {
+      fleet::decode_hello(*frame, hello);
+    }
+    const std::string error =
+        fleet::encode_error("protocol version mismatch: daemon speaks 99");
+    (void)::send(fd, error.data(), error.size(), MSG_NOSIGNAL);
+    ::close(fd);
+  });
+
+  fleet::SocketCellQueue worker(sock_, "worker");
+  std::string error;
+  try {
+    worker.connect_and_hello();
+  } catch (const std::runtime_error& e) {
+    error = e.what();
+  }
+  daemon.join();
+  ::close(listener);
+  EXPECT_EQ(hello.version, fleet::kProtocolVersion);
+  EXPECT_NE(error.find("daemon rejected HELLO: protocol version mismatch"),
+            std::string::npos)
+      << "connect_and_hello() threw '" << error << "'";
 }
 
 TEST_F(FleetDaemonTest, WorkerErrorFailsTheFleet) {

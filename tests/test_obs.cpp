@@ -175,8 +175,8 @@ TEST(ObsTrace, ConcurrentSpansProduceLoadableChromeTraceJson) {
   const std::string body = read_file(path);
   // Structural Chrome trace-event checks (format per the spec's JSON
   // Object variant): the envelope, complete events, thread metadata,
-  // args, and balanced nesting. Perfetto-level validation runs in CI
-  // with a real JSON parser.
+  // args, and balanced nesting. Leg 1 of the fleet_smoke ctest parses a
+  // fleet's whole trace as JSON and checks every event.
   EXPECT_NE(body.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(body.find("\"displayTimeUnit\""), std::string::npos);
   EXPECT_NE(body.find("\"ph\": \"X\""), std::string::npos);
