@@ -462,16 +462,18 @@ void gemm_at_b_auto(const float* a, const float* b, float* c, int k, int m,
   const int threads = parallel_worthwhile(m, flops) && global_threads() > 1
                           ? global_threads()
                           : 1;
-  // The two tiers sum in different orders (K panels vs one chain), so this
-  // density rule decides the summation order; changing it shifts values.
-  const bool use_blocked = n >= kNr && m >= 2 * kMr && k >= kNr &&
-                           flops >= 1LL << 20 &&
-                           sampled_density(a, k, m) >= 0.2;
-  if (use_blocked) {
+  if (gemm_at_b_picks_blocked(k, m, n, sampled_density(a, k, m))) {
     gemm_at_b_blocked(a, b, c, k, m, n, accumulate, threads);
   } else {
     gemm_at_b_tiled(a, b, c, k, m, n, accumulate, threads);
   }
+}
+
+bool gemm_at_b_picks_blocked(int k, int m, int n, double density) {
+  // The two tiers sum in different orders (K panels vs one chain), so this
+  // density rule decides the summation order; changing it shifts values.
+  return n >= kNr && m >= 2 * kMr && k >= kNr &&
+         static_cast<long long>(m) * k * n >= 1LL << 20 && density >= 0.2;
 }
 
 bool gemm_a_bt_picks_blocked(int m, int k, int n) {

@@ -33,11 +33,14 @@
 // `c += a * b` does: fused in optimised FMA builds, product then add
 // elsewhere.
 //
-// Conv2d's float path reproduces two of these tiers' per-element
-// schedules without calling them (tensor/im2col.h): its direct forward
-// kernel is gemm_blocked's chain for K <= kKc, and its fused input
-// gradient at Cout = 8 is gemm_a_bt_blocked's four-partial schedule
-// followed by col2im's add order.
+// Conv2d's float path reproduces these tiers' per-element schedules
+// without calling them or building an im2col matrix (tensor/im2col.h):
+// its direct forward kernel is gemm_blocked's chain for K <= kKc, its
+// weight gradient is gemm_at_b_tiled's chain or gemm_at_b_blocked's
+// kKc-row panels, whichever gemm_at_b_picks_blocked picks for the im2col
+// matrix, and its fused input gradient at Cout = 8 is
+// gemm_a_bt_blocked's four-partial schedule followed by col2im's add
+// order.
 //
 // tensor::gemm / gemm_at_b / gemm_a_bt are thin wrappers over the auto
 // dispatchers; call the explicit tiers directly only in benches, tests
@@ -111,6 +114,12 @@ void gemm_at_b_auto(const float* a, const float* b, float* c, int k, int m,
                     int n, bool accumulate = false);
 void gemm_a_bt_auto(const float* a, const float* b, float* c, int m, int k,
                     int n, bool accumulate = false);
+
+/// True when gemm_at_b_auto runs an A^T * B product (A stored [k x m],
+/// B [k x n]) on the blocked tier, given `density`, the nonzero share of
+/// A's first min(k, 32) rows. conv_weight_grad (tensor/im2col.h) asks
+/// for an im2col matrix it never builds.
+bool gemm_at_b_picks_blocked(int k, int m, int n, double density);
 
 /// True when gemm_a_bt_auto runs an [m x k] * [n x k]^T product on the
 /// blocked tier. A caller that splits such a product into row blocks asks

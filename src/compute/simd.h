@@ -87,6 +87,26 @@ inline M32x8 gt_f32x8(F32x8 a, F32x8 b) {
 inline F32x8 select_f32x8(M32x8 mask, F32x8 a, F32x8 b) {
   return _mm256_blendv_ps(b, a, mask);
 }
+/// The even and the odd entries of the 16 floats lo:hi, in order.
+inline void deinterleave_f32x8(F32x8 lo, F32x8 hi, F32x8& even,
+                               F32x8& odd) {
+  // Per 128-bit half: [lo0 lo2 hi0 hi2 | lo4 lo6 hi4 hi6]; the 64-bit
+  // permute puts the lo pairs first.
+  const __m256 e = _mm256_shuffle_ps(lo, hi, _MM_SHUFFLE(2, 0, 2, 0));
+  const __m256 o = _mm256_shuffle_ps(lo, hi, _MM_SHUFFLE(3, 1, 3, 1));
+  even = _mm256_castpd_ps(_mm256_permute4x64_pd(_mm256_castps_pd(e),
+                                                _MM_SHUFFLE(3, 1, 2, 0)));
+  odd = _mm256_castpd_ps(_mm256_permute4x64_pd(_mm256_castps_pd(o),
+                                               _MM_SHUFFLE(3, 1, 2, 0)));
+}
+/// Every entry of v twice, in order: lo = [v0 v0 v1 v1 .. v3 v3],
+/// hi = [v4 v4 .. v7 v7].
+inline void duplicate_f32x8(F32x8 v, F32x8& lo, F32x8& hi) {
+  const __m256 l = _mm256_unpacklo_ps(v, v);  // [v0 v0 v1 v1 | v4 v4 v5 v5]
+  const __m256 h = _mm256_unpackhi_ps(v, v);  // [v2 v2 v3 v3 | v6 v6 v7 v7]
+  lo = _mm256_permute2f128_ps(l, h, 0x20);
+  hi = _mm256_permute2f128_ps(l, h, 0x31);
+}
 #else
 struct F32x8 {
   float v[8];
@@ -136,6 +156,21 @@ inline F32x8 select_f32x8(M32x8 mask, F32x8 a, F32x8 b) {
   for (int l = 0; l < 8; ++l) a.v[l] = mask.v[l] ? a.v[l] : b.v[l];
   return a;
 }
+inline void deinterleave_f32x8(F32x8 lo, F32x8 hi, F32x8& even,
+                               F32x8& odd) {
+  for (int l = 0; l < 4; ++l) {
+    even.v[l] = lo.v[2 * l];
+    odd.v[l] = lo.v[2 * l + 1];
+    even.v[l + 4] = hi.v[2 * l];
+    odd.v[l + 4] = hi.v[2 * l + 1];
+  }
+}
+inline void duplicate_f32x8(F32x8 v, F32x8& lo, F32x8& hi) {
+  for (int l = 0; l < 4; ++l) {
+    lo.v[2 * l] = lo.v[2 * l + 1] = v.v[l];
+    hi.v[2 * l] = hi.v[2 * l + 1] = v.v[l + 4];
+  }
+}
 #endif
 
 /// Column-group width of the integer fast path (one AVX2 register of
@@ -170,6 +205,30 @@ inline I32x8 sra_i32x8(I32x8 a, int s) {
   return _mm256_sra_epi32(a, _mm_cvtsi32_si128(s));
 }
 #endif
+
+/// out[l] = static_cast<float>(raw[l] * scale) for 8 lanes, in double.
+/// With `scale` a power of two both the product and raw[l] / (1 / scale)
+/// are exact, so this is a fixed-point dequantization rounded once.
+inline void scale_i32x8_to_f32(const std::int32_t* raw, double scale,
+                               float* out) {
+#if defined(__AVX2__)
+  const __m256d s = _mm256_set1_pd(scale);
+  const __m256d lo = _mm256_mul_pd(
+      _mm256_cvtepi32_pd(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(raw))),
+      s);
+  const __m256d hi = _mm256_mul_pd(
+      _mm256_cvtepi32_pd(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(raw + 4))),
+      s);
+  _mm_storeu_ps(out, _mm256_cvtpd_ps(lo));
+  _mm_storeu_ps(out + 4, _mm256_cvtpd_ps(hi));
+#else
+  for (int l = 0; l < kI32Lanes; ++l) {
+    out[l] = static_cast<float>(static_cast<double>(raw[l]) * scale);
+  }
+#endif
+}
 
 /// Name of the compiled SIMD backend (perf-trajectory metadata).
 inline const char* simd_backend() {

@@ -46,8 +46,12 @@ MitigationResult run_fault_aware_retraining(
   snn::Trainer trainer(net, opt, train, &test, tc);
   res.curve = trainer.run();
 
-  // Line 15: final inference accuracy with the new weights.
-  res.final_accuracy = snn::evaluate(net, test);
+  // Line 15: final inference accuracy with the new weights. With
+  // per-epoch evaluation the last epoch has measured exactly this: its
+  // evaluation ran after the re-pruning, on the same weights.
+  res.final_accuracy = cfg.eval_each_epoch && !res.curve.empty()
+                           ? res.curve.back().test_accuracy
+                           : snn::evaluate(net, test);
   res.best_accuracy = res.final_accuracy;
   for (const snn::EpochStats& s : res.curve) {
     if (!std::isnan(s.test_accuracy) && s.test_accuracy > res.best_accuracy) {

@@ -7,7 +7,6 @@
 
 #include "compute/gemm_kernels.h"
 #include "compute/thread_pool.h"
-#include "tensor/gemm.h"
 
 namespace falvolt::snn {
 
@@ -55,71 +54,24 @@ void Conv2d::bind_geometry(const tensor::Tensor& x) {
   geometry_bound_ = true;
 }
 
-void Conv2d::reset_state() {
-  steps_ = 0;
-  batch_ = 0;
-}
+void Conv2d::reset_state() { steps_ = 0; }
 
-tensor::Tensor& Conv2d::cols_buffer(int t, Mode mode, int rows, int cols) {
-  tensor::Tensor* buffer = &eval_cols_;
+tensor::Tensor Conv2d::forward(const tensor::Tensor& x, int t, Mode mode) {
+  bind_geometry(x);
   if (mode == Mode::kTrain) {
     if (t != steps_) {
       throw std::logic_error("Conv2d::forward: cache out of sync");
     }
-    if (cols_hist_.size() <= static_cast<std::size_t>(t)) {
-      cols_hist_.emplace_back();
-    }
-    buffer = &cols_hist_[static_cast<std::size_t>(t)];
+    if (inputs_.size() <= static_cast<std::size_t>(t)) inputs_.emplace_back();
+    inputs_[static_cast<std::size_t>(t)] = x;
     ++steps_;
   }
-  if (buffer->shape() != tensor::Shape{rows, cols}) {
-    *buffer = tensor::Tensor({rows, cols});
-  }
-  return *buffer;
-}
-
-tensor::Tensor Conv2d::forward(const tensor::Tensor& x, int t, Mode mode) {
-  bind_geometry(x);
   const int n = x.dim(0);
-  const int p = geometry_.out_pixels();
-  const int k = geometry_.patch_size();
-  const int m = out_channels_;
-  batch_ = n;
-  tensor::Tensor out({n, m, geometry_.out_h(), geometry_.out_w()});
-  const float* bias = has_bias_ ? bias_.value.data() : nullptr;
-
-  // The float path up to one K panel: the direct kernel gives the blocked
-  // GEMM's bits with no im2col matrix (training still keeps one per step
-  // for the weight gradient).
-  if (engine_ == nullptr && k <= compute::kKc) {
-    float* cols = mode == Mode::kTrain
-                      ? cols_buffer(t, mode, n * p, k).data()
-                      : nullptr;
-    tensor::conv_forward(x.data(), n, geometry_, weight_.value.data(), m,
-                         bias, out.data(), cols);
-    return out;
-  }
-
-  tensor::Tensor& cols = cols_buffer(t, mode, n * p, k);
-  tensor::im2col(x.data(), n, geometry_, cols.data());
-
-  // GEMM: [n*p, k] x [k, m] -> [n*p, m]
-  tensor::Tensor prod({n * p, m});
+  tensor::Tensor out({n, out_channels_, geometry_.out_h(), geometry_.out_w()});
   GemmEngine& eng = engine_ ? *engine_ : FloatGemmEngine::instance();
-  eng.run(cols.data(), weight_.value.data(), prod.data(), n * p, k, m,
-          Layer::name());
-
-  // Repack pixel-major rows into [N, Cout, OH, OW] and add bias.
-  for (int s = 0; s < n; ++s) {
-    for (int pix = 0; pix < p; ++pix) {
-      const float* row =
-          prod.data() + (static_cast<std::size_t>(s) * p + pix) * m;
-      for (int c = 0; c < m; ++c) {
-        out.data()[((static_cast<std::size_t>(s) * m + c) * p) + pix] =
-            row[c] + (bias != nullptr ? bias[c] : 0.0f);
-      }
-    }
-  }
+  eng.conv(x.data(), n, geometry_, weight_.value.data(), out_channels_,
+           has_bias_ ? bias_.value.data() : nullptr, out.data(),
+           Layer::name());
   return out;
 }
 
@@ -127,8 +79,8 @@ tensor::Tensor Conv2d::backward(const tensor::Tensor& grad_out, int t) {
   if (t < 0 || t >= steps_) {
     throw std::logic_error("Conv2d::backward: no cache for this time step");
   }
-  const tensor::Tensor& cols = cols_hist_[static_cast<std::size_t>(t)];
-  const int n = batch_;
+  const tensor::Tensor& x = inputs_[static_cast<std::size_t>(t)];
+  const int n = x.dim(0);
   const int p = geometry_.out_pixels();
   const int k = geometry_.patch_size();
   const int m = out_channels_;
@@ -149,10 +101,11 @@ tensor::Tensor Conv2d::backward(const tensor::Tensor& grad_out, int t) {
     }
   }
 
-  // Weight gradient: W_grad[k x m] += cols^T[k x n*p] * G[n*p x m].
+  // Weight gradient: W_grad[k x m] += cols^T[k x n*p] * G[n*p x m], with
+  // the im2col matrix `cols` read in place from the step's input.
   if (weight_.trainable) {
-    tensor::gemm_at_b(cols.data(), g.data(), weight_.grad.data(), n * p, k, m,
-                      /*accumulate=*/true);
+    tensor::conv_weight_grad(x.data(), n, geometry_, g.data(), m,
+                             weight_.grad.data());
   }
   if (has_bias_ && bias_.trainable) {
     for (int row = 0; row < n * p; ++row) {

@@ -1,12 +1,15 @@
 #pragma once
-// 2D convolution layer, lowered to GEMM via im2col.
+// 2D convolution layer: a GEMM over the im2col rows of its input, which
+// no pass builds.
 //
 // The GEMM weight matrix is [K x M] with K = Cin*kh*kw and M = Cout; this
 // is exactly the matrix that gets laid onto the systolic array, so the
 // fault/prune machinery addresses conv weights through `MatmulLayer`.
-// With a GemmEngine set (the systolic engine) the forward pass runs
-// im2col + engine.run; without one, a direct kernel computes the same
-// bits (tensor::conv_forward).
+// The forward pass is GemmEngine::conv: the float engine's direct kernel
+// (tensor::conv_forward), or the systolic engine's walk over each
+// sample's zero-bordered copy. Training keeps each step's input, and the
+// backward pass reads its windows in place too (tensor::conv_weight_grad,
+// tensor::conv_input_grad8).
 
 #include <vector>
 
@@ -42,7 +45,6 @@ class Conv2d final : public Layer, public MatmulLayer {
 
  private:
   void bind_geometry(const tensor::Tensor& x);
-  tensor::Tensor& cols_buffer(int t, Mode mode, int rows, int cols);
 
   int in_channels_;
   int out_channels_;
@@ -54,14 +56,11 @@ class Conv2d final : public Layer, public MatmulLayer {
   tensor::ConvGeometry geometry_;
   bool geometry_bound_ = false;
   GemmEngine* engine_ = nullptr;  // non-owning; nullptr -> float engine
-  // im2col matrices [N * out_pixels, K]: one per training time step (the
-  // first `steps_` are live), for the weight gradient, and one for an
-  // engine's eval forward. They outlive reset_state() so a same-shaped
-  // batch reuses them; im2col overwrites every element.
-  std::vector<tensor::Tensor> cols_hist_;
-  tensor::Tensor eval_cols_;
+  // Each training time step's input, for the weight gradient (the first
+  // `steps_` are live). They outlive reset_state() so a same-shaped batch
+  // reuses their storage.
+  std::vector<tensor::Tensor> inputs_;
   int steps_ = 0;
-  int batch_ = 0;
 };
 
 }  // namespace falvolt::snn

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "snn/param.h"
+#include "tensor/im2col.h"
 #include "tensor/tensor.h"
 
 namespace falvolt::snn {
@@ -34,6 +35,16 @@ class GemmEngine {
   /// C[m x n] = A[m x k] * W[k x n], row-major.
   virtual void run(const float* a, const float* w, float* c, int m, int k,
                    int n, const std::string& layer_tag) = 0;
+
+  /// Convolution of `n` (C, H, W) samples `x` with the GEMM weights
+  /// w[patch_size x cout] into (cout, out_h, out_w) samples `out`, each
+  /// element the GEMM's output plus bias[c] (+ 0.0f when `bias` is null).
+  /// The default lowers it: im2col, run() on the [n * out_pixels x
+  /// patch_size] matrix, then a repack to NCHW. An engine that overrides
+  /// it must give the same bits.
+  virtual void conv(const float* x, int n, const tensor::ConvGeometry& g,
+                    const float* w, int cout, const float* bias, float* out,
+                    const std::string& layer_tag);
 };
 
 /// Default float GEMM (delegates to tensor::gemm, i.e. the compute
@@ -42,6 +53,12 @@ class FloatGemmEngine final : public GemmEngine {
  public:
   void run(const float* a, const float* w, float* c, int m, int k, int n,
            const std::string& layer_tag) override;
+  /// tensor::conv_forward (the blocked GEMM's bits with no im2col
+  /// matrix) up to one K panel (patch_size <= compute::kKc), else the
+  /// lowering.
+  void conv(const float* x, int n, const tensor::ConvGeometry& g,
+            const float* w, int cout, const float* bias, float* out,
+            const std::string& layer_tag) override;
   /// Process-wide shared instance.
   static FloatGemmEngine& instance();
 };
@@ -79,10 +96,10 @@ class Layer {
   std::string name_;
 };
 
-/// Interface implemented by layers whose forward pass is one GEMM
-/// (Conv2d via im2col, Linear). These are the layers mapped onto the
-/// systolic array: their weight matrix is [K x M] with element (k, m)
-/// living on PE(k mod N, m mod N).
+/// Interface implemented by layers whose forward pass is one GEMM (Linear,
+/// and Conv2d's product over the im2col rows it reads in place). These
+/// are the layers mapped onto the systolic array: their weight matrix is
+/// [K x M] with element (k, m) living on PE(k mod N, m mod N).
 class MatmulLayer {
  public:
   virtual ~MatmulLayer() = default;

@@ -12,6 +12,7 @@
 #include "compute/simd.h"
 #include "compute/thread_pool.h"
 #include "obs/metrics.h"
+#include "tensor/im2col.h"
 
 namespace falvolt::systolic {
 
@@ -318,115 +319,222 @@ void SystolicGemmEngine::reference_row(const LayerPlan& plan,
   }
 }
 
-void SystolicGemmEngine::run_rows(const LayerPlan& plan, const float* a,
-                                  float* c, int i0, int i1, int n) {
-  const fx::FixedFormat& fmt = cfg_.format;
+// Serves the rows of one layer plan 8 output columns at a time, and
+// tallies the paths and accumulate steps locally so the hot loops pay
+// plain increments; each worker owns one and publishes it once.
+class SystolicGemmEngine::RowWalker {
+ public:
+  RowWalker(SystolicGemmEngine& engine, const LayerPlan& plan)
+      : engine_(engine),
+        plan_(plan),
 #if defined(__AVX2__)
-  const NarrowLanes narrow(fmt);
+        narrow_(engine.cfg_.format),
 #endif
-  const WideLanes wide(fmt);
-  std::uint64_t local_steps = 0;
-  // Path-taken telemetry, accumulated locally like local_steps so the
-  // hot loops pay plain increments and each worker publishes once.
-  std::uint64_t local_vector = 0, local_fallback = 0, local_zero = 0,
-                local_reference = 0;
-  RowScan row;
-  row.nz.resize(static_cast<std::size_t>(plan.k));
-  row.qa.resize(static_cast<std::size_t>(plan.k));
-  row.one.resize(static_cast<std::size_t>(plan.k));
+        wide_(engine.cfg_.format),
+        resolution_(engine.cfg_.format.resolution()),
+        acc_(static_cast<std::size_t>(plan.n8)),
+        values_(static_cast<std::size_t>(plan.n8)) {
+    const std::size_t k = static_cast<std::size_t>(plan.k);
+    row_.nz.resize(k);
+    row_.qa.resize(k);
+    row_.one.resize(k);
+  }
 
-  for (int i = i0; i < i1; ++i) {
-    const float* arow = a + static_cast<std::size_t>(i) * plan.k;
-    float* crow = c + static_cast<std::size_t>(i) * n;
+  // Path and step tallies, published by publish():
+  //   vector     columns of binary rows done by plain int32 adds
+  //   fallback   columns through the exact 8-lane walk
+  //   zero       all-zero rows served from the plan
+  //   reference  forced-scalar rows through the serial reference
+  std::uint64_t steps = 0, vector = 0, fallback = 0, zero = 0,
+                reference = 0;
 
-    if (force_scalar_) {
+  // The outputs of the input row `arow` (plan.k entries) in every output
+  // column: the serial reference when forced scalar, else one scan of
+  // the row (its nonzero positions, shared by every column group, and
+  // whether each nonzero is a binary spike), the plan's zero row for an
+  // all-zero row, or the walk. Valid until the next call.
+  const float* serve(const float* arow) {
+    if (engine_.force_scalar_) {
       // The byte-for-byte oracle the FALVOLT_FORCE_SCALAR knob pins
       // every row to.
-      reference_row(plan, arow, crow, n, local_steps);
-      ++local_reference;
-      continue;
+      engine_.reference_row(plan_, arow, values_.data(), plan_.n, steps);
+      ++reference;
+      return values_.data();
     }
-
-    // One pass over the row: the nonzero positions, shared by every
-    // column group, and whether every nonzero is a binary spike.
     bool binary = true;
-    row.count =
-        compute::nonzero_positions(arow, plan.k, row.nz.data(), binary);
-    const int count = row.count;
-    if (count == 0) {
-      std::copy(plan.zero_row.begin(), plan.zero_row.end(), crow);
-      ++local_zero;
-      continue;
-    }
+    row_.count =
+        compute::nonzero_positions(arow, plan_.k, row_.nz.data(), binary);
+    if (row_.count == 0) return zero_row();
     if (!binary) {
       // Quantize each real-valued entry once for the whole row.
-      for (int t = 0; t < count; ++t) {
-        const float av = arow[row.nz[static_cast<std::size_t>(t)]];
-        row.one[static_cast<std::size_t>(t)] = av == 1.0f;
-        row.qa[static_cast<std::size_t>(t)] = fmt.quantize(av);
+      const fx::FixedFormat& fmt = engine_.cfg_.format;
+      for (int t = 0; t < row_.count; ++t) {
+        const float av = arow[row_.nz[static_cast<std::size_t>(t)]];
+        row_.one[static_cast<std::size_t>(t)] = av == 1.0f;
+        row_.qa[static_cast<std::size_t>(t)] = fmt.quantize(av);
       }
     }
-    local_steps += static_cast<std::uint64_t>(count) * n;
+    return walk(binary);
+  }
 
+  // The outputs of an all-zero input row: the plan's zero row.
+  const float* zero_row() {
+    ++zero;
+    return plan_.zero_row.data();
+  }
+
+  // Adds the tallies to the engine's step count and to process-wide obs
+  // counters, so the path mix shows up in --metrics-json without
+  // threading engine pointers up through the sweep layers (schedule-only
+  // telemetry: the paths are bit-identical by contract). Every run or
+  // conv covers each output element once:
+  //   vector_cols + fallback_cols + n * (zero_rows + reference_rows)
+  //     == rows * n.
+  void publish() const {
+    engine_.steps_.fetch_add(steps, std::memory_order_relaxed);
+    static obs::Counter& g_vector =
+        obs::counter("kernel.faulty_gemm.vector_cols");
+    static obs::Counter& g_fallback =
+        obs::counter("kernel.faulty_gemm.fallback_cols");
+    static obs::Counter& g_zero = obs::counter("kernel.faulty_gemm.zero_rows");
+    static obs::Counter& g_reference =
+        obs::counter("kernel.faulty_gemm.reference_rows");
+    static obs::Counter& g_steps = obs::counter("kernel.faulty_gemm.steps");
+    if (vector) g_vector.add(vector);
+    if (fallback) g_fallback.add(fallback);
+    if (zero) g_zero.add(zero);
+    if (reference) g_reference.add(reference);
+    if (steps) g_steps.add(steps);
+  }
+
+ private:
+  // The outputs of `row` (at least one nonzero) in every output column,
+  // dequantized: plain int32 adds on binary rows of proven fault-free
+  // groups, the exact 8-lane walk everywhere else.
+  const float* walk(bool binary) {
+    const int n = plan_.n;
+    steps += static_cast<std::uint64_t>(row_.count) * n;
     for (int j = 0; j < n; j += kLanes) {
       const std::size_t g = static_cast<std::size_t>(j / kLanes);
       const int width = std::min(kLanes, n - j);  // the last group pads
-      const std::int32_t* w = plan.qweights.data() + j;
-      std::int32_t accs[kLanes] = {};
-      if (binary && plan.group_fast[g]) {
+      const std::int32_t* w = plan_.qweights.data() + j;
+      std::int32_t* accs = acc_.data() + j;
+      if (binary && plan_.group_fast[g]) {
         // No events, no saturation: one load+add per nonzero position.
-        compute::accumulate_rows_i32x8(w, plan.n8, row.nz.data(), count,
-                                       accs);
-        local_vector += static_cast<std::uint64_t>(width);
-      } else {
-        const auto walk = [&](const auto& lanes) {
-          const auto& events = plan.group_events[g];
-          if (binary) {
-            walk_group<false>(lanes, w, plan.n8, row, events, accs);
-          } else {
-            walk_group<true>(lanes, w, plan.n8, row, events, accs);
-          }
-        };
-#if defined(__AVX2__)
-        if (NarrowLanes::exact(fmt, !binary)) {
-          walk(narrow);
-        } else {
-          walk(wide);
-        }
-#else
-        walk(wide);
-#endif
-        local_fallback += static_cast<std::uint64_t>(width);
+        compute::accumulate_rows_i32x8(w, plan_.n8, row_.nz.data(),
+                                       row_.count, accs);
+        vector += static_cast<std::uint64_t>(width);
+        continue;
       }
-      for (int lane = 0; lane < width; ++lane) {
-        crow[j + lane] = static_cast<float>(fmt.dequantize(accs[lane]));
+      const auto walk_with = [&](const auto& lanes) {
+        const auto& events = plan_.group_events[g];
+        if (binary) {
+          walk_group<false>(lanes, w, plan_.n8, row_, events, accs);
+        } else {
+          walk_group<true>(lanes, w, plan_.n8, row_, events, accs);
+        }
+      };
+#if defined(__AVX2__)
+      if (NarrowLanes::exact(engine_.cfg_.format, !binary)) {
+        walk_with(narrow_);
+      } else {
+        walk_with(wide_);
+      }
+#else
+      walk_with(wide_);
+#endif
+      fallback += static_cast<std::uint64_t>(width);
+    }
+    // FixedFormat::dequantize divides by 2^frac; the product with its
+    // power-of-two resolution is the same double.
+    for (int j = 0; j < n; j += kLanes) {
+      compute::scale_i32x8_to_f32(acc_.data() + j, resolution_,
+                                  values_.data() + j);
+    }
+    return values_.data();
+  }
+
+  SystolicGemmEngine& engine_;
+  const LayerPlan& plan_;
+#if defined(__AVX2__)
+  const NarrowLanes narrow_;
+#endif
+  const WideLanes wide_;
+  const double resolution_;
+  std::vector<std::int32_t> acc_;  // [n8]
+  std::vector<float> values_;      // [n8]
+  RowScan row_;                    // the scan of the row being served
+};
+
+void SystolicGemmEngine::run_rows(const LayerPlan& plan, const float* a,
+                                  float* c, int i0, int i1, int n) {
+  RowWalker walker(*this, plan);
+  for (int i = i0; i < i1; ++i) {
+    const float* values =
+        walker.serve(a + static_cast<std::size_t>(i) * plan.k);
+    std::copy(values, values + n, c + static_cast<std::size_t>(i) * n);
+  }
+  walker.publish();
+}
+
+void SystolicGemmEngine::conv_samples(const LayerPlan& plan, const float* x,
+                                      const tensor::ConvGeometry& g,
+                                      const float* bias, float* out, int s0,
+                                      int s1) {
+  const int oh = g.out_h();
+  const int ow = g.out_w();
+  const int pw = g.padded_w();
+  const int cout = plan.n;
+  const std::size_t p = static_cast<std::size_t>(oh) * ow;
+  const std::size_t plane = static_cast<std::size_t>(g.padded_h()) * pw;
+  const std::size_t in_sample =
+      static_cast<std::size_t>(g.in_channels) * g.in_h * g.in_w;
+  const std::vector<std::size_t> taps = tensor::window_taps(g);
+  RowWalker walker(*this, plan);
+  std::vector<float> padded(static_cast<std::size_t>(g.in_channels) * plane);
+  std::vector<float> window(taps.size());  // the window's im2col row
+  // live[y * pw + x]: padded element (y, x) is nonzero in some channel.
+  // reach[x]: column x of an output row's kernel rows is live. A window
+  // with no live column is an all-zero row, served without its copy.
+  std::vector<std::uint8_t> live(plane);
+  std::vector<std::uint8_t> reach(static_cast<std::size_t>(pw));
+  for (int s = s0; s < s1; ++s) {
+    tensor::pad_sample(x + s * in_sample, g, padded.data());
+    float* sample_out = out + static_cast<std::size_t>(s) * cout * p;
+    std::fill(live.begin(), live.end(), 0);
+    for (int c = 0; c < g.in_channels; ++c) {
+      const float* src = padded.data() + c * plane;
+      for (std::size_t e = 0; e < plane; ++e) live[e] |= src[e] != 0.0f;
+    }
+    for (int oy = 0; oy < oh; ++oy) {
+      const std::size_t top = static_cast<std::size_t>(oy) * g.stride * pw;
+      std::fill(reach.begin(), reach.end(), 0);
+      for (int ky = 0; ky < g.kernel_h; ++ky) {
+        const std::uint8_t* row = live.data() + top + ky * pw;
+        for (int col = 0; col < pw; ++col) reach[col] |= row[col];
+      }
+      for (int ox = 0; ox < ow; ++ox) {
+        const std::size_t left = static_cast<std::size_t>(ox) * g.stride;
+        std::uint8_t any = 0;
+        for (int kx = 0; kx < g.kernel_w; ++kx) any |= reach[left + kx];
+        const float* values;
+        if (any == 0 && !force_scalar_) {
+          values = walker.zero_row();
+        } else {
+          const float* origin = padded.data() + top + left;
+          for (std::size_t kk = 0; kk < taps.size(); ++kk) {
+            window[kk] = origin[taps[kk]];
+          }
+          values = walker.serve(window.data());
+        }
+        const std::size_t pix = static_cast<std::size_t>(oy) * ow + ox;
+        for (int c = 0; c < cout; ++c) {
+          sample_out[c * p + pix] = values[c] + (bias ? bias[c] : 0.0f);
+        }
       }
     }
   }
-  steps_.fetch_add(local_steps, std::memory_order_relaxed);
-  // Which codepath evaluated each output element (schedule-only
-  // telemetry; the paths are bit-identical by contract), as process-wide
-  // obs counters so the path mix shows up in --metrics-json without
-  // threading engine pointers up through the sweep layers:
-  //   vector_cols     columns of binary rows done by plain int32 adds
-  //   fallback_cols   columns through the exact 8-lane walk
-  //   zero_rows       all-zero rows served from the plan
-  //   reference_rows  forced-scalar rows through the serial reference
-  // Every run covers each output element once:
-  //   vector_cols + fallback_cols + n * (zero_rows + reference_rows)
-  //     == m * n.
-  static obs::Counter& g_vector = obs::counter("kernel.faulty_gemm.vector_cols");
-  static obs::Counter& g_fallback =
-      obs::counter("kernel.faulty_gemm.fallback_cols");
-  static obs::Counter& g_zero = obs::counter("kernel.faulty_gemm.zero_rows");
-  static obs::Counter& g_reference =
-      obs::counter("kernel.faulty_gemm.reference_rows");
-  static obs::Counter& g_steps = obs::counter("kernel.faulty_gemm.steps");
-  if (local_vector) g_vector.add(local_vector);
-  if (local_fallback) g_fallback.add(local_fallback);
-  if (local_zero) g_zero.add(local_zero);
-  if (local_reference) g_reference.add(local_reference);
-  if (local_steps) g_steps.add(local_steps);
+  walker.publish();
 }
 
 void SystolicGemmEngine::run(const float* a, const float* w, float* c, int m,
@@ -444,6 +552,22 @@ void SystolicGemmEngine::run(const float* a, const float* w, float* c, int m,
                                         });
   } else {
     run_rows(plan, a, c, 0, m, n);
+  }
+}
+
+void SystolicGemmEngine::conv(const float* x, int n,
+                              const tensor::ConvGeometry& g, const float* w,
+                              int cout, const float* bias, float* out,
+                              const std::string& layer_tag) {
+  const LayerPlan& plan = plan_for(layer_tag, w, g.patch_size(), cout);
+  const int threads = threads_ > 0 ? threads_ : compute::global_threads();
+  if (threads > 1 && n > 1) {
+    const int grain = (n + threads - 1) / threads;
+    compute::global_pool().parallel_for(0, n, grain, [&](int s0, int s1) {
+      conv_samples(plan, x, g, bias, out, s0, s1);
+    });
+  } else {
+    conv_samples(plan, x, g, bias, out, 0, n);
   }
 }
 

@@ -39,6 +39,13 @@
 // sends every row through the serial reference, so the fast path is
 // always byte-for-byte checkable against it.
 //
+// A convolution (`conv`) builds no im2col matrix. Per sample it writes
+// the zero-bordered copy and marks the padded pixels that are nonzero
+// in any channel. A window with no marked pixel is an all-zero row;
+// any other window is copied into one im2col row and served by the
+// same per-row code as a `run` row. Outputs go straight to NCHW plus
+// the bias: the bits and path counters of im2col + run + repack.
+//
 // Fault handling modes:
 //   kCorrupt — stuck bits corrupt the psum (the unmitigated chip);
 //   kBypass  — faulty PEs are bypassed by the Fig. 3b mux: their weight
@@ -68,6 +75,12 @@ class SystolicGemmEngine final : public snn::GemmEngine {
 
   void run(const float* a, const float* w, float* c, int m, int k, int n,
            const std::string& layer_tag) override;
+  /// The lowered convolution's bits and telemetry, read from each
+  /// sample's zero-bordered copy (see the file comment). Samples split
+  /// across the pool as run() splits rows.
+  void conv(const float* x, int n, const tensor::ConvGeometry& g,
+            const float* w, int cout, const float* bias, float* out,
+            const std::string& layer_tag) override;
 
   const ArrayConfig& config() const { return cfg_; }
   FaultHandling handling() const { return handling_; }
@@ -131,10 +144,15 @@ class SystolicGemmEngine final : public snn::GemmEngine {
     std::uint64_t weight_hash = 0;       // content identity of the weights
   };
 
+  class RowWalker;
+
   const LayerPlan& plan_for(const std::string& tag, const float* w, int k,
                             int n);
   void run_rows(const LayerPlan& plan, const float* a, float* c, int i0,
                 int i1, int n);
+  void conv_samples(const LayerPlan& plan, const float* x,
+                    const tensor::ConvGeometry& g, const float* bias,
+                    float* out, int s0, int s1);
   /// The exact serial reference for one output row (all columns):
   /// per-step saturating accumulate + fault events, any activation kind.
   void reference_row(const LayerPlan& plan, const float* arow, float* crow,

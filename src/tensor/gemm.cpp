@@ -8,8 +8,7 @@ namespace falvolt::tensor {
 
 // The tensor-level entry points are thin wrappers over the unified
 // compute backend's auto dispatchers (see compute/gemm_kernels.h for
-// the tier rules). Linear, the float GEMM engine and Conv2d's weight
-// gradient route through here.
+// the tier rules). Linear and the float GEMM engine route through here.
 
 void gemm(const float* a, const float* b, float* c, int m, int k, int n,
           bool accumulate) {

@@ -1,7 +1,9 @@
 #pragma once
-// Float GEMM entry points. Conv and FC layers lower to
+// Float GEMM entry points:
 //   C[M x N] = A[M x K] * B[K x N]  (+ accumulate variants)
-// via im2col, so one interface serves the whole library. The
+// for the FC layers, the float GEMM engine, and every product a conv
+// would run on its im2col matrix (the conv kernels in tensor/im2col.h
+// reproduce these entry points' bits without building that matrix). The
 // implementations delegate to the unified compute backend
 // (compute/gemm_kernels.h), whose dispatchers pick a kernel tier by
 // problem shape (and, where tiers round differently, by input density)

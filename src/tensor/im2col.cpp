@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "compute/gemm_kernels.h"
 #include "compute/simd.h"
 #include "compute/thread_pool.h"
 
@@ -26,38 +27,15 @@ constexpr int kLanes = 8;
 // group of a row reads up to kLanes - 1 past the row's last window.
 constexpr std::size_t kPaddedSlack = kLanes;
 
-int padded_h(const ConvGeometry& g) { return g.in_h + 2 * g.pad; }
-int padded_w(const ConvGeometry& g) { return g.in_w + 2 * g.pad; }
-
 std::size_t padded_size(const ConvGeometry& g) {
-  return static_cast<std::size_t>(g.in_channels) * padded_h(g) * padded_w(g);
-}
-
-// Zero-bordered copy of one (C, H, W) sample: C planes of
-// (H + 2 pad) x (W + 2 pad). Every element of `dst` is written, so one
-// buffer serves sample after sample without clearing.
-void pad_sample(const float* src, const ConvGeometry& g, float* dst) {
-  const int pw = padded_w(g);
-  const std::size_t border_rows = static_cast<std::size_t>(g.pad) * pw;
-  for (int c = 0; c < g.in_channels; ++c) {
-    float* out = dst + static_cast<std::size_t>(c) * padded_h(g) * pw;
-    out = std::fill_n(out, border_rows, 0.0f);
-    for (int y = 0; y < g.in_h; ++y) {
-      const float* row =
-          src + (static_cast<std::size_t>(c) * g.in_h + y) * g.in_w;
-      out = std::fill_n(out, g.pad, 0.0f);
-      out = std::copy_n(row, g.in_w, out);
-      out = std::fill_n(out, g.pad, 0.0f);
-    }
-    std::fill_n(out, border_rows, 0.0f);
-  }
+  return static_cast<std::size_t>(g.in_channels) * g.padded_h() * g.padded_w();
 }
 
 // Copy the interior of a padded sample back to (C, H, W).
 void unpad_sample(const float* src, const ConvGeometry& g, float* dst) {
-  const int pw = padded_w(g);
+  const int pw = g.padded_w();
   for (int c = 0; c < g.in_channels; ++c) {
-    const float* plane = src + static_cast<std::size_t>(c) * padded_h(g) * pw;
+    const float* plane = src + static_cast<std::size_t>(c) * g.padded_h() * pw;
     for (int y = 0; y < g.in_h; ++y) {
       std::copy_n(plane + static_cast<std::size_t>(y + g.pad) * pw + g.pad,
                   g.in_w,
@@ -69,12 +47,12 @@ void unpad_sample(const float* src, const ConvGeometry& g, float* dst) {
 // Offset of each (channel, kernel row) window row from a window's origin
 // in the padded buffer, in im2col column order.
 std::vector<std::size_t> window_rows(const ConvGeometry& g) {
-  const std::size_t pw = static_cast<std::size_t>(padded_w(g));
+  const std::size_t pw = static_cast<std::size_t>(g.padded_w());
   std::vector<std::size_t> rows;
   rows.reserve(static_cast<std::size_t>(g.in_channels) * g.kernel_h);
   for (int c = 0; c < g.in_channels; ++c) {
     for (int ky = 0; ky < g.kernel_h; ++ky) {
-      rows.push_back((static_cast<std::size_t>(c) * padded_h(g) + ky) * pw);
+      rows.push_back((static_cast<std::size_t>(c) * g.padded_h() + ky) * pw);
     }
   }
   return rows;
@@ -88,7 +66,7 @@ template <int KW>
 void im2col_sample(const float* padded, const ConvGeometry& g,
                    const std::vector<std::size_t>& rows, float* out) {
   const int kw = KW > 0 ? KW : g.kernel_w;
-  const std::size_t pw = static_cast<std::size_t>(padded_w(g));
+  const std::size_t pw = static_cast<std::size_t>(g.padded_w());
   for (int oy = 0; oy < g.out_h(); ++oy) {
     for (int ox = 0; ox < g.out_w(); ++ox) {
       const float* window = padded + oy * g.stride * pw + ox * g.stride;
@@ -118,7 +96,7 @@ template <int KW>
 void col2im_sample(const float* cols, const ConvGeometry& g,
                    const std::vector<std::size_t>& rows, float* padded) {
   const int kw = KW > 0 ? KW : g.kernel_w;
-  const std::size_t pw = static_cast<std::size_t>(padded_w(g));
+  const std::size_t pw = static_cast<std::size_t>(g.padded_w());
   for (int oy = 0; oy < g.out_h(); ++oy) {
     for (int ox = 0; ox < g.out_w(); ++ox) {
       float* window = padded + oy * g.stride * pw + ox * g.stride;
@@ -151,17 +129,6 @@ void for_sample_ranges(int n, const ConvGeometry& g, const Body& body) {
   }
 }
 
-// Offset of every im2col column (c, ky, kx) from a window's origin in
-// the padded buffer.
-std::vector<std::size_t> window_taps(const ConvGeometry& g) {
-  std::vector<std::size_t> taps;
-  taps.reserve(static_cast<std::size_t>(g.patch_size()));
-  for (const std::size_t row : window_rows(g)) {
-    for (int kx = 0; kx < g.kernel_w; ++kx) taps.push_back(row + kx);
-  }
-  return taps;
-}
-
 // Weights [k x cout] as ceil(cout / 8) panels of [k x 8]; the channels
 // missing from a partial last panel are zero.
 std::vector<float> weight_panels(const float* weight, int k, int cout) {
@@ -186,7 +153,7 @@ void conv_forward_sample(const float* padded, const ConvGeometry& g,
                          float* out) {
   const int oh = g.out_h();
   const int ow = g.out_w();
-  const std::size_t pw = static_cast<std::size_t>(padded_w(g));
+  const std::size_t pw = static_cast<std::size_t>(g.padded_w());
   const std::size_t p = static_cast<std::size_t>(oh) * ow;
   const std::size_t k = taps.size();
   const F32x8 zero = compute::splat_f32x8(0.0f);
@@ -255,8 +222,8 @@ void conv_input_grad8_sample(const float* gout, const ConvGeometry& g,
   const int oh = g.out_h();
   const int ow = g.out_w();
   const int p = oh * ow;
-  const std::size_t ph = static_cast<std::size_t>(padded_h(g));
-  const std::size_t pw = static_cast<std::size_t>(padded_w(g));
+  const std::size_t ph = static_cast<std::size_t>(g.padded_h());
+  const std::size_t pw = static_cast<std::size_t>(g.padded_w());
   const F32x8 zero = compute::splat_f32x8(0.0f);
   const float* g0 = gout;
   const float* g1 = gout + p;
@@ -327,7 +294,117 @@ void conv_input_grad8_sample(const float* gout, const ConvGeometry& g,
   }
 }
 
+// One 8 x 8 tile of conv_weight_grad: rows are the im2col columns at
+// window offsets tap[0..8), columns 8 lanes of the gradient rows
+// `grows` (leading dimension ldg), and `tile` holds the 8 x 8 element
+// values, updated in place. Every lane runs gemm_at_b_tiled's chain
+// (kBlocked false: madd from the old value over the virtual rows
+// ascending) or gemm_at_b_blocked's (kBlocked true: madd from 0 over
+// each kKc-row panel, the panel's sum then added to the element). The
+// rows of the virtual matrix are the samples' windows in (s, oy, ox)
+// order.
+template <bool kBlocked>
+void weight_grad_tile(const float* padded, std::size_t sample_size, int n,
+                      const ConvGeometry& g, const std::size_t* tap,
+                      const float* grows, int ldg, float* tile) {
+  const int oh = g.out_h();
+  const int ow = g.out_w();
+  const std::size_t pw = static_cast<std::size_t>(g.padded_w());
+  const F32x8 zero = compute::splat_f32x8(0.0f);
+  F32x8 c0 = compute::load_f32x8(tile);
+  F32x8 c1 = compute::load_f32x8(tile + kLanes);
+  F32x8 c2 = compute::load_f32x8(tile + 2 * kLanes);
+  F32x8 c3 = compute::load_f32x8(tile + 3 * kLanes);
+  F32x8 c4 = compute::load_f32x8(tile + 4 * kLanes);
+  F32x8 c5 = compute::load_f32x8(tile + 5 * kLanes);
+  F32x8 c6 = compute::load_f32x8(tile + 6 * kLanes);
+  F32x8 c7 = compute::load_f32x8(tile + 7 * kLanes);
+  // The open panel's partial sums (kBlocked) and its row count.
+  F32x8 s0 = zero, s1 = zero, s2 = zero, s3 = zero;
+  F32x8 s4 = zero, s5 = zero, s6 = zero, s7 = zero;
+  int in_panel = 0;
+  const auto flush = [&] {
+    c0 = compute::add_f32x8(c0, s0);
+    c1 = compute::add_f32x8(c1, s1);
+    c2 = compute::add_f32x8(c2, s2);
+    c3 = compute::add_f32x8(c3, s3);
+    c4 = compute::add_f32x8(c4, s4);
+    c5 = compute::add_f32x8(c5, s5);
+    c6 = compute::add_f32x8(c6, s6);
+    c7 = compute::add_f32x8(c7, s7);
+    s0 = s1 = s2 = s3 = s4 = s5 = s6 = s7 = zero;
+    in_panel = 0;
+  };
+  const std::size_t t0 = tap[0], t1 = tap[1], t2 = tap[2], t3 = tap[3];
+  const std::size_t t4 = tap[4], t5 = tap[5], t6 = tap[6], t7 = tap[7];
+  for (int s = 0; s < n; ++s) {
+    const float* sample = padded + static_cast<std::size_t>(s) * sample_size;
+    for (int oy = 0; oy < oh; ++oy) {
+      for (int ox = 0; ox < ow; ++ox) {
+        const float* w = sample + oy * pw + ox;
+        const F32x8 gv = compute::load_f32x8(grows);
+        grows += ldg;
+        if constexpr (kBlocked) {
+          s0 = compute::madd_f32x8(compute::splat_f32x8(w[t0]), gv, s0);
+          s1 = compute::madd_f32x8(compute::splat_f32x8(w[t1]), gv, s1);
+          s2 = compute::madd_f32x8(compute::splat_f32x8(w[t2]), gv, s2);
+          s3 = compute::madd_f32x8(compute::splat_f32x8(w[t3]), gv, s3);
+          s4 = compute::madd_f32x8(compute::splat_f32x8(w[t4]), gv, s4);
+          s5 = compute::madd_f32x8(compute::splat_f32x8(w[t5]), gv, s5);
+          s6 = compute::madd_f32x8(compute::splat_f32x8(w[t6]), gv, s6);
+          s7 = compute::madd_f32x8(compute::splat_f32x8(w[t7]), gv, s7);
+          if (++in_panel == compute::kKc) flush();
+        } else {
+          c0 = compute::madd_f32x8(compute::splat_f32x8(w[t0]), gv, c0);
+          c1 = compute::madd_f32x8(compute::splat_f32x8(w[t1]), gv, c1);
+          c2 = compute::madd_f32x8(compute::splat_f32x8(w[t2]), gv, c2);
+          c3 = compute::madd_f32x8(compute::splat_f32x8(w[t3]), gv, c3);
+          c4 = compute::madd_f32x8(compute::splat_f32x8(w[t4]), gv, c4);
+          c5 = compute::madd_f32x8(compute::splat_f32x8(w[t5]), gv, c5);
+          c6 = compute::madd_f32x8(compute::splat_f32x8(w[t6]), gv, c6);
+          c7 = compute::madd_f32x8(compute::splat_f32x8(w[t7]), gv, c7);
+        }
+      }
+    }
+  }
+  if (kBlocked && in_panel > 0) flush();
+  compute::store_f32x8(tile, c0);
+  compute::store_f32x8(tile + kLanes, c1);
+  compute::store_f32x8(tile + 2 * kLanes, c2);
+  compute::store_f32x8(tile + 3 * kLanes, c3);
+  compute::store_f32x8(tile + 4 * kLanes, c4);
+  compute::store_f32x8(tile + 5 * kLanes, c5);
+  compute::store_f32x8(tile + 6 * kLanes, c6);
+  compute::store_f32x8(tile + 7 * kLanes, c7);
+}
+
 }  // namespace
+
+void pad_sample(const float* src, const ConvGeometry& g, float* dst) {
+  const int pw = g.padded_w();
+  const std::size_t border_rows = static_cast<std::size_t>(g.pad) * pw;
+  for (int c = 0; c < g.in_channels; ++c) {
+    float* out = dst + static_cast<std::size_t>(c) * g.padded_h() * pw;
+    out = std::fill_n(out, border_rows, 0.0f);
+    for (int y = 0; y < g.in_h; ++y) {
+      const float* row =
+          src + (static_cast<std::size_t>(c) * g.in_h + y) * g.in_w;
+      out = std::fill_n(out, g.pad, 0.0f);
+      out = std::copy_n(row, g.in_w, out);
+      out = std::fill_n(out, g.pad, 0.0f);
+    }
+    std::fill_n(out, border_rows, 0.0f);
+  }
+}
+
+std::vector<std::size_t> window_taps(const ConvGeometry& g) {
+  std::vector<std::size_t> taps;
+  taps.reserve(static_cast<std::size_t>(g.patch_size()));
+  for (const std::size_t row : window_rows(g)) {
+    for (int kx = 0; kx < g.kernel_w; ++kx) taps.push_back(row + kx);
+  }
+  return taps;
+}
 
 void im2col(const float* input, int n, const ConvGeometry& g, float* out) {
   const std::size_t in_sample =
@@ -367,7 +444,7 @@ void col2im(const float* cols, int n, const ConvGeometry& g,
 
 void conv_forward(const float* input, int n, const ConvGeometry& g,
                   const float* weight, int cout, const float* bias,
-                  float* out, float* cols) {
+                  float* out) {
   if (g.stride != 1) {
     throw std::invalid_argument("conv_forward: stride must be 1");
   }
@@ -375,18 +452,12 @@ void conv_forward(const float* input, int n, const ConvGeometry& g,
       static_cast<std::size_t>(g.in_channels) * g.in_h * g.in_w;
   const std::size_t out_sample =
       static_cast<std::size_t>(cout) * g.out_pixels();
-  const std::size_t col_sample =
-      static_cast<std::size_t>(g.out_pixels()) * g.patch_size();
-  const std::vector<std::size_t> rows = window_rows(g);
   const std::vector<std::size_t> taps = window_taps(g);
   const std::vector<float> panels =
       weight_panels(weight, g.patch_size(), cout);
   for_sample_ranges(n, g, [&](int s0, int s1, float* padded) {
     for (int s = s0; s < s1; ++s) {
       pad_sample(input + s * in_sample, g, padded);
-      if (cols != nullptr) {
-        expand_sample(padded, g, rows, cols + s * col_sample);
-      }
       conv_forward_sample(padded, g, taps, panels.data(), cout, bias,
                           out + s * out_sample);
     }
@@ -412,6 +483,102 @@ void conv_input_grad8(const float* grad_out, int n, const ConvGeometry& g,
       unpad_sample(padded, g, sample);
     }
   });
+}
+
+void conv_weight_grad(const float* input, int n, const ConvGeometry& g,
+                      const float* grad_rows, int cout, float* weight_grad) {
+  if (g.stride != 1) {
+    throw std::invalid_argument("conv_weight_grad: stride must be 1");
+  }
+  const int k = g.patch_size();
+  const int p = g.out_pixels();
+  const long long rows = static_cast<long long>(n) * p;
+  if (rows == 0 || k == 0 || cout == 0) return;
+  const std::size_t in_sample =
+      static_cast<std::size_t>(g.in_channels) * g.in_h * g.in_w;
+  const std::size_t sample_size = padded_size(g);
+  const long long flops = rows * k * cout;
+  // gemm_at_b_auto's split: only products that pay for the pool use it.
+  const bool parallel = compute::global_threads() > 1 && k >= 32 &&
+                        flops >= (1LL << 18);
+
+  std::vector<float> padded(static_cast<std::size_t>(n) * sample_size);
+  const auto pad = [&](int s0, int s1) {
+    for (int s = s0; s < s1; ++s) {
+      pad_sample(input + s * in_sample, g, padded.data() + s * sample_size);
+    }
+  };
+  const int threads = compute::global_threads();
+  if (parallel && n > 1) {
+    compute::global_pool().parallel_for(0, n, (n + threads - 1) / threads,
+                                        pad);
+  } else {
+    pad(0, n);
+  }
+
+  // The dispatcher's density probe of A: its first min(rows, 32) rows.
+  const std::vector<std::size_t> taps = window_taps(g);
+  const int probe = static_cast<int>(std::min<long long>(rows, 32));
+  std::size_t nonzero = 0;
+  for (int r = 0; r < probe; ++r) {
+    const float* w = padded.data() + (r / p) * sample_size +
+                     (r % p) / g.out_w() * g.padded_w() + (r % p) % g.out_w();
+    for (const std::size_t t : taps) nonzero += w[t] != 0.0f;
+  }
+  const double density =
+      static_cast<double>(nonzero) / (static_cast<double>(probe) * k);
+  const bool blocked =
+      compute::gemm_at_b_picks_blocked(static_cast<int>(rows), k, cout,
+                                       density);
+
+  // Gradient rows padded to whole 8-lane groups when Cout is not.
+  const int ldg = (cout + kLanes - 1) / kLanes * kLanes;
+  std::vector<float> padded_rows;
+  const float* grows = grad_rows;
+  if (ldg != cout) {
+    padded_rows.assign(static_cast<std::size_t>(rows) * ldg, 0.0f);
+    for (long long r = 0; r < rows; ++r) {
+      std::copy_n(grad_rows + r * cout, cout, padded_rows.data() + r * ldg);
+    }
+    grows = padded_rows.data();
+  }
+
+  const int row_tiles = (k + kLanes - 1) / kLanes;
+  const int col_tiles = ldg / kLanes;
+  const auto tiles = [&](int lo, int hi) {
+    for (int tile_index = lo; tile_index < hi; ++tile_index) {
+      const int i0 = tile_index / col_tiles * kLanes;
+      const int j0 = tile_index % col_tiles * kLanes;
+      const int mr = std::min(kLanes, k - i0);
+      const int nr = std::min(kLanes, cout - j0);
+      // Rows past K repeat a real tap; their lanes are dropped.
+      std::size_t tap[kLanes];
+      for (int r = 0; r < kLanes; ++r) tap[r] = taps[i0 + std::min(r, mr - 1)];
+      float tile[kLanes * kLanes] = {};
+      for (int r = 0; r < mr; ++r) {
+        std::copy_n(weight_grad + static_cast<std::size_t>(i0 + r) * cout + j0,
+                    nr, tile + r * kLanes);
+      }
+      if (blocked) {
+        weight_grad_tile<true>(padded.data(), sample_size, n, g, tap,
+                               grows + j0, ldg, tile);
+      } else {
+        weight_grad_tile<false>(padded.data(), sample_size, n, g, tap,
+                                grows + j0, ldg, tile);
+      }
+      for (int r = 0; r < mr; ++r) {
+        std::copy_n(tile + r * kLanes, nr,
+                    weight_grad + static_cast<std::size_t>(i0 + r) * cout + j0);
+      }
+    }
+  };
+  const int tile_count = row_tiles * col_tiles;
+  if (parallel && tile_count > 1) {
+    compute::global_pool().parallel_for(
+        0, tile_count, (tile_count + threads - 1) / threads, tiles);
+  } else {
+    tiles(0, tile_count);
+  }
 }
 
 }  // namespace falvolt::tensor

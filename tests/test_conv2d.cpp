@@ -159,13 +159,14 @@ TEST(Conv2d, SpatialSizeChangeMidSequenceThrows) {
 
 // --------------------------------------------------------- bit identity
 //
-// Conv2d runs on a direct forward kernel (im2col + the blocked GEMM when
-// an engine is set), copy-light batched im2col/col2im, a tiled
-// weight-gradient kernel and, at Cout = 8, a fused shifted-plane input
-// gradient. None of that may move a bit. The reference below is the
-// plain lowering: per-sample im2col/col2im loops with a bounds check per
-// tap, the zero-skip forward GEMM, and the backward tiers that
-// tensor::gemm_at_b / gemm_a_bt pick for the whole batch.
+// Conv2d runs on a direct forward kernel (with or without the float
+// engine set), a weight gradient read in place from the zero-bordered
+// samples on the schedule gemm_at_b's density rule picks, copy-light
+// batched col2im and, at Cout = 8, a fused shifted-plane input gradient.
+// None of that may move a bit. The reference below is the plain
+// lowering: per-sample im2col/col2im loops with a bounds check per tap,
+// the zero-skip forward GEMM, and the backward tiers that
+// tensor::gemm_at_b / gemm_a_bt pick for the whole batch's matrices.
 namespace reference {
 
 void im2col(const float* input, const tensor::ConvGeometry& g, float* out) {
@@ -268,7 +269,7 @@ tensor::Tensor forward(const Conv& cv, const tensor::Tensor& x,
 tensor::Tensor backward(const Conv& cv, const tensor::Tensor& cols,
                         const tensor::Tensor& grad_out,
                         tensor::Tensor& weight_grad,
-                        tensor::Tensor& bias_grad) {
+                        tensor::Tensor& bias_grad, bool& blocked) {
   const int n = grad_out.dim(0);
   const int p = cv.g.out_pixels();
   const int k = cv.g.patch_size();
@@ -283,8 +284,9 @@ tensor::Tensor backward(const Conv& cv, const tensor::Tensor& cols,
     }
   }
   const long long rows = static_cast<long long>(n) * p;
-  if (m >= 8 && k >= 16 && rows >= 8 && rows * k * m >= 1LL << 20 &&
-      sampled_density(cols.data(), n * p, k) >= 0.2) {
+  blocked = m >= 8 && k >= 16 && rows >= 8 && rows * k * m >= 1LL << 20 &&
+            sampled_density(cols.data(), n * p, k) >= 0.2;
+  if (blocked) {
     compute::gemm_at_b_blocked(cols.data(), g.data(), weight_grad.data(),
                                n * p, k, m, /*accumulate=*/true);
   } else {
@@ -337,27 +339,103 @@ class ThreadScope {
   int saved_;
 };
 
-// Spike trains (binary, ~15% ones) or analog values in [-1, 1].
+// Spike trains (binary, ones at rate `density`) or analog values in
+// [-1, 1], nonzero at rate `density`.
 tensor::Tensor conv_input(tensor::Shape shape, bool binary,
-                          common::Rng& rng) {
+                          common::Rng& rng, double density = 0.15) {
   tensor::Tensor x(std::move(shape));
   for (auto& v : x) {
-    v = binary ? (rng.bernoulli(0.15) ? 1.0f : 0.0f)
-               : static_cast<float>(rng.uniform(-1.0, 1.0));
+    v = binary ? (rng.bernoulli(density) ? 1.0f : 0.0f)
+               : (density >= 1.0 || rng.bernoulli(density)
+                      ? static_cast<float>(rng.uniform(-1.0, 1.0))
+                      : 0.0f);
   }
   return x;
 }
 
+struct ConvShape {
+  int cin, cout, kernel, pad, h, w, batch;
+  bool binary;
+  double density;  // share of nonzero inputs
+};
+
+std::string describe(const ConvShape& sh) {
+  return "cin=" + std::to_string(sh.cin) + " cout=" + std::to_string(sh.cout) +
+         " kernel=" + std::to_string(sh.kernel) + " pad=" +
+         std::to_string(sh.pad) + " " + std::to_string(sh.h) + "x" +
+         std::to_string(sh.w) + " batch=" + std::to_string(sh.batch) +
+         (sh.binary ? " binary" : " analog") + " density=" +
+         std::to_string(sh.density);
+}
+
+// Runs train-mode forwards and backwards over two time steps, an
+// eval-mode forward (the direct kernel with no im2col matrix), and the
+// same forwards on a twin layer whose float engine is set explicitly,
+// all against the plain lowering. Returns how many steps' weight
+// gradients the reference computed on the blocked gemm_at_b tier.
+int expect_matches_lowering(const ConvShape& sh, std::uint64_t seed) {
+  constexpr int kSteps = 2;
+  common::Rng rng(seed);
+  Conv2d conv("c", sh.cin, sh.cout, sh.kernel, sh.pad, rng);
+  std::vector<Param*> params = conv.params();
+  for (auto& b : params[1]->value) {
+    b = static_cast<float>(rng.uniform(-0.5, 0.5));
+  }
+  conv.reset_state();
+  Conv2d lowered("c", sh.cin, sh.cout, sh.kernel, sh.pad, rng);
+  lowered.params()[0]->value = params[0]->value;
+  lowered.params()[1]->value = params[1]->value;
+  lowered.set_gemm_engine(&FloatGemmEngine::instance());
+  lowered.reset_state();
+
+  reference::Conv cv;
+  cv.g.in_channels = sh.cin;
+  cv.g.in_h = sh.h;
+  cv.g.in_w = sh.w;
+  cv.g.kernel_h = cv.g.kernel_w = sh.kernel;
+  cv.g.pad = sh.pad;
+  cv.out_channels = sh.cout;
+  cv.weight = &params[0]->value;
+  cv.bias = &params[1]->value;
+
+  std::vector<tensor::Tensor> cols(kSteps);
+  std::vector<tensor::Tensor> outs;
+  for (int t = 0; t < kSteps; ++t) {
+    const tensor::Tensor x = conv_input({sh.batch, sh.cin, sh.h, sh.w},
+                                        sh.binary, rng, sh.density);
+    outs.push_back(conv.forward(x, t, Mode::kTrain));
+    const tensor::Tensor want = reference::forward(cv, x, cols[t]);
+    expect_same_bits(outs.back(), want, "output");
+    expect_same_bits(conv.forward(x, t, Mode::kEval), want, "eval output");
+    expect_same_bits(lowered.forward(x, t, Mode::kTrain), want,
+                     "engine output");
+    expect_same_bits(lowered.forward(x, t, Mode::kEval), want,
+                     "engine eval output");
+  }
+  tensor::Tensor weight_grad(params[0]->value.shape());
+  tensor::Tensor bias_grad(params[1]->value.shape());
+  int blocked = 0;
+  for (int t = kSteps - 1; t >= 0; --t) {
+    tensor::Tensor grad_out =
+        conv_input(outs[static_cast<std::size_t>(t)].shape(), false, rng, 1.0);
+    bool step_blocked = false;
+    expect_same_bits(
+        conv.backward(grad_out, t),
+        reference::backward(cv, cols[static_cast<std::size_t>(t)], grad_out,
+                            weight_grad, bias_grad, step_blocked),
+        "input gradient");
+    blocked += step_blocked;
+  }
+  expect_same_bits(params[0]->grad, weight_grad, "weight gradient");
+  expect_same_bits(params[1]->grad, bias_grad, "bias gradient");
+  return blocked;
+}
+
 class ConvBitIdentity : public ::testing::TestWithParam<int> {};
 
-// Every shape runs train-mode forwards and backwards, an eval-mode
-// forward (the direct kernel with no im2col matrix), and the same
-// forwards on a twin layer whose float engine is set explicitly (im2col +
-// engine GEMM). The 3x3 and 6x6 planes are the gesture model's deepest.
+// The 3x3 and 6x6 planes are the gesture model's deepest.
 TEST_P(ConvBitIdentity, MatchesPlainLowering) {
   ThreadScope threads(GetParam());
-  constexpr int kBatch = 8;
-  constexpr int kSteps = 2;
   const int sizes[][2] = {{3, 3}, {4, 4}, {5, 7}, {6, 6}, {16, 16}};
   for (const int cin : {1, 2, 8}) {
     for (const int cout : {1, 3, 4, 5, 8, 16}) {
@@ -365,73 +443,52 @@ TEST_P(ConvBitIdentity, MatchesPlainLowering) {
         for (const int pad : {0, 1}) {
           for (const auto& hw : sizes) {
             for (const bool binary : {true, false}) {
-              const std::string what =
-                  "cin=" + std::to_string(cin) + " cout=" +
-                  std::to_string(cout) + " kernel=" + std::to_string(kernel) +
-                  " pad=" + std::to_string(pad) + " " +
-                  std::to_string(hw[0]) + "x" + std::to_string(hw[1]) +
-                  (binary ? " binary" : " analog");
-              SCOPED_TRACE(what);
-              common::Rng rng(static_cast<std::uint64_t>(
-                  cin * 1000 + cout * 100 + kernel * 10 + pad + hw[1] * 7 +
-                  binary));
-              Conv2d conv("c", cin, cout, kernel, pad, rng);
-              std::vector<Param*> params = conv.params();
-              for (auto& b : params[1]->value) {
-                b = static_cast<float>(rng.uniform(-0.5, 0.5));
-              }
-              conv.reset_state();
-              Conv2d lowered("c", cin, cout, kernel, pad, rng);
-              lowered.params()[0]->value = params[0]->value;
-              lowered.params()[1]->value = params[1]->value;
-              lowered.set_gemm_engine(&FloatGemmEngine::instance());
-              lowered.reset_state();
-
-              reference::Conv cv;
-              cv.g.in_channels = cin;
-              cv.g.in_h = hw[0];
-              cv.g.in_w = hw[1];
-              cv.g.kernel_h = cv.g.kernel_w = kernel;
-              cv.g.pad = pad;
-              cv.out_channels = cout;
-              cv.weight = &params[0]->value;
-              cv.bias = &params[1]->value;
-
-              std::vector<tensor::Tensor> cols(kSteps);
-              std::vector<tensor::Tensor> outs;
-              for (int t = 0; t < kSteps; ++t) {
-                const tensor::Tensor x = conv_input(
-                    {kBatch, cin, hw[0], hw[1]}, binary, rng);
-                outs.push_back(conv.forward(x, t, Mode::kTrain));
-                const tensor::Tensor want = reference::forward(cv, x, cols[t]);
-                expect_same_bits(outs.back(), want, "output");
-                expect_same_bits(conv.forward(x, t, Mode::kEval), want,
-                                 "eval output");
-                expect_same_bits(lowered.forward(x, t, Mode::kTrain), want,
-                                 "engine output");
-                expect_same_bits(lowered.forward(x, t, Mode::kEval), want,
-                                 "engine eval output");
-              }
-              tensor::Tensor weight_grad(params[0]->value.shape());
-              tensor::Tensor bias_grad(params[1]->value.shape());
-              for (int t = kSteps - 1; t >= 0; --t) {
-                tensor::Tensor grad_out = conv_input(
-                    outs[static_cast<std::size_t>(t)].shape(), false, rng);
-                expect_same_bits(
-                    conv.backward(grad_out, t),
-                    reference::backward(cv, cols[static_cast<std::size_t>(t)],
-                                        grad_out, weight_grad, bias_grad),
-                    "input gradient");
-              }
-              expect_same_bits(params[0]->grad, weight_grad,
-                               "weight gradient");
-              expect_same_bits(params[1]->grad, bias_grad, "bias gradient");
+              const ConvShape sh{cin,   cout,  kernel, pad,
+                                 hw[0], hw[1], 8,      binary,
+                                 binary ? 0.15 : 1.0};
+              SCOPED_TRACE(describe(sh));
+              expect_matches_lowering(
+                  sh, static_cast<std::uint64_t>(cin * 1000 + cout * 100 +
+                                                 kernel * 10 + pad +
+                                                 hw[1] * 7 + binary));
               if (HasFailure()) return;
             }
           }
         }
       }
     }
+  }
+}
+
+// The weight gradient's two schedules, which the density of the im2col
+// matrix's first 32 rows picks: dense inputs take the blocked tier's
+// kKc-row panels (here also straddling samples, at 12x12 planes), sparse
+// ones the single chain. K = 18 is the DVS model's first layer; Cout 5
+// never takes the blocked tier.
+TEST_P(ConvBitIdentity, TrainingSchedules) {
+  ThreadScope threads(GetParam());
+  struct Case {
+    ConvShape shape;
+    int blocked_steps;  // of 2
+  };
+  const Case cases[] = {
+      {{2, 16, 3, 1, 16, 16, 16, false, 1.0}, 2},
+      {{2, 16, 3, 1, 16, 16, 16, true, 0.35}, 2},
+      {{2, 16, 3, 1, 16, 16, 16, true, 0.05}, 0},
+      {{2, 5, 3, 1, 16, 16, 16, false, 1.0}, 0},
+      {{8, 8, 3, 1, 16, 16, 8, true, 0.4}, 2},
+      {{8, 8, 3, 1, 16, 16, 8, true, 0.1}, 0},
+      {{8, 16, 3, 1, 12, 12, 16, false, 0.6}, 2},
+      {{8, 16, 3, 1, 12, 12, 16, true, 0.08}, 0},
+      {{8, 5, 3, 1, 12, 12, 16, false, 1.0}, 0},
+      {{8, 16, 3, 0, 9, 9, 32, false, 1.0}, 2},
+  };
+  int index = 0;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(describe(c.shape));
+    EXPECT_EQ(expect_matches_lowering(c.shape, 500 + index++),
+              c.blocked_steps);
+    if (HasFailure()) return;
   }
 }
 

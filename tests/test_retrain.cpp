@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/fap.h"
 #include "data/synthetic_mnist.h"
 #include "fault/fault_generator.h"
@@ -148,6 +150,28 @@ TEST(Retrain, ZeroEpochsEqualsFap) {
   const MitigationResult re = run_fault_aware_retraining(
       re_net, map, f.split.train, f.split.test, cfg, "FalVolt-0");
   EXPECT_DOUBLE_EQ(re.final_accuracy, fap.final_accuracy);
+}
+
+TEST(Retrain, FinalAccuracyIsTheRetrainedNetworksAccuracy) {
+  // With per-epoch evaluation the last epoch's test accuracy is reused
+  // as the final one; either way it is what a fresh evaluation of the
+  // retrained network gives.
+  Fixture& f = fixture();
+  for (const bool each_epoch : {true, false}) {
+    SCOPED_TRACE(each_epoch ? "per-epoch evaluation" : "final only");
+    common::Rng rng(7);
+    const fault::FaultMap map = fault::fault_map_at_rate(
+        16, 16, 0.3, fault::worst_case_spec(16), rng);
+    snn::Network net = f.fresh_copy();
+    MitigationConfig cfg = small_cfg(true);
+    cfg.retrain_epochs = 2;
+    cfg.eval_each_epoch = each_epoch;
+    const MitigationResult r = run_fault_aware_retraining(
+        net, map, f.split.train, f.split.test, cfg, "FalVolt");
+    ASSERT_EQ(r.curve.size(), 2u);
+    EXPECT_EQ(std::isnan(r.curve.back().test_accuracy), !each_epoch);
+    EXPECT_EQ(r.final_accuracy, snn::evaluate(net, f.split.test));
+  }
 }
 
 TEST(Retrain, NetworkLeftInInferenceState) {
