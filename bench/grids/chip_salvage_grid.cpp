@@ -1,15 +1,13 @@
 // Chip-salvage triage grid — the yield-recovery workload from the
-// paper's introduction (examples/chip_salvage_triage.cpp), expressed as
-// registered scenarios so the fleet can sweep, cache, and shard it like
-// any figure grid.
+// paper's introduction, expressed as registered scenarios so the fleet
+// can sweep, cache, and shard it like any figure grid.
 //
 // Each cell is one manufactured chip of the lot: its defect map is
 // scan-tested post-fab, a clean die ships as grade A, a defective die
 // runs FalVolt against its recovered map and is salvaged (grade B) when
 // it recovers to within --accept-drop points of the golden-model
-// baseline. Unlike the narrative example — which threads one lot RNG
-// through every chip — each cell derives its defect population from its
-// own seed, so cells are order-independent and content-addressable.
+// baseline. Each cell derives its defect population from its own seed,
+// so cells are order-independent and content-addressable.
 //
 // Run it with `sweep_fleet --grids chip_salvage_triage --store <dir>`;
 // the per-die grades land in ./chip_salvage_triage.csv.

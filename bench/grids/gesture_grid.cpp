@@ -1,8 +1,8 @@
 // Gesture-pipeline grid — the battery-driven edge scenario from the
-// paper's introduction (examples/gesture_pipeline.cpp) as registered
-// scenarios: an event-camera gesture classifier on a systolic SNN
-// accelerator that developed permanent faults in the field, swept over
-// in-field fault rates with and without FalVolt recalibration.
+// paper's introduction as registered scenarios: an event-camera gesture
+// classifier on a systolic SNN accelerator that developed permanent
+// faults in the field, swept over in-field fault rates with and without
+// FalVolt recalibration.
 //
 // Cells: (fault rate) x (unmitigated | falvolt) on the DVS-Gesture
 // workload. The falvolt arm retrains a clone against the damage map

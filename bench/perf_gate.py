@@ -23,8 +23,7 @@ What is gated vs what is only reported:
 
 Baseline update procedure (documented in README.md "Performance"):
 after an intentional perf change, regenerate with
-  build/bench/micro_kernels --out_dir=bench_out --json=BENCH_6.json \
-      --benchmark_filter='^$'
+  build/bench/micro_kernels --out_dir=bench_out --json=BENCH_6.json
 and commit bench_out/BENCH_6.json to bench/baselines/BENCH_6.json in
 the same PR as the change, noting the measured before/after in the PR
 description.
@@ -36,8 +35,7 @@ import sys
 
 BASELINE_HELP = """\
 baseline update procedure (after an INTENTIONAL perf change):
-  1. build/bench/micro_kernels --out_dir=bench_out --json=BENCH_6.json \\
-         --benchmark_filter='^$'
+  1. build/bench/micro_kernels --out_dir=bench_out --json=BENCH_6.json
   2. cp bench_out/BENCH_6.json bench/baselines/BENCH_6.json
   3. commit the new baseline in the SAME PR as the perf change, noting
      the measured before/after ratios in the PR description.

@@ -182,6 +182,9 @@ int main(int argc, char** argv) try {
   const bool daemon_mode = hosts > 0;
   const bool worker_mode = !daemon_mode && !socket_flag.empty();
   if (hosts < 0) throw UsageError("--hosts must be >= 0");
+  if (cli.get_int("sweep-parallel") < 0) {
+    throw UsageError("--sweep-parallel must be >= 0");
+  }
   int fault_worker = -1;  // --worker-faults "i:spec": arm worker i only
   std::string fault_spec;
   if (!cli.get_string("worker-faults").empty()) {

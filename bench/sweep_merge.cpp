@@ -97,6 +97,13 @@ int main(int argc, char** argv) try {
   // Command-line mistakes are usage errors, caught before any store I/O.
   const std::string& into = cli.get_string("into");
   if (into.empty()) throw bench::UsageError("--into is required");
+  const std::string& csv_path = cli.get_string("csv");
+  const std::string& json_path = cli.get_string("json");
+  if ((!csv_path.empty() || !json_path.empty()) &&
+      cli.get_string("bench").empty() && cli.get_string("manifest").empty()) {
+    throw bench::UsageError(
+        "--csv/--json need --bench or --manifest to define the grid");
+  }
   bench::FaultScope fault_scope(bench::parse_faults_flag(cli));
 
   const std::vector<std::string> from_dirs =
@@ -234,8 +241,6 @@ int main(int argc, char** argv) try {
     }
   }
 
-  const std::string csv_path = cli.get_string("csv");
-  const std::string json_path = cli.get_string("json");
   if (csv_path.empty() && json_path.empty()) return 0;
 
   // Locate the grid definition.
@@ -248,12 +253,6 @@ int main(int argc, char** argv) try {
       return 1;
     }
   } else {
-    if (cli.get_string("bench").empty()) {
-      std::fprintf(stderr,
-                   "sweep_merge: --csv/--json need --bench or "
-                   "--manifest to define the grid\n");
-      return 1;
-    }
     const std::vector<std::string> candidates =
         store::list_manifests(dst_local, cli.get_string("bench"));
     if (candidates.empty()) {

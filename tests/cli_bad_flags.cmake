@@ -1,22 +1,26 @@
 # Bad command-line flags exit 2 with exactly one
-# "<program>: <error> (see --help)" line on stderr — never an abort —
-# and before any store I/O: the --store directory is never created.
-# --help lists the grids' own flags.
+# "<program>: <error> (see --help)" line on stderr and nothing on stdout
+# — never an abort — and before any store I/O or sweep: the --store
+# directory (micro_kernels' --out_dir) is never created. --help lists
+# the grids' own flags.
 #
 #   cmake -DSWEEP_FLEET=<path to sweep_fleet> \
-#         -DSWEEP_MERGE=<path to sweep_merge> -DSTORE=<unused dir> \
+#         -DSWEEP_MERGE=<path to sweep_merge> \
+#         -DMICRO_KERNELS=<path to micro_kernels> -DSTORE=<unused dir> \
 #         -P cli_bad_flags.cmake
 
 function(expect_exit_2 program)
   execute_process(COMMAND ${program} ${ARGN}
-                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
   get_filename_component(name ${program} NAME)
   list(JOIN ARGN " " args)
   if(NOT rc EQUAL 2)
     message(FATAL_ERROR "${name} ${args}: exit '${rc}', want 2\n${err}")
   endif()
-  if(NOT err MATCHES "^${name}: [^\n]+ \\(see --help\\)\n$")
-    message(FATAL_ERROR "${name} ${args}: want one error line, got:\n${err}")
+  if(NOT err MATCHES "^${name}: [^\n]+ \\(see --help\\)\n$"
+     OR NOT out STREQUAL "")
+    message(FATAL_ERROR "${name} ${args}: want one error line, got:\n"
+                        "${out}${err}")
   endif()
   if(EXISTS ${STORE})
     message(FATAL_ERROR "${name} ${args}: a rejected command line created "
@@ -61,6 +65,9 @@ expect_exit_2(${SWEEP_FLEET} --store ${STORE} --list-scenarios --hosts 2
 expect_error("requires p=")
 expect_exit_2(${SWEEP_FLEET} --store ${STORE} --list-scenarios --hosts -1)
 expect_exit_2(${SWEEP_FLEET} --store ${STORE} --list-scenarios
+              --sweep-parallel -5)
+expect_error("--sweep-parallel must be >= 0")
+expect_exit_2(${SWEEP_FLEET} --store ${STORE} --list-scenarios
               --worker-faults 0:mode=runlength,runlen=1,kill=1)
 expect_exit_2(${SWEEP_FLEET} --list-scenarios)
 # A substituter that is not a store is a usage error, caught before the
@@ -76,6 +83,17 @@ expect_error("requires p=")
 expect_exit_2(${SWEEP_MERGE} --prune)
 expect_error("--into is required")
 expect_exit_2(${SWEEP_MERGE} --bogus)
+# A table needs its grid: checked before --from is read or --into made.
+expect_exit_2(${SWEEP_MERGE} --into ${STORE} --from ${STORE}_nope
+              --csv ${STORE}.csv)
+expect_error("--bench or --manifest")
+
+# micro_kernels takes only --out_dir, --json and --threads: a
+# google-benchmark flag is as unknown as any other.
+expect_exit_2(${MICRO_KERNELS} --out_dir=${STORE} --benchmark_min_time=0)
+expect_exit_2(${MICRO_KERNELS} --out_dir=${STORE} --threads=abc)
+expect_exit_2(${MICRO_KERNELS} --out_dir=${STORE} --threads=-2)
+expect_error("--threads must be >= 0")
 
 # Bench flags are set with --set, so --help lists every grid's own.
 execute_process(COMMAND ${SWEEP_FLEET} --help
