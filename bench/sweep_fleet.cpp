@@ -185,6 +185,7 @@ int main(int argc, char** argv) try {
   if (cli.get_int("sweep-parallel") < 0) {
     throw UsageError("--sweep-parallel must be >= 0");
   }
+  if (cli.get_int("threads") < 0) throw UsageError("--threads must be >= 0");
   int fault_worker = -1;  // --worker-faults "i:spec": arm worker i only
   std::string fault_spec;
   if (!cli.get_string("worker-faults").empty()) {

@@ -305,7 +305,7 @@ int main(int argc, char** argv) try {
     for (const std::string& m : missing) {
       std::fprintf(stderr, "  %s\n", m.c_str());
     }
-    return 2;
+    return 1;
   }
 
   if (!csv_path.empty()) {

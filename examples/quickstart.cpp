@@ -25,6 +25,10 @@ int main(int argc, char** argv) {
               "compute worker threads (0 = $FALVOLT_THREADS, else the "
               "hardware concurrency)");
   if (!cli.parse_or_exit(argc, argv)) return 0;
+  if (cli.get_int("threads") < 0) {
+    std::fprintf(stderr, "quickstart: --threads must be >= 0 (see --help)\n");
+    return 2;
+  }
 
   // 1-2. Dataset + trained baseline (cached on disk after the first run).
   core::WorkloadOptions opts;

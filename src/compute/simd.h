@@ -55,6 +55,25 @@ inline double madd(double a, double b, double c) {
 #endif
 }
 
+/// c - a * b as the scalar loops round it: one fused negated multiply-add
+/// where the compiler contracts them, else a rounded product subtracted.
+inline float nmadd(float a, float b, float c) {
+#if FALVOLT_FUSED_MADD
+  return __builtin_fmaf(-a, b, c);
+#else
+  return c - a * b;
+#endif
+}
+
+/// The double twin of nmadd().
+inline double nmadd(double a, double b, double c) {
+#if FALVOLT_FUSED_MADD
+  return __builtin_fma(-a, b, c);
+#else
+  return c - a * b;
+#endif
+}
+
 /// Eight float lanes: one AVX register, or a plain array in the portable
 /// build (same lanes, same per-lane operations). M32x8 is a lane mask
 /// from a compare, consumed by select_f32x8.
@@ -70,6 +89,10 @@ inline F32x8 mul_f32x8(F32x8 a, F32x8 b) { return _mm256_mul_ps(a, b); }
 /// Lane-wise |a| (clears the sign bit, as std::fabs does).
 inline F32x8 abs_f32x8(F32x8 a) {
   return _mm256_andnot_ps(_mm256_set1_ps(-0.0f), a);
+}
+/// Lane-wise -a (flips the sign bit, as the unary minus does).
+inline F32x8 neg_f32x8(F32x8 a) {
+  return _mm256_xor_ps(_mm256_set1_ps(-0.0f), a);
 }
 /// Lane-wise madd(a, b, c).
 inline F32x8 madd_f32x8(F32x8 a, F32x8 b, F32x8 c) {
@@ -107,6 +130,35 @@ inline void duplicate_f32x8(F32x8 v, F32x8& lo, F32x8& hi) {
   lo = _mm256_permute2f128_ps(l, h, 0x20);
   hi = _mm256_permute2f128_ps(l, h, 0x31);
 }
+/// Transposes the 8 x 8 matrix whose row i is r[i]: afterwards r[i][j]
+/// holds what r[j][i] held.
+inline void transpose_f32x8(F32x8 r[8]) {
+  // Per 128-bit half, pairs of rows interleaved, then quads.
+  const __m256 t0 = _mm256_unpacklo_ps(r[0], r[1]);
+  const __m256 t1 = _mm256_unpackhi_ps(r[0], r[1]);
+  const __m256 t2 = _mm256_unpacklo_ps(r[2], r[3]);
+  const __m256 t3 = _mm256_unpackhi_ps(r[2], r[3]);
+  const __m256 t4 = _mm256_unpacklo_ps(r[4], r[5]);
+  const __m256 t5 = _mm256_unpackhi_ps(r[4], r[5]);
+  const __m256 t6 = _mm256_unpacklo_ps(r[6], r[7]);
+  const __m256 t7 = _mm256_unpackhi_ps(r[6], r[7]);
+  const __m256 q0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 q1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 q2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 q3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 q4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 q5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 q6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 q7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
+  r[0] = _mm256_permute2f128_ps(q0, q4, 0x20);
+  r[1] = _mm256_permute2f128_ps(q1, q5, 0x20);
+  r[2] = _mm256_permute2f128_ps(q2, q6, 0x20);
+  r[3] = _mm256_permute2f128_ps(q3, q7, 0x20);
+  r[4] = _mm256_permute2f128_ps(q0, q4, 0x31);
+  r[5] = _mm256_permute2f128_ps(q1, q5, 0x31);
+  r[6] = _mm256_permute2f128_ps(q2, q6, 0x31);
+  r[7] = _mm256_permute2f128_ps(q3, q7, 0x31);
+}
 #else
 struct F32x8 {
   float v[8];
@@ -143,6 +195,10 @@ inline F32x8 abs_f32x8(F32x8 a) {
   for (int l = 0; l < 8; ++l) a.v[l] = __builtin_fabsf(a.v[l]);
   return a;
 }
+inline F32x8 neg_f32x8(F32x8 a) {
+  for (int l = 0; l < 8; ++l) a.v[l] = -a.v[l];
+  return a;
+}
 inline F32x8 madd_f32x8(F32x8 a, F32x8 b, F32x8 c) {
   for (int l = 0; l < 8; ++l) c.v[l] = madd(a.v[l], b.v[l], c.v[l]);
   return c;
@@ -170,6 +226,87 @@ inline void duplicate_f32x8(F32x8 v, F32x8& lo, F32x8& hi) {
     lo.v[2 * l] = lo.v[2 * l + 1] = v.v[l];
     hi.v[2 * l] = hi.v[2 * l + 1] = v.v[l + 4];
   }
+}
+inline void transpose_f32x8(F32x8 r[8]) {
+  for (int i = 0; i < 8; ++i) {
+    for (int j = i + 1; j < 8; ++j) {
+      const float v = r[i].v[j];
+      r[i].v[j] = r[j].v[i];
+      r[j].v[i] = v;
+    }
+  }
+}
+#endif
+
+/// Four double lanes: one AVX register, or a plain array in the portable
+/// build. They hold per-lane `double` terms and chains built from float
+/// lanes; every float converts to double exactly, and so does the product
+/// of two of them.
+#if defined(__AVX2__)
+using F64x4 = __m256d;
+inline void store_f64x4(double* p, F64x4 v) { _mm256_storeu_pd(p, v); }
+inline F64x4 splat_f64x4(double v) { return _mm256_set1_pd(v); }
+inline F64x4 add_f64x4(F64x4 a, F64x4 b) { return _mm256_add_pd(a, b); }
+inline F64x4 mul_f64x4(F64x4 a, F64x4 b) { return _mm256_mul_pd(a, b); }
+inline F64x4 div_f64x4(F64x4 a, F64x4 b) { return _mm256_div_pd(a, b); }
+/// Lane-wise madd(a, b, c) in double.
+inline F64x4 madd_f64x4(F64x4 a, F64x4 b, F64x4 c) {
+#if FALVOLT_FUSED_MADD
+  return _mm256_fmadd_pd(a, b, c);
+#else
+  return _mm256_add_pd(_mm256_mul_pd(a, b), c);
+#endif
+}
+/// Lanes 0-3 of v, widened to double.
+inline F64x4 widen_lo_f32x8(F32x8 v) {
+  return _mm256_cvtps_pd(_mm256_castps256_ps128(v));
+}
+/// Lanes 4-7 of v, widened to double.
+inline F64x4 widen_hi_f32x8(F32x8 v) {
+  return _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1));
+}
+/// (*p0, *p1, *p2, *p3) widened to double.
+inline F64x4 gather_f64x4(const float* p0, const float* p1, const float* p2,
+                          const float* p3) {
+  return _mm256_cvtps_pd(_mm_setr_ps(*p0, *p1, *p2, *p3));
+}
+#else
+struct F64x4 {
+  double v[4];
+};
+inline void store_f64x4(double* p, F64x4 v) {
+  for (int l = 0; l < 4; ++l) p[l] = v.v[l];
+}
+inline F64x4 splat_f64x4(double v) {
+  F64x4 r{};
+  for (int l = 0; l < 4; ++l) r.v[l] = v;
+  return r;
+}
+inline F64x4 add_f64x4(F64x4 a, F64x4 b) {
+  for (int l = 0; l < 4; ++l) a.v[l] += b.v[l];
+  return a;
+}
+inline F64x4 mul_f64x4(F64x4 a, F64x4 b) {
+  for (int l = 0; l < 4; ++l) a.v[l] *= b.v[l];
+  return a;
+}
+inline F64x4 div_f64x4(F64x4 a, F64x4 b) {
+  for (int l = 0; l < 4; ++l) a.v[l] /= b.v[l];
+  return a;
+}
+inline F64x4 madd_f64x4(F64x4 a, F64x4 b, F64x4 c) {
+  for (int l = 0; l < 4; ++l) c.v[l] = madd(a.v[l], b.v[l], c.v[l]);
+  return c;
+}
+inline F64x4 widen_lo_f32x8(F32x8 v) {
+  return F64x4{{v.v[0], v.v[1], v.v[2], v.v[3]}};
+}
+inline F64x4 widen_hi_f32x8(F32x8 v) {
+  return F64x4{{v.v[4], v.v[5], v.v[6], v.v[7]}};
+}
+inline F64x4 gather_f64x4(const float* p0, const float* p1, const float* p2,
+                          const float* p3) {
+  return F64x4{{*p0, *p1, *p2, *p3}};
 }
 #endif
 

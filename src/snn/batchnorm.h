@@ -3,6 +3,13 @@
 // at each time step (statistics pooled over N*H*W of that step, running
 // statistics shared across steps) — the standard arrangement for
 // BPTT-trained convolutional SNNs.
+//
+// The train-mode statistics and the backward's sum(dy) and sum(dy * x_hat)
+// are `double` sums. Four channels' sums run side by side, one per vector
+// lane, and each channel adds its own elements in (sample, pixel) order,
+// so every sum has the bits of a plain loop over that channel. The
+// normalise and dx passes keep the plain loops' contractions
+// (compute::madd, compute::nmadd).
 
 #include <vector>
 
@@ -28,7 +35,6 @@ class BatchNorm2d final : public Layer {
   struct StepCache {
     tensor::Tensor x_hat;       // normalized input
     std::vector<float> inv_std;  // per channel
-    int n = 0, h = 0, w = 0;
   };
 
   int channels_;
@@ -40,7 +46,10 @@ class BatchNorm2d final : public Layer {
   // and on-disk caches of a trained model round-trip them.
   Param running_mean_;  // [C]
   Param running_var_;   // [C]
+  // Each training time step's cache (the first `steps_` are live). They
+  // outlive reset_state() so a same-shaped batch reuses their storage.
   std::vector<StepCache> cache_;
+  int steps_ = 0;
 };
 
 }  // namespace falvolt::snn

@@ -6,9 +6,52 @@
 #include <stdexcept>
 
 #include "compute/gemm_kernels.h"
+#include "compute/simd.h"
 #include "compute/thread_pool.h"
 
 namespace falvolt::snn {
+
+namespace {
+
+// Output channels of the vector repack and of conv_input_grad8.
+constexpr int kPanel = 8;
+
+// Repacks n samples of 8 gradient planes [8, p] into pixel rows [n * p, 8]
+// through 8 x 8 transposes, and adds the rows to `sum` (when not null) in
+// row order, one chain per channel, as the scalar loop over rows does.
+void rows_and_sum8(const float* planes, int n, int p, float* rows,
+                   float* sum) {
+  compute::F32x8 acc = sum != nullptr ? compute::load_f32x8(sum)
+                                      : compute::splat_f32x8(0.0f);
+  for (int s = 0; s < n; ++s) {
+    const float* src = planes + static_cast<std::size_t>(s) * kPanel * p;
+    float* dst = rows + static_cast<std::size_t>(s) * p * kPanel;
+    int pix = 0;
+    for (; pix + kPanel <= p; pix += kPanel) {
+      compute::F32x8 r[kPanel];
+      for (int c = 0; c < kPanel; ++c) {
+        r[c] = compute::load_f32x8(src + static_cast<std::size_t>(c) * p +
+                                   pix);
+      }
+      compute::transpose_f32x8(r);
+      for (int j = 0; j < kPanel; ++j) {
+        compute::store_f32x8(dst + static_cast<std::size_t>(pix + j) * kPanel,
+                             r[j]);
+        acc = compute::add_f32x8(acc, r[j]);
+      }
+    }
+    for (; pix < p; ++pix) {
+      float* row = dst + static_cast<std::size_t>(pix) * kPanel;
+      for (int c = 0; c < kPanel; ++c) {
+        row[c] = src[static_cast<std::size_t>(c) * p + pix];
+      }
+      acc = compute::add_f32x8(acc, compute::load_f32x8(row));
+    }
+  }
+  if (sum != nullptr) compute::store_f32x8(sum, acc);
+}
+
+}  // namespace
 
 Conv2d::Conv2d(std::string name, int in_channels, int out_channels,
                int kernel, int pad, common::Rng& init_rng, bool bias)
@@ -76,6 +119,17 @@ tensor::Tensor Conv2d::forward(const tensor::Tensor& x, int t, Mode mode) {
 }
 
 tensor::Tensor Conv2d::backward(const tensor::Tensor& grad_out, int t) {
+  tensor::Tensor grad_in;
+  backward_impl(grad_out, t, &grad_in);
+  return grad_in;
+}
+
+void Conv2d::backward_params(const tensor::Tensor& grad_out, int t) {
+  backward_impl(grad_out, t, nullptr);
+}
+
+void Conv2d::backward_impl(const tensor::Tensor& grad_out, int t,
+                           tensor::Tensor* grad_in) {
   if (t < 0 || t >= steps_) {
     throw std::logic_error("Conv2d::backward: no cache for this time step");
   }
@@ -88,15 +142,31 @@ tensor::Tensor Conv2d::backward(const tensor::Tensor& grad_out, int t) {
     throw std::invalid_argument("Conv2d::backward: gradient shape mismatch");
   }
 
-  // Repack [N, Cout, OH, OW] -> G [n*p, m].
-  tensor::Tensor g({n * p, m});
-  for (int s = 0; s < n; ++s) {
-    for (int c = 0; c < m; ++c) {
-      const float* plane =
-          grad_out.data() + (static_cast<std::size_t>(s) * m + c) * p;
-      for (int pix = 0; pix < p; ++pix) {
-        g.data()[(static_cast<std::size_t>(s) * p + pix) * m + c] =
-            plane[pix];
+  // Repack [N, Cout, OH, OW] -> G [n*p, m], and the bias gradient: each
+  // channel adds G's column to its value, row by row.
+  const tensor::Shape rows_shape{n * p, m};
+  if (grad_rows_.shape() != rows_shape) grad_rows_ = tensor::Tensor(rows_shape);
+  float* g = grad_rows_.data();
+  const bool bias_grad = has_bias_ && bias_.trainable;
+  if (m == kPanel) {
+    rows_and_sum8(grad_out.data(), n, p, g,
+                  bias_grad ? bias_.grad.data() : nullptr);
+  } else {
+    for (int s = 0; s < n; ++s) {
+      for (int c = 0; c < m; ++c) {
+        const float* plane =
+            grad_out.data() + (static_cast<std::size_t>(s) * m + c) * p;
+        for (int pix = 0; pix < p; ++pix) {
+          g[(static_cast<std::size_t>(s) * p + pix) * m + c] = plane[pix];
+        }
+      }
+    }
+    if (bias_grad) {
+      for (int row = 0; row < n * p; ++row) {
+        const float* grow = g + static_cast<std::size_t>(row) * m;
+        for (int c = 0; c < m; ++c) {
+          bias_.grad[static_cast<std::size_t>(c)] += grow[c];
+        }
       }
     }
   }
@@ -104,17 +174,10 @@ tensor::Tensor Conv2d::backward(const tensor::Tensor& grad_out, int t) {
   // Weight gradient: W_grad[k x m] += cols^T[k x n*p] * G[n*p x m], with
   // the im2col matrix `cols` read in place from the step's input.
   if (weight_.trainable) {
-    tensor::conv_weight_grad(x.data(), n, geometry_, g.data(), m,
+    tensor::conv_weight_grad(x.data(), n, geometry_, g, m,
                              weight_.grad.data());
   }
-  if (has_bias_ && bias_.trainable) {
-    for (int row = 0; row < n * p; ++row) {
-      const float* grow = g.data() + static_cast<std::size_t>(row) * m;
-      for (int c = 0; c < m; ++c) {
-        bias_.grad[static_cast<std::size_t>(c)] += grow[c];
-      }
-    }
-  }
+  if (grad_in == nullptr) return;
 
   // Input gradient. When the whole [n*p x m] * W^T product would run on
   // gemm_a_bt's blocked tier and Cout = 8, one fused kernel adds each
@@ -123,13 +186,13 @@ tensor::Tensor Conv2d::backward(const tensor::Tensor& grad_out, int t) {
   // cache-resident block that col2im consumes straight away, on the tier
   // tensor::gemm_a_bt would pick for the whole product, so every block
   // keeps its bits.
-  tensor::Tensor grad_in(
-      {n, in_channels_, geometry_.in_h, geometry_.in_w});
+  *grad_in =
+      tensor::Tensor({n, in_channels_, geometry_.in_h, geometry_.in_w});
   const bool blocked = compute::gemm_a_bt_picks_blocked(n * p, m, k);
-  if (blocked && m == 8) {
+  if (blocked && m == kPanel) {
     tensor::conv_input_grad8(grad_out.data(), n, geometry_,
-                             weight_.value.data(), grad_in.data());
-    return grad_in;
+                             weight_.value.data(), grad_in->data());
+    return;
   }
   const std::size_t in_plane =
       static_cast<std::size_t>(in_channels_) * geometry_.in_h * geometry_.in_w;
@@ -139,14 +202,14 @@ tensor::Tensor Conv2d::backward(const tensor::Tensor& grad_out, int t) {
     for (int s = s0; s < s1; ++s) {
       const std::size_t g_offset = static_cast<std::size_t>(s) * p * m;
       if (blocked) {
-        compute::gemm_a_bt_blocked(g.data() + g_offset, weight_.value.data(),
+        compute::gemm_a_bt_blocked(g + g_offset, weight_.value.data(),
                                    block.get(), p, m, k);
       } else {
-        compute::gemm_a_bt_naive(g.data() + g_offset, weight_.value.data(),
+        compute::gemm_a_bt_naive(g + g_offset, weight_.value.data(),
                                  block.get(), p, m, k);
       }
       tensor::col2im(block.get(), 1, geometry_,
-                     grad_in.data() + static_cast<std::size_t>(s) * in_plane);
+                     grad_in->data() + static_cast<std::size_t>(s) * in_plane);
     }
   };
   const int grain = static_cast<int>(std::max<std::size_t>(
@@ -156,7 +219,6 @@ tensor::Tensor Conv2d::backward(const tensor::Tensor& grad_out, int t) {
   } else {
     samples(0, n);
   }
-  return grad_in;
 }
 
 std::vector<Param*> Conv2d::params() {

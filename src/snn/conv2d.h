@@ -9,7 +9,9 @@
 // (tensor::conv_forward), or the systolic engine's walk over each
 // sample's zero-bordered copy. Training keeps each step's input, and the
 // backward pass reads its windows in place too (tensor::conv_weight_grad,
-// tensor::conv_input_grad8).
+// tensor::conv_input_grad8). At Cout = 8 the backward repacks the output
+// gradient into pixel rows with 8 x 8 transposes and sums the bias as one
+// 8-lane chain in row order; backward_params() skips the input gradient.
 
 #include <vector>
 
@@ -29,6 +31,9 @@ class Conv2d final : public Layer, public MatmulLayer {
 
   tensor::Tensor forward(const tensor::Tensor& x, int t, Mode mode) override;
   tensor::Tensor backward(const tensor::Tensor& grad_out, int t) override;
+  /// The weight and bias gradients of backward(), without the input
+  /// gradient.
+  void backward_params(const tensor::Tensor& grad_out, int t) override;
   void reset_state() override;
   std::vector<Param*> params() override;
 
@@ -45,6 +50,10 @@ class Conv2d final : public Layer, public MatmulLayer {
 
  private:
   void bind_geometry(const tensor::Tensor& x);
+  // backward() and backward_params(): the input gradient is computed only
+  // when `grad_in` is not null.
+  void backward_impl(const tensor::Tensor& grad_out, int t,
+                     tensor::Tensor* grad_in);
 
   int in_channels_;
   int out_channels_;
@@ -61,6 +70,9 @@ class Conv2d final : public Layer, public MatmulLayer {
   // reuses their storage.
   std::vector<tensor::Tensor> inputs_;
   int steps_ = 0;
+  // backward()'s output gradient as pixel rows [N * OH * OW, Cout]; it
+  // outlives the call so a same-shaped step reuses its storage.
+  tensor::Tensor grad_rows_;
 };
 
 }  // namespace falvolt::snn

@@ -83,6 +83,14 @@ class Layer {
   /// decreasing from T-1. Accumulates into parameter grads.
   virtual tensor::Tensor backward(const tensor::Tensor& grad_out, int t) = 0;
 
+  /// backward() for a caller that does not read the input gradient (a
+  /// network's first layer): accumulates the same parameter gradients,
+  /// bit for bit. The default runs backward() and drops its result; a
+  /// layer that can skip the input gradient overrides it.
+  virtual void backward_params(const tensor::Tensor& grad_out, int t) {
+    backward(grad_out, t);
+  }
+
   /// Clear temporal state and per-step caches (start of a new sequence).
   virtual void reset_state() {}
 

@@ -31,12 +31,13 @@ tensor::Tensor Network::rate_forward(
   return sum;
 }
 
-tensor::Tensor Network::backward(const tensor::Tensor& grad_out, int t) {
+void Network::backward(const tensor::Tensor& grad_out, int t) {
+  if (layers_.empty()) return;
   tensor::Tensor cur = grad_out;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
+  for (auto it = layers_.rbegin(); it + 1 != layers_.rend(); ++it) {
     cur = (*it)->backward(cur, t);
   }
-  return cur;
+  layers_.front()->backward_params(cur, t);
 }
 
 void Network::reset_state() {

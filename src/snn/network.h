@@ -52,8 +52,10 @@ class Network {
   tensor::Tensor rate_forward(const std::vector<tensor::Tensor>& steps);
 
   /// Backpropagate one time step through the reversed stack (call with t
-  /// descending). Returns the gradient w.r.t. the step input.
-  tensor::Tensor backward(const tensor::Tensor& grad_out, int t);
+  /// descending), accumulating every parameter gradient. The first layer
+  /// runs Layer::backward_params: nothing reads the gradient w.r.t. the
+  /// step input, so it is not computed.
+  void backward(const tensor::Tensor& grad_out, int t);
 
   /// Reset temporal state and caches on every layer.
   void reset_state();

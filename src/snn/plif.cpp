@@ -70,18 +70,26 @@ struct BackwardStep {
   bool want_dk;
 };
 
+// The two double sums of one backward step.
+struct StepSums {
+  double dvth = 0.0;
+  double dk = 0.0;
+};
+
 // Backward through eight neurons of step t. The float math runs on the
 // lanes with the contractions GCC makes in the scalar loop:
 //   z  = fma(H, 1/V, -1)
 //   dH = fma(g * sg, 1/V, carry * (1 - S))
-// Each double sum whose parameter trains computes its terms for all
-// lanes, then takes the `lanes` live terms serially, in element order:
+// Each double sum whose parameter trains gets its terms for all lanes on
+// vectors (a float converts to double exactly, and so does the product
+// of two floats), then takes the `lanes` live terms serially, in element
+// order:
 //   dV = fma(double(g) * double(sg), double(-H / V / V), dV)
 //   dk = dk + double(dH) * double(H - V_{t-1}) / double(k)
 template <SurrogateKind Kind>
-void backward8(const float* h, const float* hp, const float* g, float* carry,
-               float* grad_in, std::size_t lanes, const BackwardStep& st,
-               double& dvth, double& dk) {
+StepSums backward8(const float* h, const float* hp, const float* g,
+                   float* carry, float* grad_in, std::size_t lanes,
+                   const BackwardStep& st, StepSums sums) {
   const F32x8 zero = compute::splat_f32x8(0.0f);
   const F32x8 one = compute::splat_f32x8(1.0f);
   const F32x8 inv_vth = compute::splat_f32x8(st.inv_vth);
@@ -101,12 +109,16 @@ void backward8(const float* h, const float* hp, const float* g, float* carry,
       carry, compute::mul_f32x8(dh, compute::splat_f32x8(1.0f - st.k)));
   double dvth_a[kLanes] = {}, dvth_b[kLanes] = {}, dk_term[kLanes] = {};
   if (st.want_dvth) {
-    float sgl[kLanes];
-    compute::store_f32x8(sgl, sg);
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      dvth_a[l] = static_cast<double>(g[l]) * sgl[l];
-      dvth_b[l] = static_cast<double>(-h[l] * st.inv_vth * st.inv_vth);
-    }
+    const F32x8 b = compute::mul_f32x8(
+        compute::mul_f32x8(compute::neg_f32x8(hv), inv_vth), inv_vth);
+    compute::store_f64x4(dvth_a,
+                         compute::mul_f64x4(compute::widen_lo_f32x8(gv),
+                                            compute::widen_lo_f32x8(sg)));
+    compute::store_f64x4(dvth_a + 4,
+                         compute::mul_f64x4(compute::widen_hi_f32x8(gv),
+                                            compute::widen_hi_f32x8(sg)));
+    compute::store_f64x4(dvth_b, compute::widen_lo_f32x8(b));
+    compute::store_f64x4(dvth_b + 4, compute::widen_hi_f32x8(b));
   }
   if (st.want_dk) {
     F32x8 vprev = zero;
@@ -116,30 +128,39 @@ void backward8(const float* h, const float* hp, const float* g, float* carry,
           compute::gt_f32x8(hpv, compute::splat_f32x8(st.vth_prev)), zero,
           hpv);
     }
-    float dhl[kLanes], dl[kLanes];
-    compute::store_f32x8(dhl, dh);
-    compute::store_f32x8(dl, compute::sub_f32x8(hv, vprev));
-    const double k = st.k;
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      dk_term[l] = static_cast<double>(dhl[l]) * dl[l] / k;
-    }
+    const compute::F64x4 k = compute::splat_f64x4(st.k);
+    const F32x8 d = compute::sub_f32x8(hv, vprev);
+    compute::store_f64x4(
+        dk_term, compute::div_f64x4(
+                     compute::mul_f64x4(compute::widen_lo_f32x8(dh),
+                                        compute::widen_lo_f32x8(d)),
+                     k));
+    compute::store_f64x4(
+        dk_term + 4, compute::div_f64x4(
+                         compute::mul_f64x4(compute::widen_hi_f32x8(dh),
+                                            compute::widen_hi_f32x8(d)),
+                         k));
   }
   for (std::size_t l = 0; l < lanes; ++l) {
-    if (st.want_dvth) dvth = compute::madd(dvth_a[l], dvth_b[l], dvth);
-    if (st.want_dk) dk += dk_term[l];
+    if (st.want_dvth) {
+      sums.dvth = compute::madd(dvth_a[l], dvth_b[l], sums.dvth);
+    }
+    if (st.want_dk) sums.dk += dk_term[l];
   }
+  return sums;
 }
 
 template <SurrogateKind Kind>
-void backward_step(const float* h, const float* hp, const float* g,
-                   float* carry, float* grad_in, std::size_t n,
-                   const BackwardStep& st, double& dvth, double& dk) {
+StepSums backward_step(const float* h, const float* hp, const float* g,
+                       float* carry, float* grad_in, std::size_t n,
+                       const BackwardStep& st) {
+  StepSums sums;
   std::size_t i = 0;
   for (; i + kLanes <= n; i += kLanes) {
-    backward8<Kind>(h + i, st.has_prev ? hp + i : nullptr, g + i, carry + i,
-                    grad_in + i, kLanes, st, dvth, dk);
+    sums = backward8<Kind>(h + i, st.has_prev ? hp + i : nullptr, g + i,
+                           carry + i, grad_in + i, kLanes, st, sums);
   }
-  if (i == n) return;
+  if (i == n) return sums;
   const std::size_t r = n - i;
   float hb[kLanes] = {}, hpb[kLanes] = {}, gb[kLanes] = {};
   float cb[kLanes] = {}, gib[kLanes];
@@ -147,9 +168,10 @@ void backward_step(const float* h, const float* hp, const float* g,
   if (st.has_prev) std::copy_n(hp + i, r, hpb);
   std::copy_n(g + i, r, gb);
   std::copy_n(carry + i, r, cb);
-  backward8<Kind>(hb, hpb, gb, cb, gib, r, st, dvth, dk);
+  sums = backward8<Kind>(hb, hpb, gb, cb, gib, r, st, sums);
   std::copy_n(cb, r, carry + i);
   std::copy_n(gib, r, grad_in + i);
+  return sums;
 }
 
 }  // namespace
@@ -277,16 +299,14 @@ tensor::Tensor Plif::backward(const tensor::Tensor& grad_out, int t) {
           ? backward_step<SurrogateKind::kSigmoid>
           : backward_step<SurrogateKind::kRectangle>;
   tensor::Tensor grad_in(h.shape());
-  double dvth = 0.0;
-  double dk = 0.0;
-  step(h.data(), hp, grad_out.data(), carry_.data(), grad_in.data(),
-       h.size(), st, dvth, dk);
+  const StepSums sums = step(h.data(), hp, grad_out.data(), carry_.data(),
+                             grad_in.data(), h.size(), st);
   if (vth_.trainable) {
-    vth_.grad[0] += static_cast<float>(dvth);
+    vth_.grad[0] += static_cast<float>(sums.dvth);
   }
   if (w_tau_.trainable) {
     // fma(float(dk) * k, 1 - k, grad), as GCC contracts the scalar form.
-    w_tau_.grad[0] = compute::madd(static_cast<float>(dk) * st.k,
+    w_tau_.grad[0] = compute::madd(static_cast<float>(sums.dk) * st.k,
                                    1.0f - st.k, w_tau_.grad[0]);
   }
   return grad_in;

@@ -14,6 +14,11 @@
 // threshold-voltage gradient dz/dV_th = -H_t / V_th^2 (Eq. 4). The reset
 // branch is detached in backward: V_t = H_t (1 - S_t) passes gradient to
 // H_t only through (1 - S_t), never through S_t.
+//
+// Both passes run eight neurons at a time with the scalar loops'
+// contractions pinned (compute/simd.h). The V_th and tau gradients are
+// `double` sums whose terms are built on vectors and added one by one,
+// in element order, into locals: the same bits as the scalar loop.
 
 #include <vector>
 

@@ -6,7 +6,8 @@
 #
 #   cmake -DSWEEP_FLEET=<path to sweep_fleet> \
 #         -DSWEEP_MERGE=<path to sweep_merge> \
-#         -DMICRO_KERNELS=<path to micro_kernels> -DSTORE=<unused dir> \
+#         -DMICRO_KERNELS=<path to micro_kernels> \
+#         -DQUICKSTART=<path to quickstart> -DSTORE=<unused dir> \
 #         -P cli_bad_flags.cmake
 
 function(expect_exit_2 program)
@@ -67,6 +68,10 @@ expect_exit_2(${SWEEP_FLEET} --store ${STORE} --list-scenarios --hosts -1)
 expect_exit_2(${SWEEP_FLEET} --store ${STORE} --list-scenarios
               --sweep-parallel -5)
 expect_error("--sweep-parallel must be >= 0")
+# A negative thread count is an error, not the hardware concurrency.
+expect_exit_2(${SWEEP_FLEET} --store ${STORE} --grids gesture_pipeline
+              --list-scenarios --threads -3)
+expect_error("--threads must be >= 0")
 expect_exit_2(${SWEEP_FLEET} --store ${STORE} --list-scenarios
               --worker-faults 0:mode=runlength,runlen=1,kill=1)
 expect_exit_2(${SWEEP_FLEET} --list-scenarios)
@@ -94,6 +99,13 @@ expect_exit_2(${MICRO_KERNELS} --out_dir=${STORE} --benchmark_min_time=0)
 expect_exit_2(${MICRO_KERNELS} --out_dir=${STORE} --threads=abc)
 expect_exit_2(${MICRO_KERNELS} --out_dir=${STORE} --threads=-2)
 expect_error("--threads must be >= 0")
+
+# quickstart keeps the same contract; its baseline cache (here the
+# store path) is not created either.
+set(ENV{FALVOLT_CACHE_DIR} ${STORE})
+expect_exit_2(${QUICKSTART} --fast --threads -3)
+expect_error("^quickstart: --threads must be >= 0")
+unset(ENV{FALVOLT_CACHE_DIR})
 
 # Bench flags are set with --set, so --help lists every grid's own.
 execute_process(COMMAND ${SWEEP_FLEET} --help

@@ -396,6 +396,15 @@ fleet(shard --store B --shard 1/2)
 if(EXISTS ${root}/shard/fig5b_fault_count.csv)
   message(FATAL_ERROR "a shard that leaves cells to another wrote a figure")
 endif()
+# One shard alone lacks the other's cells: a runtime failure, exit 1.
+execute_process(COMMAND ${SWEEP_MERGE} --into H --from A
+                        --bench fig5b_fault_count --csv half.csv
+                WORKING_DIRECTORY ${root}/shard
+                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 1 OR NOT err MATCHES "missing")
+  message(FATAL_ERROR "sweep_merge over one of two shards: exit '${rc}', "
+                      "want 1 and a 'missing' line:\n${err}")
+endif()
 run(shard ${SWEEP_MERGE} --into M --from A,B --bench fig5b_fault_count
     --csv merged.csv)
 run(shard ${SWEEP_MERGE} --into ${cold_store} --bench fig5b_fault_count

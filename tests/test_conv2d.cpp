@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -328,6 +329,16 @@ void expect_same_bits(const tensor::Tensor& got, const tensor::Tensor& want,
       << tensor::max_abs_diff(got, want) << ")";
 }
 
+// Bit identity where NaNs meet (testutil::first_bit_difference).
+void expect_same_bits_or_nan(const tensor::Tensor& got,
+                             const tensor::Tensor& want,
+                             const std::string& what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  const std::size_t i = falvolt::testutil::first_bit_difference(
+      got.data(), want.data(), got.size());
+  EXPECT_EQ(i, got.size()) << what << " differs at " << i;
+}
+
 class ThreadScope {
  public:
   explicit ThreadScope(int threads) : saved_(compute::global_threads()) {
@@ -373,13 +384,27 @@ std::string describe(const ConvShape& sh) {
 // same forwards on a twin layer whose float engine is set explicitly,
 // all against the plain lowering. Returns how many steps' weight
 // gradients the reference computed on the blocked gemm_at_b tier.
-int expect_matches_lowering(const ConvShape& sh, std::uint64_t seed) {
+//
+// With `edge_values`, three weights are NaN, +Inf and -Inf and every
+// fifth output gradient is -0: the input gradient must skip the taps that
+// fall outside the output, never read them as 0 (0 * Inf is NaN). The
+// forwards are not compared then: the reference's zero-skip GEMM leaves
+// out the 0 * Inf terms that the direct kernel, like the blocked GEMM it
+// reproduces, adds.
+int expect_matches_lowering(const ConvShape& sh, std::uint64_t seed,
+                            bool edge_values = false) {
   constexpr int kSteps = 2;
   common::Rng rng(seed);
   Conv2d conv("c", sh.cin, sh.cout, sh.kernel, sh.pad, rng);
   std::vector<Param*> params = conv.params();
   for (auto& b : params[1]->value) {
     b = static_cast<float>(rng.uniform(-0.5, 0.5));
+  }
+  if (edge_values) {
+    tensor::Tensor& w = params[0]->value;
+    w[0] = std::numeric_limits<float>::quiet_NaN();
+    w[w.size() / 2] = std::numeric_limits<float>::infinity();
+    w[w.size() - 1] = -std::numeric_limits<float>::infinity();
   }
   conv.reset_state();
   Conv2d lowered("c", sh.cin, sh.cout, sh.kernel, sh.pad, rng);
@@ -405,6 +430,7 @@ int expect_matches_lowering(const ConvShape& sh, std::uint64_t seed) {
                                         sh.binary, rng, sh.density);
     outs.push_back(conv.forward(x, t, Mode::kTrain));
     const tensor::Tensor want = reference::forward(cv, x, cols[t]);
+    if (edge_values) continue;
     expect_same_bits(outs.back(), want, "output");
     expect_same_bits(conv.forward(x, t, Mode::kEval), want, "eval output");
     expect_same_bits(lowered.forward(x, t, Mode::kTrain), want,
@@ -418,8 +444,11 @@ int expect_matches_lowering(const ConvShape& sh, std::uint64_t seed) {
   for (int t = kSteps - 1; t >= 0; --t) {
     tensor::Tensor grad_out =
         conv_input(outs[static_cast<std::size_t>(t)].shape(), false, rng, 1.0);
+    if (edge_values) {
+      for (std::size_t i = 0; i < grad_out.size(); i += 5) grad_out[i] = -0.0f;
+    }
     bool step_blocked = false;
-    expect_same_bits(
+    expect_same_bits_or_nan(
         conv.backward(grad_out, t),
         reference::backward(cv, cols[static_cast<std::size_t>(t)], grad_out,
                             weight_grad, bias_grad, step_blocked),
@@ -489,6 +518,28 @@ TEST_P(ConvBitIdentity, TrainingSchedules) {
     EXPECT_EQ(expect_matches_lowering(c.shape, 500 + index++),
               c.blocked_steps);
     if (HasFailure()) return;
+  }
+}
+
+// Non-finite weights and -0 output gradients, through the fused Cout = 8
+// input gradient and the per-sample blocks of col2im.
+TEST_P(ConvBitIdentity, EdgeValues) {
+  ThreadScope threads(GetParam());
+  const int sizes[][2] = {{3, 3}, {5, 7}, {16, 16}};
+  for (const int cin : {1, 2, 8}) {
+    for (const int cout : {5, 8}) {
+      for (const int pad : {0, 1}) {
+        for (const auto& hw : sizes) {
+          const ConvShape sh{cin, cout, 3, pad, hw[0], hw[1], 8, false, 1.0};
+          SCOPED_TRACE(describe(sh) + " edge values");
+          expect_matches_lowering(
+              sh, static_cast<std::uint64_t>(9000 + cin * 100 + cout * 10 +
+                                             pad + hw[1]),
+              true);
+          if (HasFailure()) return;
+        }
+      }
+    }
   }
 }
 

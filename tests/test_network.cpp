@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "snn/conv2d.h"
 #include "snn/flatten.h"
 #include "snn/linear.h"
@@ -144,6 +148,75 @@ TEST(ModelZoo, GestureClassifierShapes) {
   EXPECT_EQ(y.shape(), (tensor::Shape{1, 11}));
   // Fig. 6c layout: Conv1..Conv5 + FC1 + FC2 -> 7 hidden spiking layers.
   EXPECT_EQ(net.hidden_spiking_layers().size(), 7u);
+}
+
+// Network::backward skips the first layer's input gradient, which no
+// caller reads (Layer::backward_params). Every parameter gradient must
+// still be the one that running each layer's backward in turn, the first
+// layer's included, accumulates, bit for bit. Both zoo models, T steps of
+// train-mode forwards on twin networks, V_th training on as in FalVolt
+// retraining.
+TEST(ModelZoo, BackwardSkipsOnlyTheInputGradient) {
+  constexpr int kSteps = 3;
+  struct Model {
+    std::string name;
+    int channels;
+    int canvas;
+    int classes;
+  };
+  for (const Model& m :
+       {Model{"digit", 1, 16, 10}, Model{"gesture", 2, 24, 11}}) {
+    SCOPED_TRACE(m.name);
+    const auto build = [&] {
+      Network net = m.name == "digit"
+                        ? make_digit_classifier(m.name, m.channels, m.canvas,
+                                                m.classes)
+                        : make_gesture_classifier(m.name, m.channels,
+                                                  m.canvas, m.classes);
+      net.set_train_vth(true);
+      // Low thresholds keep every layer firing, so gradients reach the
+      // first layer within a few steps of an untrained network.
+      for (Plif* p : net.spiking_layers()) p->set_vth(0.2f);
+      net.reset_state();
+      net.zero_grad();
+      return net;
+    };
+    Network whole = build();
+    Network layered = build();
+    common::Rng rng(7);
+    std::vector<tensor::Tensor> outs;
+    for (int t = 0; t < kSteps; ++t) {
+      const tensor::Tensor x = falvolt::testutil::random_tensor(
+          {4, m.channels, m.canvas, m.canvas}, rng, 0.0, 1.0);
+      outs.push_back(whole.forward(x, t, Mode::kTrain));
+      layered.forward(x, t, Mode::kTrain);
+    }
+    for (int t = kSteps - 1; t >= 0; --t) {
+      const tensor::Tensor g = falvolt::testutil::random_tensor(
+          outs[static_cast<std::size_t>(t)].shape(), rng, -0.5, 0.5);
+      whole.backward(g, t);
+      tensor::Tensor cur = g;
+      for (int i = layered.num_layers() - 1; i >= 0; --i) {
+        cur = layered.layer(i).backward(cur, t);
+      }
+    }
+    const auto want = layered.params();
+    const auto got = whole.params();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i]->grad.shape(), want[i]->grad.shape());
+      EXPECT_EQ(std::memcmp(got[i]->grad.data(), want[i]->grad.data(),
+                            sizeof(float) * got[i]->grad.size()),
+                0)
+          << got[i]->name << " gradient differs";
+    }
+    // Every layer's gradients received terms, the first layer's too.
+    for (const Param* p : got) {
+      if (p->trainable) {
+        EXPECT_GT(tensor::count_nonzero(p->grad), 0u) << p->name;
+      }
+    }
+  }
 }
 
 TEST(ModelZoo, CanvasValidation) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -404,6 +406,80 @@ TEST(PlifBitIdentity, MatchesScalarLoops) {
           }
           if (HasFailure()) return;
         }
+      }
+    }
+  }
+}
+
+// Edge values at every `stride`-th entry of `t` from entry 3: the first
+// `kinds` of -0, NaN, +Inf and -Inf, in turn.
+void add_edge_values(tensor::Tensor& t, std::size_t stride, int kinds) {
+  const float specials[] = {-0.0f, std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity()};
+  std::size_t k = 0;
+  for (std::size_t i = 3; i < t.size(); i += stride) {
+    t[i] = specials[k++ % static_cast<std::size_t>(kinds)];
+  }
+}
+
+// Bit identity where NaNs may meet (testutil::first_bit_difference).
+void expect_same_bits_or_nan(const float* got, const float* want,
+                             std::size_t n, const std::string& what) {
+  const std::size_t i = falvolt::testutil::first_bit_difference(got, want, n);
+  EXPECT_EQ(i, n) << what << " differs at " << i;
+}
+
+// The inputs carry -0 (then also NaN and +-Inf), so H does (the membrane
+// of a NaN or -Inf input stays NaN for the later steps), and so does the
+// incoming gradient; V_th and tau both train, so both double sums run.
+// With -0 alone every value stays finite.
+TEST(PlifBitIdentity, EdgeValuesMatchScalarLoops) {
+  constexpr int kSteps = 4;
+  const SurrogateKind kinds[] = {SurrogateKind::kTriangle,
+                                 SurrogateKind::kSigmoid,
+                                 SurrogateKind::kRectangle};
+  for (const int specials : {1, 4}) {
+    for (const SurrogateKind kind : kinds) {
+      for (const int n : {7, 64, 1037}) {
+        PlifConfig cfg;
+        cfg.surrogate = Surrogate{kind, 2.0f};
+        cfg.train_vth = true;
+        cfg.train_tau = true;
+        SCOPED_TRACE(cfg.surrogate.to_string() + " n=" + std::to_string(n) +
+                     " edge kinds=" + std::to_string(specials));
+        Plif p("p", cfg);
+        ScalarPlif ref(cfg);
+        common::Rng rng(static_cast<std::uint64_t>(n) * 3 +
+                        static_cast<std::uint64_t>(kind));
+        p.reset_state();
+        ref.reset_state();
+        const float kk = p.k();
+        for (int t = 0; t < kSteps; ++t) {
+          tensor::Tensor x = random_tensor({n}, rng, 0.0, 2.0);
+          add_edge_values(x, 11 + 2 * static_cast<std::size_t>(t), specials);
+          const tensor::Tensor s = p.forward(x, t, Mode::kTrain);
+          const tensor::Tensor want = ref.forward(x, t, kk, p.vth());
+          expect_same_bits(s.data(), want.data(), sizeof(float) * n,
+                           "spikes at t=" + std::to_string(t));
+        }
+        for (int t = kSteps - 1; t >= 0; --t) {
+          tensor::Tensor g = random_tensor({n}, rng, -1.0, 1.0);
+          add_edge_values(g, 29 + 4 * static_cast<std::size_t>(t), specials);
+          const tensor::Tensor got = p.backward(g, t);
+          const tensor::Tensor want = ref.backward(g, t, kk, p.vth());
+          expect_same_bits_or_nan(got.data(), want.data(), got.size(),
+                                  "input gradient at t=" + std::to_string(t));
+        }
+        expect_same_bits_or_nan(&p.params()[0]->grad[0], &ref.vth_grad, 1,
+                                "V_th gradient");
+        expect_same_bits_or_nan(&p.params()[1]->grad[0], &ref.w_tau_grad, 1,
+                                "w_tau gradient");
+        if (specials == 1) {
+          EXPECT_TRUE(std::isfinite(p.params()[0]->grad[0]) &&
+                      std::isfinite(p.params()[1]->grad[0]));
+        }
+        if (HasFailure()) return;
       }
     }
   }

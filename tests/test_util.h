@@ -2,6 +2,9 @@
 // Shared helpers for the test suite: random tensor filling and
 // finite-difference gradient checking of layers trained through BPTT.
 
+#include <cmath>
+#include <cstddef>
+#include <cstring>
 #include <functional>
 #include <vector>
 
@@ -21,6 +24,21 @@ inline tensor::Tensor random_tensor(tensor::Shape shape, common::Rng& rng,
   tensor::Tensor t(std::move(shape));
   fill_random(t, rng, lo, hi);
   return t;
+}
+
+/// Index of the first of got[0..n) whose bits differ from want's, or n.
+/// A NaN matches any NaN: where two NaNs meet in one operation, IEEE 754
+/// leaves open which one's sign and payload the result carries, x86
+/// returns its first source operand's, and which operand of a commutative
+/// operation comes first is the compiler's choice, in a kernel and in its
+/// oracle alike. Every other value must match bit for bit (-0 included).
+inline std::size_t first_bit_difference(const float* got, const float* want,
+                                        std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (std::isnan(got[i]) && std::isnan(want[i])) continue;
+    if (std::memcmp(got + i, want + i, sizeof(float)) != 0) return i;
+  }
+  return n;
 }
 
 /// Scalar loss of a layer run over T time steps: sum of c[t] . y[t] where
