@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <unordered_set>
 
 namespace falvolt::common {
 
@@ -88,19 +89,17 @@ std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
         "Rng::sample_without_replacement: k must be <= n");
   }
   // Floyd's algorithm: O(k) memory, no O(n) scratch for large n (e.g. a
-  // 256x256 PE grid has 65536 candidates but typical k is tens).
+  // 256x256 PE grid has 65536 candidates but typical k is tens). Every
+  // value drawn so far is below j, so j itself is never a repeat.
   std::vector<std::size_t> out;
   out.reserve(k);
+  std::unordered_set<std::size_t> seen;
+  seen.reserve(k);
   for (std::size_t j = n - k; j < n; ++j) {
     const auto t = static_cast<std::size_t>(uniform_int(j + 1));
-    bool seen = false;
-    for (const auto v : out) {
-      if (v == t) {
-        seen = true;
-        break;
-      }
-    }
-    out.push_back(seen ? j : t);
+    const bool fresh = seen.insert(t).second;
+    if (!fresh) seen.insert(j);
+    out.push_back(fresh ? t : j);
   }
   return out;
 }

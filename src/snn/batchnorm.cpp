@@ -88,7 +88,7 @@ tensor::Tensor BatchNorm2d::forward(const tensor::Tensor& x, int t,
   const std::size_t plane = static_cast<std::size_t>(h) * w;
   const std::size_t per_c = static_cast<std::size_t>(n) * plane;
 
-  tensor::Tensor out(x.shape());
+  tensor::Tensor out = tensor::Tensor::uninitialized(x.shape());
   StepCache* sc = nullptr;
   if (mode == Mode::kTrain) {
     if (t != steps_) {
@@ -167,7 +167,7 @@ tensor::Tensor BatchNorm2d::backward(const tensor::Tensor& grad_out, int t) {
       static_cast<std::size_t>(sc.x_hat.dim(2)) * sc.x_hat.dim(3);
   const std::size_t per_c = static_cast<std::size_t>(n) * plane;
 
-  tensor::Tensor grad_in(grad_out.shape());
+  tensor::Tensor grad_in = tensor::Tensor::uninitialized(grad_out.shape());
   for (int c0 = 0; c0 < channels_; c0 += kGroup) {
     const int count = std::min(kGroup, channels_ - c0);
     // Reductions: sum(dy), sum(dy * x_hat).

@@ -110,7 +110,9 @@ tensor::Tensor Conv2d::forward(const tensor::Tensor& x, int t, Mode mode) {
     ++steps_;
   }
   const int n = x.dim(0);
-  tensor::Tensor out({n, out_channels_, geometry_.out_h(), geometry_.out_w()});
+  // GemmEngine::conv writes every output element.
+  tensor::Tensor out = tensor::Tensor::uninitialized(
+      {n, out_channels_, geometry_.out_h(), geometry_.out_w()});
   GemmEngine& eng = engine_ ? *engine_ : FloatGemmEngine::instance();
   eng.conv(x.data(), n, geometry_, weight_.value.data(), out_channels_,
            has_bias_ ? bias_.value.data() : nullptr, out.data(),
@@ -180,20 +182,23 @@ void Conv2d::backward_impl(const tensor::Tensor& grad_out, int t,
   if (grad_in == nullptr) return;
 
   // Input gradient. When the whole [n*p x m] * W^T product would run on
-  // gemm_a_bt's blocked tier and Cout = 8, one fused kernel adds each
-  // tap's gradient plane straight into the sample (tensor/im2col.h).
-  // Otherwise each sample's dCols_s[p x k] = G_s * W^T fills a
-  // cache-resident block that col2im consumes straight away, on the tier
+  // gemm_a_bt's blocked tier and Cout = 8, one fused kernel writes each
+  // sample's gradient, adding the taps' gradient planes in a
+  // zero-bordered scratch (tensor/im2col.h). Otherwise each sample's
+  // dCols_s[p x k] = G_s * W^T fills a cache-resident block that col2im
+  // adds into the zeroed gradient straight away, on the tier
   // tensor::gemm_a_bt would pick for the whole product, so every block
   // keeps its bits.
-  *grad_in =
-      tensor::Tensor({n, in_channels_, geometry_.in_h, geometry_.in_w});
+  const tensor::Shape in_shape{n, in_channels_, geometry_.in_h,
+                               geometry_.in_w};
   const bool blocked = compute::gemm_a_bt_picks_blocked(n * p, m, k);
   if (blocked && m == kPanel) {
+    *grad_in = tensor::Tensor::uninitialized(in_shape);
     tensor::conv_input_grad8(grad_out.data(), n, geometry_,
                              weight_.value.data(), grad_in->data());
     return;
   }
+  *grad_in = tensor::Tensor(in_shape);
   const std::size_t in_plane =
       static_cast<std::size_t>(in_channels_) * geometry_.in_h * geometry_.in_w;
   const std::size_t block_size = static_cast<std::size_t>(p) * k;

@@ -27,7 +27,7 @@ tensor::Tensor Dropout::forward(const tensor::Tensor& x, int t, Mode mode) {
   if (mask_.shape() != x.shape()) {
     throw std::invalid_argument("Dropout: input shape changed mid-sequence");
   }
-  tensor::Tensor out(x.shape());
+  tensor::Tensor out = tensor::Tensor::uninitialized(x.shape());
   for (std::size_t i = 0; i < x.size(); ++i) out[i] = x[i] * mask_[i];
   return out;
 }
@@ -38,7 +38,7 @@ tensor::Tensor Dropout::backward(const tensor::Tensor& grad_out, int t) {
   if (mask_.empty() || mask_.shape() != grad_out.shape()) {
     throw std::logic_error("Dropout::backward without matching forward");
   }
-  tensor::Tensor grad_in(grad_out.shape());
+  tensor::Tensor grad_in = tensor::Tensor::uninitialized(grad_out.shape());
   for (std::size_t i = 0; i < grad_out.size(); ++i) {
     grad_in[i] = grad_out[i] * mask_[i];
   }

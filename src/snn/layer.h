@@ -29,10 +29,15 @@ enum class Mode { kTrain, kEval };
 /// accelerator model. `layer_tag` identifies the layer so an engine can
 /// keep per-layer state (all layers share the same physical PE array, so
 /// the default engine ignores it).
+///
+/// Both entry points must write every output element: the layers pass
+/// storage from tensor::Tensor::uninitialized, which may hold an earlier
+/// tensor's values.
 class GemmEngine {
  public:
   virtual ~GemmEngine() = default;
-  /// C[m x n] = A[m x k] * W[k x n], row-major.
+  /// C[m x n] = A[m x k] * W[k x n], row-major; C's prior contents are
+  /// never read.
   virtual void run(const float* a, const float* w, float* c, int m, int k,
                    int n, const std::string& layer_tag) = 0;
 

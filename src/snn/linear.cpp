@@ -26,7 +26,7 @@ Linear::Linear(std::string name, int in_features, int out_features,
   bias_.trainable = has_bias_;
 }
 
-void Linear::reset_state() { input_hist_.clear(); }
+void Linear::reset_state() { steps_ = 0; }
 
 tensor::Tensor Linear::forward(const tensor::Tensor& x, int t, Mode mode) {
   if (x.rank() != 2 || x.dim(1) != in_features_) {
@@ -34,8 +34,17 @@ tensor::Tensor Linear::forward(const tensor::Tensor& x, int t, Mode mode) {
                                 std::to_string(in_features_) + "], got " +
                                 tensor::shape_str(x.shape()));
   }
+  if (mode == Mode::kTrain) {
+    if (t != steps_) {
+      throw std::logic_error("Linear::forward: cache out of sync");
+    }
+    if (inputs_.size() <= static_cast<std::size_t>(t)) inputs_.emplace_back();
+    inputs_[static_cast<std::size_t>(t)] = x;
+    ++steps_;
+  }
   const int n = x.dim(0);
-  tensor::Tensor out({n, out_features_});
+  // GemmEngine::run writes every output element.
+  tensor::Tensor out = tensor::Tensor::uninitialized({n, out_features_});
   GemmEngine& eng = engine_ ? *engine_ : FloatGemmEngine::instance();
   eng.run(x.data(), weight_.value.data(), out.data(), n, in_features_,
           out_features_, Layer::name());
@@ -47,20 +56,14 @@ tensor::Tensor Linear::forward(const tensor::Tensor& x, int t, Mode mode) {
       }
     }
   }
-  if (mode == Mode::kTrain) {
-    if (static_cast<int>(input_hist_.size()) != t) {
-      throw std::logic_error("Linear::forward: cache out of sync");
-    }
-    input_hist_.push_back(x);
-  }
   return out;
 }
 
 tensor::Tensor Linear::backward(const tensor::Tensor& grad_out, int t) {
-  if (t < 0 || t >= static_cast<int>(input_hist_.size())) {
+  if (t < 0 || t >= steps_) {
     throw std::logic_error("Linear::backward: no cache for this time step");
   }
-  const tensor::Tensor& x = input_hist_[static_cast<std::size_t>(t)];
+  const tensor::Tensor& x = inputs_[static_cast<std::size_t>(t)];
   const int n = x.dim(0);
   if (grad_out.rank() != 2 || grad_out.dim(0) != n ||
       grad_out.dim(1) != out_features_) {
@@ -79,7 +82,7 @@ tensor::Tensor Linear::backward(const tensor::Tensor& grad_out, int t) {
       }
     }
   }
-  tensor::Tensor grad_in({n, in_features_});
+  tensor::Tensor grad_in = tensor::Tensor::uninitialized({n, in_features_});
   tensor::gemm_a_bt(grad_out.data(), weight_.value.data(), grad_in.data(), n,
                     out_features_, in_features_);
   return grad_in;

@@ -36,7 +36,11 @@ class Linear final : public Layer, public MatmulLayer {
   Param weight_;  // [F x M]
   Param bias_;    // [M]
   GemmEngine* engine_ = nullptr;
-  std::vector<tensor::Tensor> input_hist_;  // per-step inputs [N, F]
+  // Each training time step's input [N, F], for the weight gradient (the
+  // first `steps_` are live). They outlive reset_state() so a
+  // same-shaped batch reuses their storage.
+  std::vector<tensor::Tensor> inputs_;
+  int steps_ = 0;
 };
 
 }  // namespace falvolt::snn

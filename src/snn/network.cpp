@@ -7,8 +7,11 @@
 namespace falvolt::snn {
 
 tensor::Tensor Network::forward(const tensor::Tensor& x, int t, Mode mode) {
-  tensor::Tensor cur = x;
-  for (auto& l : layers_) cur = l->forward(cur, t, mode);
+  if (layers_.empty()) return x;
+  tensor::Tensor cur = layers_.front()->forward(x, t, mode);
+  for (auto it = layers_.begin() + 1; it != layers_.end(); ++it) {
+    cur = (*it)->forward(cur, t, mode);
+  }
   return cur;
 }
 
@@ -33,10 +36,13 @@ tensor::Tensor Network::rate_forward(
 
 void Network::backward(const tensor::Tensor& grad_out, int t) {
   if (layers_.empty()) return;
-  tensor::Tensor cur = grad_out;
-  for (auto it = layers_.rbegin(); it + 1 != layers_.rend(); ++it) {
-    cur = (*it)->backward(cur, t);
+  if (layers_.size() == 1) {
+    layers_.front()->backward_params(grad_out, t);
+    return;
   }
+  auto it = layers_.rbegin();
+  tensor::Tensor cur = (*it)->backward(grad_out, t);
+  for (++it; it + 1 != layers_.rend(); ++it) cur = (*it)->backward(cur, t);
   layers_.front()->backward_params(cur, t);
 }
 

@@ -240,7 +240,7 @@ tensor::Tensor Plif::forward(const tensor::Tensor& x, int t, Mode mode) {
     ++steps_;
   }
 
-  tensor::Tensor s(x.shape());
+  tensor::Tensor s = tensor::Tensor::uninitialized(x.shape());
   const F32x8 kv = compute::splat_f32x8(k());
   const F32x8 vthv = compute::splat_f32x8(vth);
   const std::size_t n = x.size();
@@ -298,7 +298,7 @@ tensor::Tensor Plif::backward(const tensor::Tensor& grad_out, int t) {
       : cfg_.surrogate.kind == SurrogateKind::kSigmoid
           ? backward_step<SurrogateKind::kSigmoid>
           : backward_step<SurrogateKind::kRectangle>;
-  tensor::Tensor grad_in(h.shape());
+  tensor::Tensor grad_in = tensor::Tensor::uninitialized(h.shape());
   const StepSums sums = step(h.data(), hp, grad_out.data(), carry_.data(),
                              grad_in.data(), h.size(), st);
   if (vth_.trainable) {

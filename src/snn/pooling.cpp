@@ -133,7 +133,7 @@ tensor::Tensor AvgPool2d::forward(const tensor::Tensor& x, int t, Mode mode) {
   in_shape_ = x.shape();
   const int oh = h / 2;
   const int ow = w / 2;
-  tensor::Tensor out({n, c, oh, ow});
+  tensor::Tensor out = tensor::Tensor::uninitialized({n, c, oh, ow});
   for (std::size_t plane = 0; plane < static_cast<std::size_t>(n) * c;
        ++plane) {
     pool2_plane(x.data() + plane * h * w, h, w, out.data() + plane * oh * ow);
@@ -152,7 +152,7 @@ tensor::Tensor AvgPool2d::backward(const tensor::Tensor& grad_out, int t) {
   const int w = in_shape_[3];
   const int oh = h / 2;
   const int ow = w / 2;
-  tensor::Tensor grad_in(in_shape_);
+  tensor::Tensor grad_in = tensor::Tensor::uninitialized(in_shape_);
   for (std::size_t plane = 0; plane < static_cast<std::size_t>(n) * c;
        ++plane) {
     unpool2_plane(grad_out.data() + plane * oh * ow, h, w,

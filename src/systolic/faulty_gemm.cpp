@@ -206,7 +206,6 @@ const SystolicGemmEngine::LayerPlan& SystolicGemmEngine::plan_for(
   plan.n = n;
   plan.n8 = (n + kLanes - 1) / kLanes * kLanes;
   plan.padded_k = padded_k(k, cfg_);
-  plan.weight_ptr = w;
   plan.weight_hash = hash;
   plan.qweights.assign(static_cast<std::size_t>(k) * plan.n8, 0);
   std::vector<std::int64_t> col_abs_sum(static_cast<std::size_t>(plan.n8), 0);

@@ -140,8 +140,7 @@ class SystolicGemmEngine final : public snn::GemmEngine {
     int n = 0;
     int n8 = 0;
     int padded_k = 0;
-    const float* weight_ptr = nullptr;   // last seen buffer (diagnostic)
-    std::uint64_t weight_hash = 0;       // content identity of the weights
+    std::uint64_t weight_hash = 0;  // content identity of the weights
   };
 
   class RowWalker;

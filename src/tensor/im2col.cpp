@@ -476,11 +476,10 @@ void conv_input_grad8(const float* grad_out, int n, const ConvGeometry& g,
   for_sample_ranges(n, g, [&](int s0, int s1, float* padded) {
     std::vector<float> plane(static_cast<std::size_t>(g.out_pixels()));
     for (int s = s0; s < s1; ++s) {
-      float* sample = grad_input + s * in_sample;
-      pad_sample(sample, g, padded);
+      std::fill_n(padded, padded_size(g), 0.0f);
       conv_input_grad8_sample(grad_out + s * out_sample, g, weight,
                               plane.data(), padded);
-      unpad_sample(padded, g, sample);
+      unpad_sample(padded, g, grad_input + s * in_sample);
     }
   });
 }
@@ -502,7 +501,8 @@ void conv_weight_grad(const float* input, int n, const ConvGeometry& g,
   const bool parallel = compute::global_threads() > 1 && k >= 32 &&
                         flops >= (1LL << 18);
 
-  std::vector<float> padded(static_cast<std::size_t>(n) * sample_size);
+  // pad_sample writes every element.
+  Tensor padded = Tensor::uninitialized({n, static_cast<int>(sample_size)});
   const auto pad = [&](int s0, int s1) {
     for (int s = s0; s < s1; ++s) {
       pad_sample(input + s * in_sample, g, padded.data() + s * sample_size);

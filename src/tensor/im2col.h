@@ -92,15 +92,16 @@ void conv_forward(const float* input, int n, const ConvGeometry& g,
 void conv_weight_grad(const float* input, int n, const ConvGeometry& g,
                       const float* grad_rows, int cout, float* weight_grad);
 
-/// Input gradient of a stride-1 convolution with 8 output channels: adds
-/// into the (C,H,W) gradients exactly what col2im adds for the
-/// im2col-shaped gradient G W^T that compute::gemm_a_bt_blocked gives
-/// (G: the (8, out_h, out_w) output gradients as rows of 8, W: the
-/// [patch_size x 8] GEMM weights). Per sample and tap (c, ky, kx), in
-/// (ky, kx)-descending order, it computes the tap's gradient plane with
-/// that kernel's four-partial schedule, vectorized over pixels, and adds
-/// it shifted into the zero-bordered sample: every input element gets its
-/// terms in col2im's (oy, ox)-ascending order.
+/// Input gradient of a stride-1 convolution with 8 output channels:
+/// writes every element of the (C,H,W) gradients, each the sum that
+/// col2im adds into a zeroed gradient for the im2col-shaped gradient
+/// G W^T that compute::gemm_a_bt_blocked gives (G: the (8, out_h, out_w)
+/// output gradients as rows of 8, W: the [patch_size x 8] GEMM weights).
+/// So `grad_input` need not be initialized. Per sample and tap (c, ky,
+/// kx), in (ky, kx)-descending order, it computes the tap's gradient
+/// plane with that kernel's four-partial schedule, vectorized over
+/// pixels, and adds it shifted into a zeroed zero-bordered scratch: every
+/// input element gets its terms in col2im's (oy, ox)-ascending order.
 void conv_input_grad8(const float* grad_out, int n, const ConvGeometry& g,
                       const float* weight, float* grad_input);
 

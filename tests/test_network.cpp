@@ -2,15 +2,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <functional>
+#include <limits>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "fault/fault_generator.h"
 #include "snn/conv2d.h"
 #include "snn/flatten.h"
 #include "snn/linear.h"
 #include "snn/model_zoo.h"
+#include "snn/optimizer.h"
 #include "snn/plif.h"
+#include "systolic/faulty_gemm.h"
 #include "tensor/tensor_ops.h"
 #include "test_util.h"
 
@@ -150,6 +158,30 @@ TEST(ModelZoo, GestureClassifierShapes) {
   EXPECT_EQ(net.hidden_spiking_layers().size(), 7u);
 }
 
+// The two zoo models at test size.
+struct ZooModel {
+  std::string name;
+  int channels;
+  int canvas;
+  int classes;
+};
+const ZooModel kZooModels[] = {{"digit", 1, 16, 10}, {"gesture", 2, 24, 11}};
+
+// A zoo model set up as FalVolt retrains it, V_th trained. Low thresholds
+// keep every layer firing, so gradients reach the first layer within a
+// few steps of an untrained network.
+Network retrain_ready(const ZooModel& m) {
+  Network net =
+      m.name == "digit"
+          ? make_digit_classifier(m.name, m.channels, m.canvas, m.classes)
+          : make_gesture_classifier(m.name, m.channels, m.canvas, m.classes);
+  net.set_train_vth(true);
+  for (Plif* p : net.spiking_layers()) p->set_vth(0.2f);
+  net.reset_state();
+  net.zero_grad();
+  return net;
+}
+
 // Network::backward skips the first layer's input gradient, which no
 // caller reads (Layer::backward_params). Every parameter gradient must
 // still be the one that running each layer's backward in turn, the first
@@ -158,31 +190,10 @@ TEST(ModelZoo, GestureClassifierShapes) {
 // retraining.
 TEST(ModelZoo, BackwardSkipsOnlyTheInputGradient) {
   constexpr int kSteps = 3;
-  struct Model {
-    std::string name;
-    int channels;
-    int canvas;
-    int classes;
-  };
-  for (const Model& m :
-       {Model{"digit", 1, 16, 10}, Model{"gesture", 2, 24, 11}}) {
+  for (const ZooModel& m : kZooModels) {
     SCOPED_TRACE(m.name);
-    const auto build = [&] {
-      Network net = m.name == "digit"
-                        ? make_digit_classifier(m.name, m.channels, m.canvas,
-                                                m.classes)
-                        : make_gesture_classifier(m.name, m.channels,
-                                                  m.canvas, m.classes);
-      net.set_train_vth(true);
-      // Low thresholds keep every layer firing, so gradients reach the
-      // first layer within a few steps of an untrained network.
-      for (Plif* p : net.spiking_layers()) p->set_vth(0.2f);
-      net.reset_state();
-      net.zero_grad();
-      return net;
-    };
-    Network whole = build();
-    Network layered = build();
+    Network whole = retrain_ready(m);
+    Network layered = retrain_ready(m);
     common::Rng rng(7);
     std::vector<tensor::Tensor> outs;
     for (int t = 0; t < kSteps; ++t) {
@@ -216,6 +227,122 @@ TEST(ModelZoo, BackwardSkipsOnlyTheInputGradient) {
         EXPECT_GT(tensor::count_nonzero(p->grad), 0u) << p->name;
       }
     }
+  }
+}
+
+// Everything one training step of `m` produces, in order: the T = 3
+// train-mode outputs, every parameter's gradient after the backward
+// passes (the first layer through backward_params, as Network::backward
+// runs it), every parameter's value after one Adam step, and the T eval
+// outputs through a faulty systolic engine. The layers run one call at a
+// time, each after `before_call()`. `sizes`, when not null, receives the
+// element count of every layer output and input gradient, and of each
+// conv's zero-bordered weight-gradient batch (pad = kernel / 2 in the
+// zoo).
+std::vector<float> training_step_image(const ZooModel& m,
+                                       const std::function<void()>& before_call,
+                                       std::set<std::size_t>* sizes) {
+  constexpr int kSteps = 3;
+  constexpr int kBatch = 16;
+  Network net = retrain_ready(m);
+  common::Rng rng(11);
+  std::vector<tensor::Tensor> xs;
+  for (int t = 0; t < kSteps; ++t) {
+    xs.push_back(falvolt::testutil::random_tensor(
+        {kBatch, m.channels, m.canvas, m.canvas}, rng, 0.0, 1.0));
+  }
+  std::vector<float> image;
+  const auto keep = [&](const tensor::Tensor& t) {
+    image.insert(image.end(), t.begin(), t.end());
+  };
+  const auto record = [&](const tensor::Tensor& t) {
+    if (sizes != nullptr) sizes->insert(t.size());
+  };
+  const auto forward = [&](int t, Mode mode) {
+    tensor::Tensor cur = xs[static_cast<std::size_t>(t)];
+    for (int i = 0; i < net.num_layers(); ++i) {
+      const auto* conv = dynamic_cast<const Conv2d*>(&net.layer(i));
+      if (conv != nullptr && sizes != nullptr) {
+        const int edge = conv->kernel() - 1;
+        sizes->insert(static_cast<std::size_t>(cur.dim(0)) *
+                      conv->in_channels() * (cur.dim(2) + edge) *
+                      (cur.dim(3) + edge));
+      }
+      before_call();
+      cur = net.layer(i).forward(cur, t, mode);
+      record(cur);
+    }
+    return cur;
+  };
+
+  std::vector<tensor::Tensor> outs;
+  for (int t = 0; t < kSteps; ++t) {
+    outs.push_back(forward(t, Mode::kTrain));
+    keep(outs.back());
+  }
+  for (int t = kSteps - 1; t >= 0; --t) {
+    tensor::Tensor cur = falvolt::testutil::random_tensor(
+        outs[static_cast<std::size_t>(t)].shape(), rng, -0.5, 0.5);
+    for (int i = net.num_layers() - 1; i > 0; --i) {
+      before_call();
+      cur = net.layer(i).backward(cur, t);
+      record(cur);
+    }
+    before_call();
+    net.layer(0).backward_params(cur, t);
+  }
+  for (const Param* p : net.params()) keep(p->grad);
+  Adam adam(1e-2);
+  adam.step(net.params());
+  for (const Param* p : net.params()) keep(p->value);
+
+  common::Rng fault_rng(5);
+  const fault::FaultMap map =
+      fault::fault_map_at_rate(64, 64, 0.1, fault::FaultSpec{}, fault_rng);
+  systolic::ArrayConfig cfg;
+  cfg.rows = 64;
+  cfg.cols = 64;
+  systolic::SystolicGemmEngine engine(cfg, &map);
+  net.set_gemm_engine(&engine);
+  net.reset_state();
+  for (int t = 0; t < kSteps; ++t) keep(forward(t, Mode::kEval));
+  net.set_gemm_engine(nullptr);
+  return image;
+}
+
+// Frees two NaN-filled blocks of each size, so the next allocations of
+// those sizes on this thread get NaN: from the tensor cache, most recent
+// first, or below tensor::kRecycleMinBytes mostly from the heap's own
+// free lists.
+void flood_with_nan(const std::set<std::size_t>& sizes) {
+  std::vector<tensor::Tensor> blocks;
+  for (const std::size_t n : sizes) {
+    for (int copy = 0; copy < 2; ++copy) {
+      blocks.emplace_back(tensor::Shape{static_cast<int>(n)},
+                          std::numeric_limits<float>::quiet_NaN());
+    }
+  }
+}
+
+// Layers write their outputs and input gradients into uninitialized
+// storage (tensor::Tensor::uninitialized), which may be a recycled block
+// holding an earlier tensor's values. A training step and a faulty eval
+// must give the same bytes when each layer call finds NaN in every block
+// it could get: a layer that leaves an element unwritten fails here.
+TEST(ModelZoo, TrainingStepWritesEveryElementItReads) {
+  for (const ZooModel& m : kZooModels) {
+    SCOPED_TRACE(m.name);
+    std::set<std::size_t> sizes;
+    const std::vector<float> fresh = training_step_image(m, [] {}, &sizes);
+    ASSERT_EQ(std::count_if(fresh.begin(), fresh.end(),
+                            [](float v) { return std::isnan(v); }),
+              0);
+    const std::vector<float> flooded =
+        training_step_image(m, [&] { flood_with_nan(sizes); }, nullptr);
+    ASSERT_EQ(flooded.size(), fresh.size());
+    EXPECT_EQ(std::memcmp(flooded.data(), fresh.data(),
+                          sizeof(float) * fresh.size()),
+              0);
   }
 }
 

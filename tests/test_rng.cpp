@@ -5,6 +5,9 @@
 #include <algorithm>
 #include <numeric>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace falvolt::common {
 namespace {
@@ -148,6 +151,48 @@ TEST(Rng, SampleWithoutReplacementUniformCoverage) {
   const double expect = trials * 4.0 / 16.0;
   for (const int c : counts) {
     EXPECT_NEAR(static_cast<double>(c), expect, 0.08 * expect);
+  }
+}
+
+// Floyd's algorithm finding repeats by scanning its whole output, as
+// sample_without_replacement did before it kept a hash set: the oracle
+// for its draws and output order.
+std::vector<std::size_t> floyd_by_scan(Rng& rng, std::size_t n,
+                                       std::size_t k) {
+  std::vector<std::size_t> out;
+  for (std::size_t j = n - k; j < n; ++j) {
+    const auto t = static_cast<std::size_t>(rng.uniform_int(j + 1));
+    bool seen = false;
+    for (const auto v : out) {
+      if (v == t) {
+        seen = true;
+        break;
+      }
+    }
+    out.push_back(seen ? j : t);
+  }
+  return out;
+}
+
+// Every fault map is drawn through sample_without_replacement, so it must
+// keep the scan's output element for element, and leave the generator
+// where the scan leaves it.
+TEST(Rng, SampleWithoutReplacementMatchesTheScan) {
+  std::vector<std::pair<std::size_t, std::size_t>> cases = {
+      {0, 0}, {64, 0}, {64, 64}, {4096, 4096}, {4096, 1229}, {4096, 2458}};
+  for (std::size_t n = 1; n <= 12; ++n) {
+    for (std::size_t k = 0; k <= n; ++k) cases.emplace_back(n, k);
+  }
+  for (const std::uint64_t seed : {1u, 29u, 4242u}) {
+    for (const auto& [n, k] : cases) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " n " +
+                   std::to_string(n) + " k " + std::to_string(k));
+      Rng got(seed);
+      Rng want(seed);
+      EXPECT_EQ(got.sample_without_replacement(n, k),
+                floyd_by_scan(want, n, k));
+      EXPECT_EQ(got.next_u64(), want.next_u64());
+    }
   }
 }
 

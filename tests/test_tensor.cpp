@@ -2,10 +2,31 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <thread>
+#include <vector>
+
 #include "tensor/tensor_ops.h"
+
+#if defined(__SANITIZE_ADDRESS__)
+#define FALVOLT_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define FALVOLT_TEST_ASAN 1
+#endif
+#endif
+
+#if defined(FALVOLT_TEST_ASAN)
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace falvolt::tensor {
 namespace {
+
+// Elements of the smallest block a thread's cache keeps.
+constexpr int kMinFloats = static_cast<int>(kRecycleMinBytes / sizeof(float));
 
 TEST(Tensor, DefaultIsEmpty) {
   Tensor t;
@@ -68,6 +89,115 @@ TEST(Tensor, CopyIsDeep) {
   Tensor b = a;
   b[0] = 9.0f;
   EXPECT_EQ(a[0], 1.0f);
+}
+
+TEST(Tensor, CopyAndMoveKeepShapeAndValues) {
+  const Tensor a({2, 2}, {1, 2, 3, 4});
+  Tensor b({4});
+  b = a;  // same size: copied into b's block
+  EXPECT_EQ(b.shape(), a.shape());
+  EXPECT_EQ(b.at2(1, 1), 4.0f);
+  Tensor c({7}, 5.0f);
+  c = a;  // other size
+  EXPECT_EQ(c.size(), 4u);
+  EXPECT_EQ(c.at2(1, 0), 3.0f);
+  Tensor d = std::move(c);
+  EXPECT_EQ(d.at2(0, 1), 2.0f);
+  EXPECT_TRUE(c.empty());
+  const Tensor e = Tensor().reshaped({0});
+  EXPECT_TRUE(e.empty());
+}
+
+// A recycled block keeps its last tensor's values; Tensor(shape) still
+// reads all +0.
+TEST(TensorRecycling, ZeroedTensorOnARecycledNaNBlock) {
+  const float* block;
+  {
+    const Tensor dirty({kMinFloats}, std::numeric_limits<float>::quiet_NaN());
+    block = dirty.data();
+  }
+  const Tensor t({kMinFloats});
+  ASSERT_EQ(t.data(), block);
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    std::uint32_t bits;
+    std::memcpy(&bits, t.data() + i, sizeof bits);
+    ASSERT_EQ(bits, 0u) << "element " << i;
+  }
+}
+
+TEST(TensorRecycling, FreedBlockServesTheNextSameSizeRequest) {
+  const float* block;
+  {
+    const Tensor a = Tensor::uninitialized({kMinFloats});
+    block = a.data();
+  }
+  {
+    const Tensor other = Tensor::uninitialized({kMinFloats + 1});
+    EXPECT_NE(other.data(), block);
+  }
+  // Same byte size, other shape.
+  const Tensor b = Tensor::uninitialized({2, kMinFloats / 2});
+  EXPECT_EQ(b.data(), block);
+}
+
+TEST(TensorRecycling, SmallAndOversizedBlocksAreNotKept) {
+  const std::size_t before = recycled_bytes();
+  { const Tensor small = Tensor::uninitialized({kMinFloats - 1}); }
+  EXPECT_EQ(recycled_bytes(), before);
+  {
+    const Tensor big = Tensor::uninitialized(
+        {static_cast<int>(kRecycleCapBytes / sizeof(float)) + 1});
+  }
+  EXPECT_EQ(recycled_bytes(), before);
+}
+
+// Past the cap the oldest blocks go first: after 20 freed 1 MiB blocks
+// the cache holds exactly the 16 newest, and serves the newest first.
+TEST(TensorRecycling, CacheKeepsTheNewestBlocksUpToTheCap) {
+  constexpr int kMiB = 1 << 18;  // floats
+  std::vector<Tensor> blocks;
+  for (int i = 0; i < 20; ++i) blocks.push_back(Tensor::uninitialized({kMiB}));
+  const float* newest = blocks.back().data();
+  for (Tensor& t : blocks) t = Tensor();
+  EXPECT_EQ(recycled_bytes(), kRecycleCapBytes);
+  const Tensor again = Tensor::uninitialized({kMiB});
+  EXPECT_EQ(again.data(), newest);
+}
+
+// A block made on one thread and freed on another lands in the freeing
+// thread's cache; both caches are freed when their threads exit (a leak
+// or a race shows under ASan or TSan).
+TEST(TensorRecycling, BlockFreedOnAnotherThread) {
+  Tensor made;
+  std::thread maker([&] { made = Tensor({kMinFloats}, 1.0f); });
+  maker.join();
+  std::size_t kept = 0;
+  std::thread freer([&] {
+    { const Tensor own = Tensor::uninitialized({2 * kMinFloats}); }
+    const std::size_t before = recycled_bytes();
+    made = Tensor();
+    kept = recycled_bytes() - before;
+  });
+  freer.join();
+  EXPECT_EQ(kept, kRecycleMinBytes);
+}
+
+TEST(TensorRecycling, CachedBlocksArePoisonedUnderAsan) {
+#if defined(FALVOLT_TEST_ASAN)
+  const float* block;
+  {
+    const Tensor t({kMinFloats});
+    block = t.data();
+  }
+  EXPECT_TRUE(__asan_address_is_poisoned(block));
+  EXPECT_TRUE(__asan_address_is_poisoned(block + kMinFloats - 1));
+  const Tensor again = Tensor::uninitialized({kMinFloats});
+  ASSERT_EQ(again.data(), block);
+  EXPECT_FALSE(__asan_address_is_poisoned(again.data()));
+  EXPECT_FALSE(__asan_address_is_poisoned(again.data() + kMinFloats - 1));
+#else
+  GTEST_SKIP() << "not an AddressSanitizer build";
+#endif
 }
 
 TEST(TensorOps, AddSubMul) {
