@@ -398,10 +398,11 @@ inline core::WorkloadOptions workload_options(const common::CliFlags& cli) {
 }
 
 inline void print_baseline(const core::Workload& w) {
-  std::printf("[%s] baseline accuracy %.2f%% (train %d / test %d, T=%d)\n",
+  std::printf("[%s] baseline accuracy %.2f%% (%s; train %d / test %d, "
+              "T=%d)\n",
               core::dataset_name(w.kind), w.baseline_accuracy,
-              w.data.train.size(), w.data.test.size(),
-              w.data.train.time_steps());
+              w.trained ? "trained" : "stored", w.data.train.size(),
+              w.data.test.size(), w.data.train.time_steps());
 }
 
 /// Parse a --datasets spec into dataset kinds. An empty or "all" spec

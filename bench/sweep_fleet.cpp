@@ -7,7 +7,7 @@
 // --sweep-parallel workers against one shared store: a worker that
 // finishes fig5b's cheap eval cells immediately steals fig8's expensive
 // retrain cells instead of idling, and a dataset baseline is trained
-// (or cache-loaded) once per run no matter how many grids need it.
+// once per store (a record in it) no matter how many grids need it.
 //
 // Every grid whose table is complete then renders its figure
 // (GridDef::aggregate): ./<bench>.csv in the bench's own schema, the
@@ -436,7 +436,8 @@ int main(int argc, char** argv) try {
   // Worker mode (--daemon-socket without --hosts, i.e. a process the
   // daemon forked): build the same grids the daemon did, register every
   // cell under its wire name, and let the runner's claim loop pull work
-  // over the socket instead of its in-process queue. Workers publish
+  // over the socket instead of its in-process queue (its first claim
+  // says HELLO, after triage and the baseline load). Workers publish
   // records directly to the shared store — the daemon only ever sees
   // metadata — then exit without tables or summaries of their own.
   if (worker_mode) {
@@ -451,7 +452,6 @@ int main(int argc, char** argv) try {
             static_cast<int>(g), static_cast<int>(i));
       }
     }
-    queue.connect_and_hello();
     fleet.set_cell_queue(&queue);
     fleet.run();
     return 0;
@@ -469,27 +469,27 @@ int main(int argc, char** argv) try {
   std::string daemon_socket_path;
   if (daemon_mode) {
     std::vector<fleet::DaemonCell> cells;
-    {
-      const std::unique_ptr<store::StoreApi> rs =
-          store::open_store(store_dir, substituters, /*create=*/true);
-      for (const FleetGridSpec& spec : specs) {
-        const std::vector<int> owners = shard_owners(spec);
-        for (std::size_t i = 0; i < spec.scenarios.size(); ++i) {
-          if (spec.store.shard_count > 1 &&
-              owners[i] != spec.store.shard_index) {
-            continue;  // another machine's shard; unioned by sweep_merge
-          }
-          const std::string fp = core::fingerprint_cell(
-              spec.store, fleet_opts, spec.scenarios[i]);
-          if (spec.store.resume &&
-              core::lookup_cell(*rs, fp, spec.scenarios[i].key)) {
-            ++triage_cached;
-            continue;  // already paid for — nothing to schedule
-          }
-          cells.push_back(fleet::DaemonCell{
-              spec.def->name, spec.scenarios[i].key, fp,
-              core::scenario_cost_estimate(spec.scenarios[i])});
+    std::set<core::DatasetKind> kinds;  // of the cells to compute
+    const std::unique_ptr<store::StoreApi> rs =
+        store::open_store(store_dir, substituters, /*create=*/true);
+    for (const FleetGridSpec& spec : specs) {
+      const std::vector<int> owners = shard_owners(spec);
+      for (std::size_t i = 0; i < spec.scenarios.size(); ++i) {
+        if (spec.store.shard_count > 1 &&
+            owners[i] != spec.store.shard_index) {
+          continue;  // another machine's shard; unioned by sweep_merge
         }
+        const std::string fp = core::fingerprint_cell(
+            spec.store, fleet_opts, spec.scenarios[i]);
+        if (spec.store.resume &&
+            core::lookup_cell(*rs, fp, spec.scenarios[i].key)) {
+          ++triage_cached;
+          continue;  // already paid for — nothing to schedule
+        }
+        cells.push_back(fleet::DaemonCell{
+            spec.def->name, spec.scenarios[i].key, fp,
+            core::scenario_cost_estimate(spec.scenarios[i])});
+        kinds.insert(spec.scenarios[i].dataset);
       }
     }
 
@@ -502,6 +502,12 @@ int main(int argc, char** argv) try {
       // The pid-stamped marker lets a concurrent sweep_merge see a live
       // fleet mid-publish and refuse to emit half-baked tables.
       store::InProgressGuard inprogress(store_dir);
+      // Every baseline the misses need is in the store before the fork:
+      // the workers load it instead of each training its own.
+      for (const core::DatasetKind kind : kinds) {
+        fb::print_baseline(
+            core::prepare_workload(kind, fleet_opts, rs.get()));
+      }
       daemon_socket_path =
           socket_flag.empty()
               ? "/tmp/falvolt-fleet-" + std::to_string(getpid()) + ".sock"

@@ -47,6 +47,7 @@
 #include "common/json.h"
 #include "core/sweep.h"
 #include "store/compact.h"
+#include "store/fingerprint.h"
 #include "store/gc.h"
 #include "store/manifest.h"
 #include "store/result_store.h"
@@ -184,14 +185,15 @@ int main(int argc, char** argv) try {
   }
 
   if (cli.get_bool("prune")) {
-    // The payload check decodes through the scenario-result codec, so
-    // records whose frame survived but whose payload an epoch/codec
-    // bump obsoleted are reclaimed as well (they could only ever read
-    // as a miss).
+    // The payload check decodes through the record codecs (cell results
+    // and baselines), so records whose frame survived but whose payload
+    // an epoch/codec bump obsoleted are reclaimed as well (they could
+    // only ever read as a miss).
     const store::GcStats gc =
         store::prune_store(dst_local, [](const std::string& payload) {
           core::ScenarioResult r;
-          return core::decode_scenario_result(payload, r);
+          return core::decode_scenario_result(payload, r) ||
+                 core::is_baseline_payload(payload);
         });
     std::printf("[prune] %s: %s\n", dst_local.root().c_str(),
                 gc.to_string().c_str());
@@ -213,8 +215,15 @@ int main(int argc, char** argv) try {
         dst_local,
         [](const std::string& payload) -> std::optional<std::uint32_t> {
           core::ScenarioResult r;
-          if (!core::decode_scenario_result(payload, r)) return std::nullopt;
-          return r.provenance.store_epoch;
+          if (core::decode_scenario_result(payload, r)) {
+            return r.provenance.store_epoch;
+          }
+          // A baseline carries no provenance: its frame's epoch, which
+          // a readable record always has.
+          if (core::is_baseline_payload(payload)) {
+            return store::kStoreFormatEpoch;
+          }
+          return std::nullopt;
         });
     if (cli.get_bool("list")) {
       std::printf("[store] %s\n", dst_local.root().c_str());

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // 1-2. Dataset + trained baseline (cached on disk after the first run).
+  // 1-2. Dataset + trained baseline (trained in memory on every run).
   core::WorkloadOptions opts;
   opts.fast = cli.get_bool("fast");
   opts.threads = static_cast<int>(cli.get_int("threads"));

@@ -5,13 +5,9 @@
 namespace falvolt::common {
 
 bool fast_mode() {
-  const std::string v = env_or("FALVOLT_FAST", "");
+  const char* env = std::getenv("FALVOLT_FAST");
+  const std::string v = env ? env : "";
   return v == "1" || v == "true" || v == "yes";
-}
-
-std::string env_or(const std::string& name, const std::string& def) {
-  const char* v = std::getenv(name.c_str());
-  return v ? std::string(v) : def;
 }
 
 long long env_int_or(const std::string& name, long long def) {

@@ -9,9 +9,6 @@ namespace falvolt::common {
 /// Benches use this to shrink datasets / epochs ~4x for smoke runs.
 bool fast_mode();
 
-/// Read an environment variable with a default.
-std::string env_or(const std::string& name, const std::string& def);
-
 /// Integer environment variable with a default (malformed -> default).
 long long env_int_or(const std::string& name, long long def);
 

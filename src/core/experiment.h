@@ -1,14 +1,20 @@
 #pragma once
-// Experiment harness shared by the figure benches and examples: builds a
-// dataset + matching paper architecture, trains the baseline model, and
-// caches the trained weights on disk so the whole bench suite pays the
-// baseline-training cost only once per dataset.
+// Experiment harness shared by the grids and examples: builds a dataset
+// + matching paper architecture and trains the baseline model. Given a
+// result store, the trained baseline is a record in it, addressed by
+// the workload identity, so every run against that store (and every
+// store that substitutes from it) pays the baseline-training cost once
+// per dataset.
 
 #include <string>
 
 #include "data/dataset.h"
 #include "snn/model_zoo.h"
 #include "snn/network.h"
+
+namespace falvolt::store {
+class StoreApi;
+}  // namespace falvolt::store
 
 namespace falvolt::core {
 
@@ -17,28 +23,20 @@ enum class DatasetKind { kMnist, kNMnist, kDvsGesture };
 
 const char* dataset_name(DatasetKind kind);
 
-/// A ready-to-experiment workload: data, trained baseline network, and
-/// the baseline accuracy prior to any fault injection.
+/// A ready-to-experiment workload: data, baseline network, and the
+/// baseline accuracy prior to any fault injection.
 struct Workload {
   DatasetKind kind;
   data::DatasetSplit data;
   snn::Network net;
   double baseline_accuracy = 0.0;
-  int baseline_epochs = 0;
+  bool trained = false;  ///< trained by this call, not restored
 };
-
-/// Sentinel for WorkloadOptions::cache_dir meaning "not set explicitly":
-/// resolve via $FALVOLT_CACHE_DIR, else "falvolt_cache" in the CWD.
-inline constexpr const char* kDefaultCacheDir = "__default__";
 
 /// Scaling knobs (FALVOLT_FAST shrinks everything ~2-4x).
 struct WorkloadOptions {
   bool fast = false;
   std::uint64_t seed = 7;
-  /// Directory for cached baseline weights. The kDefaultCacheDir sentinel
-  /// defers to $FALVOLT_CACHE_DIR (else "falvolt_cache"); an explicit
-  /// empty string disables caching entirely.
-  std::string cache_dir = kDefaultCacheDir;
   /// Worker threads for the compute backend (applied to the global pool
   /// before training): 0 keeps the current pool ($FALVOLT_THREADS or the
   /// hardware concurrency on first use).
@@ -51,26 +49,43 @@ struct WorkloadOptions {
   int sweep_parallel = 1;
 };
 
-/// Resolve the effective cache directory from `opts` (see cache_dir);
-/// returns an empty string when caching is disabled.
-std::string resolve_cache_dir(const WorkloadOptions& opts);
-
 /// Canonical identity of a prepared workload: the dataset plus every
 /// WorkloadOptions field that changes the data or the trained baseline
-/// (fast scaling, seed). Execution knobs (threads, sweep_parallel,
-/// cache location) are deliberately absent — they never change results.
-/// This string is one of the fields a scenario's store fingerprint
-/// hashes, so editing what it covers invalidates affected cache entries.
+/// (fast scaling, seed). Execution knobs (threads, sweep_parallel) are
+/// deliberately absent — they never change results. This string is one
+/// of the fields a scenario's store fingerprint hashes, so editing what
+/// it covers invalidates affected cache entries.
 std::string workload_id(DatasetKind kind, const WorkloadOptions& opts);
 
-/// Path of the cached baseline-weights file inside `cache_dir`.
-std::string baseline_cache_file(const std::string& cache_dir,
-                                DatasetKind kind, bool fast,
-                                std::uint64_t seed);
+/// Store address of the trained baseline: SHA-256 over the store format
+/// epoch, the record kind "baseline" and workload_id(kind, opts).
+std::string baseline_fingerprint(DatasetKind kind,
+                                 const WorkloadOptions& opts);
 
-/// Build the dataset, construct the paper architecture, and train (or
-/// load) the baseline model.
-Workload prepare_workload(DatasetKind kind, const WorkloadOptions& opts = {});
+/// Bench of the one-entry manifest (key: the workload_id) that makes a
+/// stored baseline a garbage-collection root.
+inline constexpr const char* kBaselinesManifest = "baselines";
+
+/// A baseline record's payload: every network parameter in order, each
+/// as its name, its element count and its floats, little-endian.
+std::string encode_baseline(snn::Network& net);
+
+/// Restore `net`'s parameters from an encode_baseline() payload. False
+/// (a miss: `net` untouched) when the payload is malformed or its
+/// parameter inventory (count, names, sizes) does not match `net`.
+bool decode_baseline(const std::string& payload, snn::Network& net);
+
+/// A well-formed baseline payload of any network (store GC's check).
+bool is_baseline_payload(const std::string& payload);
+
+/// The dataset and the untrained paper architecture.
+Workload build_workload(DatasetKind kind, const WorkloadOptions& opts);
+
+/// build_workload() with its baseline restored from a valid record in
+/// `rs`, else trained (a damaged or mismatched record is a miss) and,
+/// given a store, published there with its kBaselinesManifest entry.
+Workload prepare_workload(DatasetKind kind, const WorkloadOptions& opts = {},
+                          store::StoreApi* rs = nullptr);
 
 /// Construct the (untrained) paper architecture for `kind` on `train`
 /// with deterministic initialization. Restoring a snapshot taken from a
@@ -82,18 +97,5 @@ snn::Network build_network(DatasetKind kind, const data::Dataset& train,
 /// Default number of retraining epochs used by the mitigation figures
 /// for this workload (DVS needs more, as in the paper).
 int default_retrain_epochs(DatasetKind kind, bool fast);
-
-/// Serialize all network parameters to a flat binary file.
-void save_params(snn::Network& net, const std::string& path);
-
-/// Load parameters saved by save_params. Returns false — meaning "no
-/// usable cache, retrain" — if the file is missing, has a bad header, or
-/// is corrupt/truncated (every length field is validated against the
-/// remaining file bytes before it is trusted). The load is atomic: on
-/// any failure the network's parameters are left untouched, so a
-/// subsequent retrain starts from the pristine initialization. Throws
-/// only when a structurally valid file disagrees with the network's
-/// parameter inventory (that is a caller bug, not cache rot).
-bool load_params(snn::Network& net, const std::string& path);
 
 }  // namespace falvolt::core

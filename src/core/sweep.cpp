@@ -9,6 +9,7 @@
 #include <cstring>
 #include <ctime>
 #include <fstream>
+#include <set>
 #include <stdexcept>
 #include <thread>
 
@@ -566,17 +567,17 @@ void SweepRunner::add_grid(SweepGrid grid) {
   grids_.push_back(std::move(grid));
 }
 
-void SweepRunner::prepare_kinds(const std::set<DatasetKind>& kinds) {
+void SweepRunner::prepare_kinds(
+    const std::map<DatasetKind, store::StoreApi*>& kinds) {
   static obs::Counter& ns = obs::counter("sweep.baseline.ns");
   static obs::Counter& count = obs::counter("sweep.baseline.count");
-  for (const DatasetKind kind : kinds) {
+  for (const auto& [kind, rs] : kinds) {
     if (ctx_.baselines_.count(kind)) continue;
     obs::TraceSpan span("sweep", std::string("baseline:") + dataset_name(kind));
     obs::ScopedTimer timed(ns, count);
-    Workload wl = prepare_workload(kind, opts_);
+    Workload wl = prepare_workload(kind, opts_, rs);
     std::vector<tensor::Tensor> snapshot = wl.net.snapshot_params();
     if (on_baseline_) on_baseline_(wl);
-    ctx_.order_.push_back(kind);
     ctx_.baselines_.emplace(
         kind, SweepContext::Baseline{std::move(wl), std::move(snapshot)});
   }
@@ -714,13 +715,16 @@ std::vector<ResultTable> SweepRunner::run() {
   // Baselines only for datasets some grid actually computes — shared
   // across grids through ctx_, so a multi-grid run trains/loads each
   // dataset once no matter how many benches need it, and a fully warm
-  // re-run trains/loads nothing at all.
+  // re-run trains/loads nothing at all. Each goes through the store
+  // chain of the first grid with a store that computes its dataset.
   if (prepare_baselines_ && !pending.empty()) {
-    std::set<DatasetKind> kinds;
+    std::map<DatasetKind, store::StoreApi*> kinds;
     for (const CellQueue::Claim& c : pending) {
-      kinds.insert(grids_[static_cast<std::size_t>(c.grid)]
-                       .scenarios[static_cast<std::size_t>(c.index)]
-                       .dataset);
+      const GridState& st = gs[static_cast<std::size_t>(c.grid)];
+      store::StoreApi*& rs =
+          kinds[st.grid->scenarios[static_cast<std::size_t>(c.index)]
+                    .dataset];
+      if (!rs) rs = st.rs.get();
     }
     prepare_kinds(kinds);
   }

@@ -9,10 +9,12 @@
 // compute::ThreadPool while keeping each grid's result table
 // byte-identical to a serial run:
 //
-//  - The baseline model of each dataset is trained (or cache-loaded)
-//    exactly once per run, serially, with full GEMM-level parallelism,
-//    however many grids need it; every scenario then works on an
-//    independent clone restored from the immutable parameter snapshot.
+//  - The baseline model of each dataset is prepared exactly once per
+//    run, serially, with full GEMM-level parallelism, however many
+//    grids need it: restored from the grid's store chain when it holds
+//    the baseline record, else trained and published there (see
+//    prepare_workload); every scenario then works on an independent
+//    clone restored from the immutable parameter snapshot.
 //  - All randomness inside a scenario is seeded from the scenario itself
 //    (its explicit `fault_seed`), never from shared mutable state, so
 //    results do not depend on execution order or worker count.
@@ -47,7 +49,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -356,9 +357,6 @@ class SweepContext {
   /// own clone_network() copies.
   const Workload& workload(DatasetKind kind) const;
 
-  /// Dataset kinds prepared so far, in first-use order.
-  const std::vector<DatasetKind>& kinds() const { return order_; }
-
   /// Independent copy of the trained baseline network for `kind`
   /// (rebuilds the architecture deterministically, then restores the
   /// trained parameter snapshot). Safe to call concurrently.
@@ -372,7 +370,6 @@ class SweepContext {
   };
   WorkloadOptions opts_;
   std::map<DatasetKind, Baseline> baselines_;
-  std::vector<DatasetKind> order_;
 };
 
 /// Computes ScenarioResult for one scenario. Runs concurrently with other
@@ -394,8 +391,8 @@ struct SweepGrid {
 
 /// Executes one or more grids as one cost-ordered work queue.
 ///
-/// All grids share one SweepContext, so a dataset baseline is trained (or
-/// cache-loaded) once per run no matter how many grids need it. Every
+/// All grids share one SweepContext, so a dataset baseline is trained or
+/// restored once per run no matter how many grids need it. Every
 /// cell is fingerprinted exactly as its owning bench would fingerprint it
 /// standalone (same bench name, config, and workload identity), so a
 /// store is interchangeable between a figure bench and the fleet driver:
@@ -458,7 +455,8 @@ class SweepRunner {
  private:
   struct GridState;
 
-  void prepare_kinds(const std::set<DatasetKind>& kinds);
+  /// Each dataset's baseline, through its store chain (or in memory).
+  void prepare_kinds(const std::map<DatasetKind, store::StoreApi*>& kinds);
   /// Fingerprint, manifest, and triage grid `g`: replayed cells fill its
   /// table, owned misses are appended to `pending`.
   GridState triage(std::size_t g, bool labeled,

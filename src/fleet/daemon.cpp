@@ -145,9 +145,10 @@ void Daemon::serve_claim(Client& c) {
     }
     return;
   }
-  if (queue_.empty()) {
-    // Claims are outstanding elsewhere; park this worker. It wakes on
-    // a re-queued cell (the other claimant died) or on SHUTDOWN.
+  if (queue_.empty() || !barrier_open_) {
+    // Claims are outstanding elsewhere, or a worker has yet to say
+    // HELLO; park this worker. It wakes when the barrier opens, on a
+    // re-queued cell (the other claimant died) or on SHUTDOWN.
     c.parked = true;
     return;
   }
@@ -285,6 +286,14 @@ DaemonStats Daemon::serve(const std::function<int()>& live_workers) {
     throw std::logic_error("fleet daemon: serve() before bind_and_listen()");
   }
   while (true) {
+    if (!barrier_open_) {
+      int ready = 0;
+      for (const Client& c : clients_) ready += c.fd >= 0 && c.ready;
+      if (ready >= live_workers()) {
+        barrier_open_ = true;  // latched: later exits never close it
+        pump_waiters();
+      }
+    }
     // Exit when the work is finished (or doomed) AND every client has
     // drained its outbound buffer and hung up or been released.
     const bool finished = all_done() || !failure_.empty();

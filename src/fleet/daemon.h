@@ -9,6 +9,9 @@
 //     so equal costs keep grid-major order — the same policy as the
 //     in-process SweepRunner queue, which is what makes the two modes
 //     byte-identical).
+//   - Start barrier: no claim is served until every live worker process
+//     has said HELLO (one dead before it stops counting), so a worker
+//     slow to start still gets its share of the queue.
 //   - A worker holds at most one claim at a time (CLAIM_REQ -> CLAIM ->
 //     RESULT). A worker that disconnects with a claim outstanding — a
 //     crash, a SIGKILL, a pulled plug — has its cell pushed back to the
@@ -83,9 +86,10 @@ class Daemon {
 
   /// Serve until every cell has a RESULT, then SHUTDOWN all workers
   /// and return. `live_workers` is polled between socket events (the
-  /// parent's waitpid bookkeeping): when it reports zero live workers,
-  /// none are connected, and cells remain, the fleet is unrecoverable
-  /// and serve() throws. Also throws on a worker ERROR frame.
+  /// parent's waitpid bookkeeping): the start barrier waits for that
+  /// many HELLOs, and when it reports zero live workers, none are
+  /// connected, and cells remain, the fleet is unrecoverable and
+  /// serve() throws. Also throws on a worker ERROR frame.
   DaemonStats serve(const std::function<int()>& live_workers);
 
  private:
@@ -101,6 +105,7 @@ class Daemon {
   std::vector<DaemonCell> cells_;
   std::deque<std::size_t> queue_;  ///< pending cell indices, cost-ordered
   std::size_t done_ = 0;
+  bool barrier_open_ = false;  ///< every live worker has said HELLO
   int listen_fd_ = -1;
   std::vector<Client> clients_;
   int next_worker_id_ = 0;

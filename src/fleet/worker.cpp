@@ -90,9 +90,9 @@ void SocketCellQueue::connect_and_hello() {
 }
 
 std::optional<core::CellQueue::Claim> SocketCellQueue::claim(int /*worker*/) {
-  if (fd_ < 0) {
-    throw std::logic_error("fleet worker: claim() before connect_and_hello()");
-  }
+  // The first claim says HELLO: the runner claims once it has triaged
+  // and prepared its baselines, i.e. once it is ready to work.
+  if (fd_ < 0) connect_and_hello();
   // A daemon that is done closes right after its final frame, so this
   // CLAIM_REQ may hit EPIPE with a SHUTDOWN already sitting in our
   // receive buffer — fall through to the read and let IT decide whether

@@ -47,8 +47,9 @@ class SocketCellQueue : public core::CellQueue {
                      const std::string& fingerprint, int grid, int index);
 
   /// Connect and complete the HELLO/WELCOME handshake at
-  /// kProtocolVersion. Throws on connection failure, version rejection,
-  /// or a malformed reply.
+  /// kProtocolVersion (the first claim() does it when no caller did).
+  /// Throws on connection failure, version rejection, or a malformed
+  /// reply.
   void connect_and_hello();
 
   int worker_id() const { return worker_id_; }

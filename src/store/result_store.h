@@ -17,8 +17,8 @@
 // can never leave a half-written record visible under its final name,
 // and a published record survives power loss. Reads validate the whole
 // frame before returning: a truncated, foreign-epoch, or bit-flipped
-// record reads as "miss" (recompute), never as a throw — the same
-// degrade-to-recompute contract as core::load_params.
+// record reads as "miss" (recompute), never as a throw — cell results
+// and trained baselines alike.
 
 #include <optional>
 #include <string>

@@ -100,12 +100,9 @@ expect_exit_2(${MICRO_KERNELS} --out_dir=${STORE} --threads=abc)
 expect_exit_2(${MICRO_KERNELS} --out_dir=${STORE} --threads=-2)
 expect_error("--threads must be >= 0")
 
-# quickstart keeps the same contract; its baseline cache (here the
-# store path) is not created either.
-set(ENV{FALVOLT_CACHE_DIR} ${STORE})
+# quickstart keeps the same contract.
 expect_exit_2(${QUICKSTART} --fast --threads -3)
 expect_error("^quickstart: --threads must be >= 0")
-unset(ENV{FALVOLT_CACHE_DIR})
 
 # Bench flags are set with --set, so --help lists every grid's own.
 execute_process(COMMAND ${SWEEP_FLEET} --help

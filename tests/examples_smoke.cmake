@@ -2,9 +2,7 @@
 # its result line. quickstart --fast ends with the "summary: baseline
 # ..." line of its train -> inject -> FaP -> FalVolt flow, and
 # vulnerability_report with its "Recommendation: ..." line.
-#
-# Run with $FALVOLT_CACHE_DIR set (the baseline cache is kept across
-# runs):
+# Each trains its baseline in memory.
 #
 #   cmake -DQUICKSTART=<path to quickstart> \
 #         -DVULNERABILITY_REPORT=<path to vulnerability_report> \

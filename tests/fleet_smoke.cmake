@@ -2,23 +2,30 @@
 # eval-only fleet: the fig5b grid at one repeat and a one-die
 # chip_salvage lot (chip 0 is a clean die, so no cell retrains), MNIST
 # only. Each leg runs in its own directory under the working directory.
+# A leg about cells in a fresh store starts from a copy of the cold
+# store's MNIST baseline record, so only legs 1, 5 and 8 train it.
 #
 #   1. a cold run writes both figure CSVs, each in its bench's schema,
 #      a trace and a --metrics-json dump: every trace event has phase X
 #      or M, a pid and a tid, every X event a name, cat, ts and dur; one
 #      cell span per computed cell, with bench, key, fingerprint, worker
-#      and cached args; sweep.cells.computed == run.cells_computed; and
-#      the dump names the metrics of the summary's metrics block;
+#      and cached args; sweep.cells.computed == run.cells_computed; the
+#      dump names the metrics of the summary's metrics block; and the
+#      baseline is trained once (sweep.baseline.trained);
 #   2. FALVOLT_FORCE_SCALAR=1 into a second store, untraced, gives
 #      byte-identical figure CSVs and <store>/tables/ (the vectorized
 #      faulty GEMM is bit-identical to the scalar reference, and tracing
 #      is observation only);
 #   3. a warm re-run computes nothing and rewrites identical CSVs, also
 #      after sweep_merge --prune has garbage-collected the store;
-#   4. --hosts 2 --resume false recomputes every cell once, on the
-#      workers; the daemon's in-process pass only replays them;
+#   4. --hosts 2 --resume false over the pruned store recomputes every
+#      cell once, on the workers, and trains no baseline; the daemon's
+#      in-process pass only replays the cells;
 #   5. a damaged record in the second store lists as the one MISS and
-#      is the one cell the next run recomputes;
+#      is the one cell the next run recomputes. A baseline record with
+#      one flipped byte (found through the baselines manifest) is
+#      retrained once under --resume false, republished byte for byte,
+#      and the figures and tables equal the cold run's;
 #   6. --datasets over every grid skips the grids it shares no dataset
 #      with and narrows the rest: mnist lists chip_salvage_triage cells,
 #      mnist,nmnist fig2's MNIST and fig5b's N-MNIST cells, neither a
@@ -28,22 +35,26 @@
 #      [faults]; a runlength kill=1 run dies by SIGKILL at a PullThePlug
 #      point and leaves a MISS. After each, the clean resume computes
 #      exactly the MISS count and writes the cold figures and tables;
-#   8. --hosts 3 with worker 1 SIGKILLed inside its first publish (rerun
-#      if worker 1 claimed no cell): one death, a re-queued claim, every
-#      cell counted once (run block == grids[] == workers[], stdout
-#      total == run block) and the cold figures and tables. A warm
-#      --hosts 3 run forks no worker and computes nothing; sweep_merge
-#      refuses the store while it holds a live in-progress marker;
+#   8. a cold --hosts 3 run with worker 1 SIGKILLed inside its first
+#      publish: the daemon trains the baseline once before it forks (no
+#      worker trains it), every worker says HELLO before any claim is
+#      served (so worker 1 always claims a cell), one death, a re-queued
+#      claim, every cell counted once (run block == grids[] == workers[],
+#      stdout total == run block) and the cold figures and tables. A
+#      warm --hosts 3 run forks no worker and computes nothing;
+#      sweep_merge refuses the store while it holds a live in-progress
+#      marker;
 #   9. the fig5b grid alone, run as two shards into separate stores,
 #      writes no figure; sweep_merge unions the shards into the table
 #      the cold store holds, and warm runs over the merged store, the
-#      compacted store, and a fresh store substituting from the cold one
-#      compute nothing and write the cold figure (the fresh store's
-#      --list-scenarios, run before it exists, already lists no MISS).
-#      Missing merge sources and substituters fail.
+#      pruned and compacted store, and a fresh store substituting from
+#      the cold one compute nothing and write the cold figure (the fresh
+#      store's --list-scenarios, run before it exists, already lists no
+#      MISS); a --resume false run over the compacted store trains no
+#      baseline. Missing merge sources and substituters fail.
 #
-# Run from a scratch working directory with $FALVOLT_CACHE_DIR set (the
-# baseline cache is kept across runs; stores and outputs are not):
+# Run from a scratch working directory (stores and outputs are not kept
+# across runs; leg 5 needs sh, printf and dd to flip a byte):
 #
 #   cmake -DSWEEP_FLEET=<path to sweep_fleet> \
 #         -DSWEEP_MERGE=<path to sweep_merge> -P fleet_smoke.cmake
@@ -188,6 +199,73 @@ function(expect_exact_resume dir)
   set(misses ${misses} PARENT_SCOPE)
 endfunction()
 
+# The fleet summary <json> counts <n> baselines trained by its process
+# (which prepared one: the counter exists).
+function(expect_trained json n)
+  file(READ ${json} body)
+  string(JSON trained ERROR_VARIABLE missing
+         GET "${body}" metrics sweep.baseline.trained)
+  if(missing OR NOT trained EQUAL n)
+    message(FATAL_ERROR "${json}: '${trained}' baseline(s) trained, want "
+                        "${n}")
+  endif()
+endfunction()
+
+# Sets <var> to the number of baselines the processes writing <output>
+# (a daemon and its workers, say) report as trained.
+function(count_trained var output)
+  string(REGEX MATCHALL "baseline accuracy [0-9.]+% \\(trained;" lines
+         "${output}")
+  list(LENGTH lines n)
+  set(${var} ${n} PARENT_SCOPE)
+endfunction()
+
+# Sets <var> to the record of the MNIST baseline in <store>, found
+# through its baselines manifest, and <var>_manifest to that manifest.
+function(baseline_record var store)
+  file(GLOB manifests ${store}/manifests/baselines-*.manifest)
+  foreach(manifest ${manifests})
+    file(STRINGS ${manifest} entry REGEX "^[0-9a-f]+ MNIST/")
+    if(entry)
+      string(SUBSTRING "${entry}" 0 64 fp)
+      string(SUBSTRING "${fp}" 0 2 prefix)
+      set(${var} ${store}/objects/${prefix}/${fp}.rec PARENT_SCOPE)
+      set(${var}_manifest ${manifest} PARENT_SCOPE)
+      return()
+    endif()
+  endforeach()
+  message(FATAL_ERROR "${store} lists no MNIST baseline: '${manifests}'")
+endfunction()
+
+# Gives the fresh store <store> the cold store's MNIST baseline record
+# and its manifest.
+function(seed_baseline store)
+  baseline_record(rec ${root}/cold/S)
+  file(RELATIVE_PATH path ${root}/cold/S ${rec})
+  get_filename_component(objects ${store}/${path} DIRECTORY)
+  file(COPY ${rec} DESTINATION ${objects})
+  file(COPY ${rec_manifest} DESTINATION ${store}/manifests)
+endfunction()
+
+# Flips one bit of the last byte of <file>, in place.
+function(flip_last_byte file)
+  file(SIZE ${file} size)
+  math(EXPR at "${size} - 1")
+  file(READ ${file} byte OFFSET ${at} LIMIT 1 HEX)
+  math(EXPR byte "0x${byte} ^ 64")
+  math(EXPR d2 "${byte} / 64")
+  math(EXPR d1 "${byte} / 8 % 8")
+  math(EXPR d0 "${byte} % 8")
+  set(dd "dd of='${file}' bs=1 seek=${at} conv=notrunc 2>/dev/null")
+  execute_process(COMMAND sh -c "printf '\\${d2}${d1}${d0}' | ${dd}"
+                  RESULT_VARIABLE rc)
+  file(READ ${file} flipped OFFSET ${at} LIMIT 1 HEX)
+  math(EXPR flipped "0x${flipped}")
+  if(NOT rc EQUAL 0 OR NOT flipped EQUAL byte)
+    message(FATAL_ERROR "cannot flip the last byte of ${file} (exit ${rc})")
+  endif()
+endfunction()
+
 # `--fast --datasets <datasets> --list-scenarios` over every grid lists
 # a cell of each "<bench>:<dataset>" in ${ARGN}, no cell of the DVS-only
 # gesture_pipeline grid, and creates no store.
@@ -266,9 +344,11 @@ if(NOT summary_names OR NOT summary_names STREQUAL dump_names)
   message(FATAL_ERROR "--metrics-json names '${dump_names}', the summary's "
                       "metrics block '${summary_names}'")
 endif()
+expect_trained(${root}/cold/cold.json 1)
 
 # 2. Forced-scalar faulty GEMM, untraced, into a second store: same
 #    bytes.
+seed_baseline(${root}/scalar/S)
 run(scalar ${CMAKE_COMMAND} -E env FALVOLT_FORCE_SCALAR=1 ${SWEEP_FLEET}
     ${FLAGS} --store S)
 expect_cold_figures(scalar)
@@ -285,8 +365,10 @@ fleet(pruned --store ${cold_store} --json pruned.json)
 expect_computed(${root}/pruned/pruned.json 0)
 expect_cold_figures(pruned)
 
-# 4. Daemon recompute: the workers compute every cell exactly once; the
-#    in-process pass that follows replays them (computes nothing).
+# 4. Daemon recompute over the pruned store: the workers compute every
+#    cell exactly once; the in-process pass that follows replays them
+#    (computes nothing). The baseline the prune kept is loaded by the
+#    daemon and every worker, never trained.
 fleet(hosts --store ${cold_store} --hosts 2 --resume false
       --json hosts.json)
 file(READ ${root}/hosts/hosts.json json)
@@ -297,6 +379,12 @@ if(NOT computed EQUAL cells OR NOT replay_computed EQUAL 0)
   message(FATAL_ERROR "--hosts 2 --resume false: run.cells_computed "
                       "${computed}, want every cell (${cells}); the "
                       "in-process pass recomputed ${replay_computed}")
+endif()
+expect_trained(${root}/hosts/hosts.json 0)
+count_trained(trained "${run_out}")
+if(NOT trained EQUAL 0)
+  message(FATAL_ERROR "--hosts 2 over a pruned store trained ${trained} "
+                      "baseline(s):\n${run_out}")
 endif()
 expect_cold_figures(hosts)
 
@@ -315,6 +403,17 @@ fleet(scalar --store S --json damaged.json)
 expect_computed(${root}/scalar/damaged.json 1)
 expect_cold_figures(scalar)
 
+#    One flipped byte in the stored baseline: a --resume false run
+#    retrains it once and republishes the cold run's record.
+baseline_record(rec ${root}/scalar/S)
+flip_last_byte(${rec})
+fleet(scalar --store S --resume false --json baseline.json)
+expect_trained(${root}/scalar/baseline.json 1)
+expect_cold_figures(scalar)
+expect_cold_tables(scalar)
+baseline_record(cold_rec ${cold_store})
+expect_same_file(${cold_rec} ${rec})
+
 # 6. Grid selection by dataset over every registered grid.
 expect_selection(mnist chip_salvage_triage:)
 expect_selection(mnist,nmnist fig2_vth_sweep:MNIST fig5b_fault_count:N-MNIST)
@@ -322,6 +421,7 @@ expect_selection(mnist,nmnist fig2_vth_sweep:MNIST fig5b_fault_count:N-MNIST)
 # 7. Crash safety with two cells publishing side by side: torn writes
 #    and bit flips (which writes they hit, and so the MISS count, varies
 #    with the interleaving), then a pulled plug.
+seed_baseline(${root}/faults/S)
 fleet(faults --store S --sweep-parallel 2
       --faults mode=independent,p=0.2,seed=7)
 if(NOT run_err MATCHES "\\[faults\\]")
@@ -329,6 +429,7 @@ if(NOT run_err MATCHES "\\[faults\\]")
 endif()
 expect_exact_resume(faults)
 
+seed_baseline(${root}/kill/S)
 execute_process(COMMAND ${SWEEP_FLEET} ${FLAGS} --store S --sweep-parallel 2
                 --faults mode=runlength,runlen=30,kill=1,torn=0,bitflip=0
                 WORKING_DIRECTORY ${root}/kill
@@ -340,19 +441,19 @@ if(NOT rc STREQUAL "Subprocess killed" OR NOT err MATCHES "PullThePlug" OR
                       "point and leave a MISS, got '${rc}', ${misses}:\n${err}")
 endif()
 
-# 8. The fleet daemon loses a worker: its fault spec's 16th point falls
-#    inside its first cell's publish (after the two grid manifests).
-#    Nothing makes the daemon wait for worker 1: if workers 0 and 2
-#    drain the queue first, worker 1 exits cleanly with its [faults]
-#    report, and the run is repeated in a fresh store (five at most).
-foreach(attempt RANGE 1 5)
-  file(REMOVE_RECURSE ${root}/daemon/S)
-  fleet(daemon --store S --hosts 3 --json daemon.json
-        --worker-faults 1:mode=runlength,runlen=16,kill=1,torn=0,bitflip=0)
-  if(NOT run_err MATCHES "\\[faults\\] mode=")
-    break()
-  endif()
-endforeach()
+# 8. The fleet daemon, cold, loses a worker: its fault spec's 16th point
+#    falls inside its first cell's publish (after the two grid
+#    manifests). The daemon trains the baseline before it forks, and
+#    serves no claim before all three workers said HELLO, so worker 1
+#    always claims a cell.
+fleet(daemon --store S --hosts 3 --json daemon.json
+      --worker-faults 1:mode=runlength,runlen=16,kill=1,torn=0,bitflip=0)
+expect_trained(${root}/daemon/daemon.json 1)
+count_trained(trained "${run_out}")
+if(NOT trained EQUAL 1)
+  message(FATAL_ERROR "a cold --hosts 3 run trained ${trained} "
+                      "baseline(s), want the daemon's one:\n${run_out}")
+endif()
 file(READ ${root}/daemon/daemon.json json)
 string(JSON deaths GET "${json}" daemon worker_deaths)
 string(JSON requeued GET "${json}" daemon requeued)
@@ -383,14 +484,16 @@ if(NOT run_err MATCHES "still publishing")
                       "refuse:\n${run_err}")
 endif()
 
-# 9. Sharded fig5b runs, merged, compacted and substituted. The cold
-#    store is the unsharded reference (a fig5b cell has the same
-#    fingerprint whichever grids run beside it). fig5b alone: a
+# 9. Sharded fig5b runs, merged, pruned and compacted, and substituted.
+#    The cold store is the unsharded reference (a fig5b cell has the
+#    same fingerprint whichever grids run beside it). fig5b alone: a
 #    one-die chip_salvage grid would complete inside shard 0. Last, as
 #    it narrows ${FLAGS} and ${FIGURES}.
 set(FLAGS --fast --datasets mnist --repeats 1 --grids fig5b_fault_count
     --set fig5b_fault_count.eval-samples=24)
 set(FIGURES fig5b_fault_count)
+seed_baseline(${root}/shard/A)
+seed_baseline(${root}/shard/B)
 fleet(shard --store A --shard 0/2)
 fleet(shard --store B --shard 1/2)
 if(EXISTS ${root}/shard/fig5b_fault_count.csv)
@@ -416,11 +519,14 @@ fleet(shard --store M --json merged.json)
 expect_computed(${root}/shard/merged.json 0)
 expect_cold_figures(shard)
 
-run(shard ${SWEEP_MERGE} --into M --compact)
+run(shard ${SWEEP_MERGE} --into M --prune --compact)
 expect_no_records(${root}/shard/M)
 file(REMOVE ${root}/shard/fig5b_fault_count.csv)
 fleet(shard --store M --json compacted.json)
 expect_computed(${root}/shard/compacted.json 0)
+expect_cold_figures(shard)
+fleet(shard --store M --resume false --json recomputed.json)
+expect_trained(${root}/shard/recomputed.json 0)
 expect_cold_figures(shard)
 
 file(REMOVE ${root}/shard/fig5b_fault_count.csv)

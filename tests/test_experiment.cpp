@@ -3,14 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <string>
 
 #include "snn/model_zoo.h"
-#include "snn/trainer.h"
-#include "tensor/tensor_ops.h"
+#include "store/result_store.h"
+#include "store/store_api.h"
 
 namespace falvolt::core {
 namespace {
@@ -30,239 +28,121 @@ TEST(Experiment, DefaultRetrainEpochsOrdering) {
             default_retrain_epochs(DatasetKind::kMnist, false));
 }
 
-// RAII environment-variable override for cache-dir resolution tests.
-class EnvVarScope {
- public:
-  EnvVarScope(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    if (value) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~EnvVarScope() {
-    if (had_old_) {
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  std::string old_;
-  bool had_old_ = false;
-};
-
-TEST(Experiment, CacheDirSentinelFallsBackToDefault) {
-  EnvVarScope env("FALVOLT_CACHE_DIR", nullptr);
-  WorkloadOptions opts;  // cache_dir left at the sentinel
-  EXPECT_EQ(opts.cache_dir, kDefaultCacheDir);
-  EXPECT_EQ(resolve_cache_dir(opts), "falvolt_cache");
-}
-
-TEST(Experiment, CacheDirSentinelHonorsEnvironment) {
-  EnvVarScope env("FALVOLT_CACHE_DIR", "/tmp/falvolt_env_cache");
-  WorkloadOptions opts;
-  EXPECT_EQ(resolve_cache_dir(opts), "/tmp/falvolt_env_cache");
-}
-
-TEST(Experiment, CacheDirEnvironmentCanDisableCaching) {
-  EnvVarScope env("FALVOLT_CACHE_DIR", "");
-  WorkloadOptions opts;
-  EXPECT_EQ(resolve_cache_dir(opts), "");
-}
-
-TEST(Experiment, CacheDirExplicitEmptyDisablesCaching) {
-  EnvVarScope env("FALVOLT_CACHE_DIR", "/tmp/should_be_ignored");
-  WorkloadOptions opts;
-  opts.cache_dir = "";  // explicit: caching off, env must NOT override
-  EXPECT_EQ(resolve_cache_dir(opts), "");
-}
-
-TEST(Experiment, CacheDirExplicitValueWinsOverEnvironment) {
-  EnvVarScope env("FALVOLT_CACHE_DIR", "/tmp/should_be_ignored");
-  WorkloadOptions opts;
-  opts.cache_dir = "/tmp/explicit_cache";
-  EXPECT_EQ(resolve_cache_dir(opts), "/tmp/explicit_cache");
-}
-
-TEST(Experiment, BaselineCacheFileSurvivesLongDirectories) {
-  // The seed built this path through a fixed 160-char snprintf buffer,
-  // silently truncating long cache directories into a wrong path.
-  const std::string long_dir(300, 'd');
-  const std::string path =
-      baseline_cache_file(long_dir, DatasetKind::kNMnist, true, 42);
-  EXPECT_EQ(path, long_dir + "/baseline_N-MNIST_fast_seed42.bin");
-}
-
-TEST(Experiment, SaveLoadRoundTrip) {
-  snn::ZooConfig zc;
-  zc.channels = 4;
-  zc.fc_hidden = 16;
-  snn::Network a = snn::make_digit_classifier("d", 1, 16, 10, zc);
-  const std::string path =
-      ::testing::TempDir() + "falvolt_params_roundtrip.bin";
-  save_params(a, path);
-
-  snn::Network b = snn::make_digit_classifier("d", 1, 16, 10,
-                                              [&] {
-                                                snn::ZooConfig z = zc;
-                                                z.seed = 999;  // different init
-                                                return z;
-                                              }());
-  ASSERT_TRUE(load_params(b, path));
-  const auto pa = a.params();
-  const auto pb = b.params();
-  for (std::size_t i = 0; i < pa.size(); ++i) {
-    ASSERT_EQ(tensor::max_abs_diff(pa[i]->value, pb[i]->value), 0.0);
-  }
-  std::filesystem::remove(path);
-}
-
-TEST(Experiment, LoadMissingFileReturnsFalse) {
-  snn::ZooConfig zc;
-  zc.channels = 4;
-  snn::Network net = snn::make_digit_classifier("d", 1, 16, 10, zc);
-  EXPECT_FALSE(load_params(net, "/nonexistent/params.bin"));
-}
-
-TEST(Experiment, LoadReturnsFalseOnTruncatedFile) {
-  snn::ZooConfig zc;
-  zc.channels = 4;
-  zc.fc_hidden = 16;
-  snn::Network a = snn::make_digit_classifier("d", 1, 16, 10, zc);
-  const std::string path =
-      ::testing::TempDir() + "falvolt_params_truncated.bin";
-  save_params(a, path);
-  const auto full_size = std::filesystem::file_size(path);
-
-  // Truncation anywhere — mid-header, mid-name, mid-payload — must mean
-  // "no usable cache" (false), never a throw or a garbage allocation.
-  // Re-save before each cut: resize_file only truncates a fresh copy
-  // (growing a previously shrunk file would just zero-pad it).
-  for (const std::uintmax_t keep :
-       {std::uintmax_t{3}, std::uintmax_t{9}, full_size / 2,
-        full_size - 1}) {
-    save_params(a, path);
-    std::filesystem::resize_file(path, keep);
-    snn::Network b = snn::make_digit_classifier("d", 1, 16, 10, zc);
-    EXPECT_FALSE(load_params(b, path)) << "kept " << keep << " bytes";
-  }
-  std::filesystem::remove(path);
-}
-
-TEST(Experiment, LoadReturnsFalseOnCorruptHeaderAndLengths) {
-  snn::ZooConfig zc;
-  zc.channels = 4;
-  zc.fc_hidden = 16;
-  snn::Network a = snn::make_digit_classifier("d", 1, 16, 10, zc);
-  const std::string path = ::testing::TempDir() + "falvolt_params_corrupt.bin";
-  save_params(a, path);
-
-  const auto clobber = [&](std::streamoff offset, std::uint32_t word) {
-    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(offset);
-    f.write(reinterpret_cast<const char*>(&word), sizeof(word));
-  };
-
-  // Bad magic: corrupt file, not an inventory bug — retrain.
-  clobber(0, 0xdeadbeef);
-  snn::Network b1 = snn::make_digit_classifier("d", 1, 16, 10, zc);
-  EXPECT_FALSE(load_params(b1, path));
-
-  // Garbage first name_len far beyond the file size must not allocate a
-  // giant buffer or read past the end.
-  save_params(a, path);
-  clobber(8, 0xffffff00u);
-  snn::Network b2 = snn::make_digit_classifier("d", 1, 16, 10, zc);
-  EXPECT_FALSE(load_params(b2, path));
-  std::filesystem::remove(path);
-}
-
-TEST(Experiment, PrepareWorkloadRetrainsOverCorruptCache) {
-  const std::string cache =
-      ::testing::TempDir() + "falvolt_workload_cache_corrupt";
-  std::filesystem::remove_all(cache);
-  WorkloadOptions opts;
-  opts.fast = true;
-  opts.cache_dir = cache;
-
-  const Workload w1 = prepare_workload(DatasetKind::kMnist, opts);
-  const std::string file =
-      baseline_cache_file(cache, DatasetKind::kMnist, true, opts.seed);
-  ASSERT_TRUE(std::filesystem::exists(file));
-  std::filesystem::resize_file(file,
-                               std::filesystem::file_size(file) / 3);
-
-  // The corrupt entry is silently discarded: training reruns with the
-  // same seeds and reproduces the exact baseline (and rewrites the
-  // cache).
-  const Workload w2 = prepare_workload(DatasetKind::kMnist, opts);
-  EXPECT_DOUBLE_EQ(w1.baseline_accuracy, w2.baseline_accuracy);
-
-  // Rot in the count word passes the length checks and makes
-  // load_params throw (inventory mismatch) — prepare_workload must
-  // swallow that too and retrain rather than abort.
-  {
-    std::fstream f(file, std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(4);
-    const std::uint32_t bad_count = 9999;
-    f.write(reinterpret_cast<const char*>(&bad_count), sizeof(bad_count));
-  }
-  const Workload w3 = prepare_workload(DatasetKind::kMnist, opts);
-  EXPECT_DOUBLE_EQ(w1.baseline_accuracy, w3.baseline_accuracy);
-  std::filesystem::remove_all(cache);
-}
-
-TEST(Experiment, LoadRejectsMismatchedArchitecture) {
-  snn::ZooConfig zc;
-  zc.channels = 4;
-  zc.fc_hidden = 16;
-  snn::Network a = snn::make_digit_classifier("d", 1, 16, 10, zc);
-  const std::string path = ::testing::TempDir() + "falvolt_params_bad.bin";
-  save_params(a, path);
-  zc.channels = 8;  // different inventory
-  snn::Network b = snn::make_digit_classifier("d", 1, 16, 10, zc);
-  EXPECT_THROW(load_params(b, path), std::runtime_error);
-  std::filesystem::remove(path);
-}
-
-TEST(Experiment, PrepareWorkloadTrainsAndCaches) {
-  const std::string cache =
-      ::testing::TempDir() + "falvolt_workload_cache";
-  std::filesystem::remove_all(cache);
-  WorkloadOptions opts;
-  opts.fast = true;
-  opts.cache_dir = cache;
-
-  const Workload w1 = prepare_workload(DatasetKind::kMnist, opts);
-  EXPECT_EQ(w1.data.train.num_classes(), 10);
-  EXPECT_GT(w1.baseline_accuracy, 50.0);  // trained well above chance
-
-  // Second call must hit the cache and reproduce the exact accuracy.
-  const Workload w2 = prepare_workload(DatasetKind::kMnist, opts);
-  EXPECT_DOUBLE_EQ(w1.baseline_accuracy, w2.baseline_accuracy);
-  std::filesystem::remove_all(cache);
-}
-
 TEST(Experiment, WorkloadGeometryPerDataset) {
-  const std::string cache =
-      ::testing::TempDir() + "falvolt_workload_cache_geom";
-  std::filesystem::remove_all(cache);
   WorkloadOptions opts;
   opts.fast = true;
-  opts.cache_dir = cache;
-  Workload nm = prepare_workload(DatasetKind::kNMnist, opts);
+  const Workload mnist = build_workload(DatasetKind::kMnist, opts);
+  EXPECT_EQ(mnist.data.train.num_classes(), 10);
+  Workload nm = build_workload(DatasetKind::kNMnist, opts);
   EXPECT_EQ(nm.data.train.channels(), 2);
   EXPECT_EQ(nm.net.hidden_spiking_layers().size(), 4u);
-  Workload dvs = prepare_workload(DatasetKind::kDvsGesture, opts);
+  Workload dvs = build_workload(DatasetKind::kDvsGesture, opts);
   EXPECT_EQ(dvs.data.train.num_classes(), 11);
   EXPECT_EQ(dvs.net.hidden_spiking_layers().size(), 7u);
-  std::filesystem::remove_all(cache);
+}
+
+TEST(Experiment, BaselineFingerprintIsTheWorkloadIdentity) {
+  WorkloadOptions opts;
+  opts.fast = true;
+  const std::string fp = baseline_fingerprint(DatasetKind::kMnist, opts);
+  WorkloadOptions exec = opts;  // execution knobs leave the address alone
+  exec.threads = 3;
+  exec.sweep_parallel = 4;
+  EXPECT_EQ(baseline_fingerprint(DatasetKind::kMnist, exec), fp);
+  WorkloadOptions seeded = opts;
+  seeded.seed += 1;
+  EXPECT_NE(baseline_fingerprint(DatasetKind::kMnist, seeded), fp);
+  EXPECT_NE(baseline_fingerprint(DatasetKind::kMnist, WorkloadOptions{}), fp);
+  EXPECT_NE(baseline_fingerprint(DatasetKind::kNMnist, opts), fp);
+}
+
+// The small digit classifier the codec cases encode; `seed` picks its
+// initialization, `channels` its parameter sizes.
+snn::Network small_net(std::uint64_t seed, int channels = 4) {
+  snn::ZooConfig zc;
+  zc.channels = channels;
+  zc.fc_hidden = 16;
+  zc.seed = seed;
+  return snn::make_digit_classifier("d", 1, 16, 10, zc);
+}
+
+TEST(Experiment, BaselineCodecRoundTripIsBitExact) {
+  snn::Network a = small_net(1);
+  const std::string payload = encode_baseline(a);
+  EXPECT_TRUE(is_baseline_payload(payload));
+  snn::Network b = small_net(999);  // a different initialization
+  ASSERT_NE(encode_baseline(b), payload);
+  ASSERT_TRUE(decode_baseline(payload, b));
+  EXPECT_EQ(encode_baseline(b), payload);
+}
+
+// `payload` decodes as a miss into a fresh small_net(999), which keeps
+// its own initialization.
+void expect_miss(const std::string& payload, const std::string& what) {
+  snn::Network net = small_net(999);
+  const std::string before = encode_baseline(net);
+  EXPECT_FALSE(decode_baseline(payload, net)) << what;
+  EXPECT_EQ(encode_baseline(net), before) << what << " touched the network";
+}
+
+TEST(Experiment, TruncatedBaselineDecodesAsMiss) {
+  snn::Network a = small_net(1);
+  const std::string payload = encode_baseline(a);
+  for (const std::size_t keep :
+       {std::size_t{0}, std::size_t{3}, std::size_t{9}, payload.size() / 2,
+        payload.size() - 1}) {
+    EXPECT_FALSE(is_baseline_payload(payload.substr(0, keep)));
+    expect_miss(payload.substr(0, keep), "kept " + std::to_string(keep));
+  }
+  EXPECT_FALSE(is_baseline_payload(payload + '\0'));
+  expect_miss(payload + '\0', "a trailing byte");
+}
+
+TEST(Experiment, LyingLengthDecodesAsMiss) {
+  snn::Network a = small_net(1);
+  const std::string payload = encode_baseline(a);
+  // Layout: u32 count, then per parameter u32 name length, the name,
+  // u32 size and the floats.
+  std::string name_len = payload;
+  name_len[7] = '\x7f';  // the first name claims ~2 GB
+  EXPECT_FALSE(is_baseline_payload(name_len));
+  expect_miss(name_len, "a lying name length");
+  std::string count = payload;
+  count[0] = static_cast<char>(count[0] + 1);  // one parameter more
+  expect_miss(count, "a lying parameter count");
+}
+
+TEST(Experiment, RenamedParameterDecodesAsMiss) {
+  snn::Network a = small_net(1);
+  std::string payload = encode_baseline(a);
+  payload[8] ^= 0x20;  // first character of the first parameter's name
+  EXPECT_TRUE(is_baseline_payload(payload));  // well-formed, wrong network
+  expect_miss(payload, "a renamed parameter");
+}
+
+TEST(Experiment, ResizedParameterDecodesAsMiss) {
+  snn::Network wide = small_net(1, /*channels=*/8);
+  const std::string payload = encode_baseline(wide);
+  EXPECT_TRUE(is_baseline_payload(payload));
+  expect_miss(payload, "resized parameters");
+}
+
+TEST(Experiment, PrepareWorkloadRestoresTheStoredBaseline) {
+  const std::string dir = ::testing::TempDir() + "falvolt_baseline_store";
+  std::filesystem::remove_all(dir);
+  WorkloadOptions opts;
+  opts.fast = true;
+  // Any well-formed record of the right inventory is restored as is:
+  // here the untrained network, which no training would reproduce.
+  Workload untrained = build_workload(DatasetKind::kMnist, opts);
+  std::string stored = encode_baseline(untrained.net);
+  std::unique_ptr<store::StoreApi> rs = store::open_store(dir);
+  rs->put(baseline_fingerprint(DatasetKind::kMnist, opts), stored);
+
+  Workload w = prepare_workload(DatasetKind::kMnist, opts, rs.get());
+  EXPECT_FALSE(w.trained);
+  EXPECT_EQ(encode_baseline(w.net), stored);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

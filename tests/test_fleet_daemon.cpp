@@ -1,8 +1,8 @@
 // The fleet scheduler daemon and its wire protocol: cost-balanced
 // shard partitioning, frame codec round-trips, the daemon's claim /
-// re-queue / shutdown state machine against real socket clients, and
-// the in-progress markers that keep sweep_merge honest while a fleet is
-// mid-publish.
+// re-queue / shutdown state machine and its start barrier against real
+// socket clients, and the in-progress markers that keep sweep_merge
+// honest while a fleet is mid-publish.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -178,14 +179,27 @@ class FleetDaemonTest : public ::testing::Test {
   void TearDown() override { fs::remove_all(dir_); }
 
   // serve() on a side thread; the test plays the worker processes from
-  // the main thread. live_workers=1 forever: the "worker process" is us.
-  std::thread serve(fleet::Daemon& daemon, ServeOutcome& out) {
-    return std::thread([&daemon, &out] {
+  // the main thread. `live` counts the worker processes (1 by default:
+  // the "worker process" is us).
+  std::thread serve(fleet::Daemon& daemon, ServeOutcome& out,
+                    const std::atomic<int>* live = nullptr) {
+    return std::thread([&daemon, &out, live] {
       try {
-        out.stats = daemon.serve([] { return 1; });
+        out.stats = daemon.serve([live] { return live ? live->load() : 1; });
       } catch (const std::exception& e) {
         out.error = e.what();
       }
+    });
+  }
+
+  // Worker `a`'s first claim, on a side thread: `claimed` turns true
+  // when the daemon answers it.
+  static std::thread first_claim(fleet::SocketCellQueue& a,
+                                 std::optional<core::CellQueue::Claim>& c,
+                                 std::atomic<bool>& claimed) {
+    return std::thread([&a, &c, &claimed] {
+      c = a.claim(0);
+      claimed = true;
     });
   }
 
@@ -280,6 +294,70 @@ TEST_F(FleetDaemonTest, ServesCostOrderedAndRequeuesDeadWorkersClaim) {
   ASSERT_EQ(out.stats.workers.size(), 2u);
   EXPECT_EQ(out.stats.workers[0].cells, 1);
   EXPECT_EQ(out.stats.workers[1].cells, 3);
+}
+
+TEST_F(FleetDaemonTest, ServesNoClaimUntilEveryLiveWorkerSaidHello) {
+  fleet::Daemon daemon(fleet::DaemonOptions{sock_}, four_cells());
+  daemon.bind_and_listen();
+  ServeOutcome out;
+  const std::atomic<int> live{2};
+  std::thread server = serve(daemon, out, &live);
+
+  // A says HELLO and asks for a cell: parked while B has not joined.
+  fleet::SocketCellQueue a(sock_, "a");
+  register_all(a);
+  a.connect_and_hello();
+  std::optional<core::CellQueue::Claim> ca;
+  std::atomic<bool> claimed{false};
+  std::thread a_claim = first_claim(a, ca, claimed);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_FALSE(claimed.load()) << "served before every worker said HELLO";
+
+  // B's first claim says HELLO: the barrier opens, and A, parked first,
+  // gets the most expensive cell.
+  fleet::SocketCellQueue b(sock_, "b");
+  register_all(b);
+  const std::optional<core::CellQueue::Claim> cb = b.claim(0);
+  a_claim.join();
+  ASSERT_TRUE(ca.has_value() && cb.has_value());
+  EXPECT_EQ(ca->index, 2);
+  a.complete(*ca, false, 0.1);
+  b.complete(*cb, false, 0.1);
+  while (const std::optional<core::CellQueue::Claim> c = b.claim(0)) {
+    b.complete(*c, false, 0.1);
+  }
+  server.join();
+  EXPECT_EQ(out.error, "");
+  EXPECT_EQ(out.stats.computed, 4);
+  EXPECT_EQ(out.stats.workers_seen, 2);
+}
+
+TEST_F(FleetDaemonTest, WorkerDeadBeforeHelloStopsHoldingTheBarrier) {
+  fleet::Daemon daemon(fleet::DaemonOptions{sock_}, four_cells());
+  daemon.bind_and_listen();
+  ServeOutcome out;
+  std::atomic<int> live{2};
+  std::thread server = serve(daemon, out, &live);
+
+  fleet::SocketCellQueue a(sock_, "a");
+  register_all(a);
+  a.connect_and_hello();
+  std::optional<core::CellQueue::Claim> ca;
+  std::atomic<bool> claimed{false};
+  std::thread a_claim = first_claim(a, ca, claimed);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_FALSE(claimed.load()) << "served before every worker said HELLO";
+
+  live = 1;  // the other worker process died before its HELLO
+  a_claim.join();
+  ASSERT_TRUE(ca.has_value());
+  a.complete(*ca, false, 0.1);
+  while (const std::optional<core::CellQueue::Claim> c = a.claim(0)) {
+    a.complete(*c, false, 0.1);
+  }
+  server.join();
+  EXPECT_EQ(out.error, "");
+  EXPECT_EQ(out.stats.computed, 4);
 }
 
 TEST_F(FleetDaemonTest, RejectsProtocolVersionMismatchAtHello) {

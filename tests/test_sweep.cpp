@@ -176,19 +176,38 @@ TEST(Sweep, ParallelSweepOverlapsScenarios) {
 // identical result tables at every --sweep-parallel, and identical to a
 // hand-rolled serial loop over the same scenario computation (the shape
 // of the pre-migration benches).
+//
+// The suite trains one MNIST baseline, into a store that every sweep
+// below reads as a substituter behind its own fresh store.
 class SweepWorkloadTest : public ::testing::Test {
  protected:
   static WorkloadOptions options() {
     WorkloadOptions opts;
     opts.fast = true;
-    opts.cache_dir = cache_dir();
     return opts;
   }
-  static std::string cache_dir() {
-    return ::testing::TempDir() + "falvolt_sweep_cache";
+  static std::string root() {
+    return ::testing::TempDir() + "falvolt_sweep_workload";
   }
-  static void TearDownTestSuite() {
-    std::filesystem::remove_all(cache_dir());
+  static std::string baseline_store() { return root() + "/baseline"; }
+  static void SetUpTestSuite() {
+    std::filesystem::remove_all(root());
+    const Workload wl = prepare_workload(
+        DatasetKind::kMnist, options(),
+        store::open_store(baseline_store()).get());
+    EXPECT_TRUE(wl.trained);
+    EXPECT_GT(wl.baseline_accuracy, 50.0);  // trained well above chance
+  }
+  static void TearDownTestSuite() { std::filesystem::remove_all(root()); }
+
+  // A fresh store named `name` with the suite's baseline behind it.
+  static SweepStoreOptions fresh_store(const std::string& name) {
+    SweepStoreOptions st;
+    st.dir = root() + "/" + name;
+    std::filesystem::remove_all(st.dir);
+    st.bench = name;
+    st.substituters = {baseline_store()};
+    return st;
   }
 };
 
@@ -239,15 +258,17 @@ TEST_F(SweepWorkloadTest, TablesAreByteIdenticalAcrossParallelism) {
   for (const int parallel : {1, 2, 8}) {
     WorkloadOptions opts = options();
     opts.sweep_parallel = parallel;
-    ResultTable table =
-        sweep(opts, scenarios, [](const Scenario& s, const SweepContext& ctx) {
+    ResultTable table = sweep(
+        opts, scenarios,
+        [](const Scenario& s, const SweepContext& ctx) {
           ScenarioResult out;
           out.metrics = {
               {"accuracy",
                eval_scenario(s, ctx.clone_network(s.dataset),
                              eval_subset(ctx.workload(s.dataset), 16))}};
           return out;
-        });
+        },
+        fresh_store("eval_parallel" + std::to_string(parallel)));
     EXPECT_EQ(table.sweep_parallel(), std::min<int>(parallel, 6));
     csvs.push_back(table.to_csv());
     tables.push_back(std::move(table));
@@ -258,7 +279,8 @@ TEST_F(SweepWorkloadTest, TablesAreByteIdenticalAcrossParallelism) {
   // ... and identical to the pre-migration shape: a plain serial loop
   // over the same scenario computation.
   WorkloadOptions opts = options();
-  Workload wl = prepare_workload(DatasetKind::kMnist, opts);
+  Workload wl = prepare_workload(DatasetKind::kMnist, opts,
+                                 store::open_store(baseline_store()).get());
   const std::vector<tensor::Tensor> snapshot = wl.net.snapshot_params();
   const data::Dataset eval_set = eval_subset(wl, 16);
   std::size_t idx = 0;
@@ -294,8 +316,9 @@ TEST_F(SweepWorkloadTest, RetrainScenariosAreByteIdenticalAcrossParallelism) {
   for (const int parallel : {1, 2}) {
     WorkloadOptions opts = options();
     opts.sweep_parallel = parallel;
-    ResultTable table =
-        sweep(opts, scenarios, [](const Scenario& s, const SweepContext& ctx) {
+    ResultTable table = sweep(
+        opts, scenarios,
+        [](const Scenario& s, const SweepContext& ctx) {
           const Workload& wl = ctx.workload(s.dataset);
           snn::Network net = ctx.clone_network(s.dataset);
           common::Rng rng(s.fault_seed);
@@ -315,7 +338,8 @@ TEST_F(SweepWorkloadTest, RetrainScenariosAreByteIdenticalAcrossParallelism) {
           out.metrics = {{"accuracy", r.final_accuracy},
                          {"pruned", r.pruned_accuracy}};
           return out;
-        });
+        },
+        fresh_store("retrain_parallel" + std::to_string(parallel)));
     csvs.push_back(table.to_csv());
   }
   EXPECT_EQ(csvs[0], csvs[1]);
@@ -352,6 +376,7 @@ TEST_F(SweepWorkloadTest, StoreShardsMergeAndWarmRunsAreByteIdentical) {
     st.dir = dir;
     st.bench = "fig5b_like";
     st.config = {{"eval-samples", "16"}};
+    st.substituters = {baseline_store()};
     st.shard_index = index;
     st.shard_count = count;
     return st;
@@ -460,6 +485,7 @@ TEST_F(SweepWorkloadTest, RetrainGridShardsAndWarmRunsAreByteIdentical) {
     SweepStoreOptions st;
     st.dir = dir;
     st.bench = "fig2_like";
+    st.substituters = {baseline_store()};
     st.shard_index = index;
     st.shard_count = count;
     return sweep(options(), scenarios, fn, st);
@@ -499,7 +525,7 @@ TEST_F(SweepWorkloadTest, CloneNetworkGivesIndependentBaselineCopies) {
   std::vector<Scenario> scenarios(1);
   scenarios[0].key = "probe";
   scenarios[0].dataset = DatasetKind::kMnist;
-  runner.add_grid({SweepStoreOptions{}, scenarios,
+  runner.add_grid({fresh_store("clone"), scenarios,
                    [](const Scenario&, const SweepContext&) {
                      return ScenarioResult{};
                    }});

@@ -1,8 +1,9 @@
 // SweepRunner x LocalDirStore integration: resume/warm-run semantics,
 // deterministic sharding, fingerprint invalidation, the one cell lookup
-// (lookup_cell) and its at-least-once re-check, and the codec the
-// records travel through. Uses workload-free scenario functions so the
-// store machinery is exercised without training anything.
+// (lookup_cell) and its at-least-once re-check, the codec the records
+// travel through, and baseline records. Uses workload-free scenario
+// functions so the store machinery is exercised without training
+// anything, except where a damaged baseline record must be retrained.
 
 #include <gtest/gtest.h>
 
@@ -428,6 +429,76 @@ TEST_F(SweepStoreTest, DuplicateDeliveryReplaysThePublishedRecord) {
   EXPECT_TRUE(table.complete());
   EXPECT_EQ(table.to_csv(), reference.to_csv());
   fs::remove_all(dir_ + "_ref");
+}
+
+// Baseline records through the runner. `--resume false` recomputes the
+// cells, so every run prepares the MNIST baseline from its store chain.
+class SweepBaselineTest : public SweepStoreTest {
+ protected:
+  static WorkloadOptions fast() {
+    WorkloadOptions opts;
+    opts.fast = true;
+    return opts;
+  }
+
+  // Baselines trained by one recomputing run of two MNIST cells.
+  static std::uint64_t trained_by_run(SweepStoreOptions st) {
+    obs::Counter& trained = obs::counter("sweep.baseline.trained");
+    const std::uint64_t before = trained.value();
+    st.resume = false;
+    SweepRunner r{fast()};
+    r.add_grid({st, grid(2), [](const Scenario&, const SweepContext&) {
+                  return ScenarioResult{};
+                }});
+    r.run();
+    return trained.value() - before;
+  }
+
+  // The stored record of the MNIST baseline under `root`.
+  static std::string record_path(const std::string& root) {
+    return store::LocalDirStore(root).object_path(
+        baseline_fingerprint(DatasetKind::kMnist, fast()));
+  }
+};
+
+TEST_F(SweepBaselineTest, StoredBaselineIsRestoredRetrainedAndSubstituted) {
+  // A store holding a baseline record (an untrained network's: restoring
+  // it costs no training) serves it to every run.
+  Workload untrained = build_workload(DatasetKind::kMnist, fast());
+  store::LocalDirStore(dir_).put(
+      baseline_fingerprint(DatasetKind::kMnist, fast()),
+      encode_baseline(untrained.net));
+  EXPECT_EQ(trained_by_run(store_opts(dir_)), 0u);
+
+  // One flipped payload byte in a copy: that run retrains and
+  // republishes, and the next one restores again.
+  const std::string flipped = dir_ + "_flipped";
+  fs::remove_all(flipped);
+  fs::copy(dir_, flipped, fs::copy_options::recursive);
+  {
+    std::fstream rec(record_path(flipped),
+                     std::ios::binary | std::ios::in | std::ios::out);
+    rec.seekg(-1, std::ios::end);
+    const char last = static_cast<char>(rec.get());
+    rec.seekp(-1, std::ios::end);
+    rec.put(static_cast<char>(last ^ 0x40));
+  }
+  EXPECT_EQ(trained_by_run(store_opts(flipped)), 1u);
+  EXPECT_EQ(trained_by_run(store_opts(flipped)), 0u);
+  // The republished record is a garbage-collection root.
+  const std::vector<store::Manifest> roots =
+      store::LocalDirStore(flipped).manifests(kBaselinesManifest);
+  ASSERT_EQ(roots.size(), 1u);
+  EXPECT_EQ(roots[0].entries.front().first,
+            baseline_fingerprint(DatasetKind::kMnist, fast()));
+
+  // A fresh store substituting from the intact one trains nothing.
+  SweepStoreOptions sub = store_opts(dir_ + "_sub");
+  sub.substituters = {dir_};
+  EXPECT_EQ(trained_by_run(sub), 0u);
+  EXPECT_FALSE(fs::exists(record_path(dir_ + "_sub")));
+  fs::remove_all(flipped);
+  fs::remove_all(dir_ + "_sub");
 }
 
 TEST(SweepStoreCodec, RoundTripsEveryField) {
